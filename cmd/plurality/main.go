@@ -112,7 +112,6 @@ func run(ruleName, engName, graphName, graphMode, graphFile, samplerName string,
 		Rand:      r,
 		Adversary: adv,
 		Stop:      stop,
-		TrackBias: true,
 	}
 	var telemetry *obs.Recorder
 	if traceFile != "" {

@@ -38,7 +38,6 @@ func main() {
 	res := core.Run(eng, core.Options{
 		MaxRounds: 10_000,
 		Rand:      rng.New(*seed),
-		TrackBias: true,
 		OnRound: func(round int, c colorcfg.Config) {
 			if round%5 == 0 || c.IsMonochromatic() {
 				first, _ := c.TopTwo()

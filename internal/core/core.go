@@ -90,8 +90,6 @@ type Options struct {
 	OnRound func(round int, c colorcfg.Config)
 	// Rand drives the run. Required.
 	Rand *rng.Rand
-	// TrackBias records the bias trajectory in Result.BiasTrajectory.
-	TrackBias bool
 	// Observer, if non-nil, is attached to the engine before the first
 	// round and receives per-round telemetry (wall time, post-round
 	// configuration — see obs.Observer). It never touches Rand, so a
@@ -118,9 +116,6 @@ type Result struct {
 	// WonInitialPlurality is true if the run stopped monochromatic on the
 	// initial plurality color — the paper's success event.
 	WonInitialPlurality bool
-	// BiasTrajectory is the per-round bias s(C(t)) (index 0 = initial),
-	// recorded only when Options.TrackBias is set.
-	BiasTrajectory []int64
 }
 
 // Run drives the engine until the stop condition fires or MaxRounds is
@@ -147,9 +142,6 @@ func Run(e engine.Engine, opts Options) Result {
 
 	initial := e.Config()
 	res := Result{InitialPlurality: initial.Plurality()}
-	if opts.TrackBias {
-		res.BiasTrajectory = append(res.BiasTrajectory, initial.Bias())
-	}
 
 	cur := initial
 	for round := 0; ; round++ {
@@ -165,9 +157,6 @@ func Run(e engine.Engine, opts Options) Result {
 		e.Step(opts.Rand)
 		adv.Corrupt(e, opts.Rand)
 		cur = e.Config()
-		if opts.TrackBias {
-			res.BiasTrajectory = append(res.BiasTrajectory, cur.Bias())
-		}
 		if opts.OnRound != nil {
 			opts.OnRound(round+1, cur)
 		}

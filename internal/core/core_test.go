@@ -56,22 +56,6 @@ func TestRunAlreadyStopped(t *testing.T) {
 	}
 }
 
-func TestRunTracksBias(t *testing.T) {
-	init := colorcfg.Biased(20000, 3, 4000)
-	e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
-	res := Run(e, Options{MaxRounds: 500, Rand: rng.New(4), TrackBias: true})
-	if len(res.BiasTrajectory) != res.Rounds+1 {
-		t.Fatalf("trajectory length %d, rounds %d", len(res.BiasTrajectory), res.Rounds)
-	}
-	if res.BiasTrajectory[0] != init.Bias() {
-		t.Fatalf("trajectory[0] = %d, want %d", res.BiasTrajectory[0], init.Bias())
-	}
-	last := res.BiasTrajectory[len(res.BiasTrajectory)-1]
-	if last != 20000 {
-		t.Fatalf("final bias %d, want n", last)
-	}
-}
-
 func TestRunOnRoundHook(t *testing.T) {
 	init := colorcfg.Biased(5000, 3, 1500)
 	e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)

@@ -7,20 +7,19 @@ import (
 
 	"plurality/internal/colorcfg"
 	"plurality/internal/dynamics"
-	"plurality/internal/graph"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
 	"plurality/internal/topo"
 )
 
-// hiddenCSR wraps a CSR behind a bare interface (embedding the interface,
-// not the concrete type, so FlatRows is not promoted) — NewGraphEngine's
-// topo.Flat assertion fails and the engine takes the generic
-// NeighborSource path over the exact same structure.
-type hiddenCSR struct{ graph.Graph }
+// opaqueSource hides a source's concrete type behind the bare interface,
+// so NewGraphEngine's *topo.CSR and topo.Complete assertions fail and the
+// engine takes the generic NeighborSource path over the exact same
+// structure.
+type opaqueSource struct{ topo.NeighborSource }
 
 // TestGraphEngineCSRByteContract pins the representation-independence
-// contract: the CSR direct-slice path and the graph.Graph interface path
+// contract: the CSR direct-slice path and the generic NeighborSource path
 // consume the rng identically, so the same (structure, seed, workers)
 // triple yields byte-identical runs whichever path executes.
 func TestGraphEngineCSRByteContract(t *testing.T) {
@@ -28,7 +27,7 @@ func TestGraphEngineCSRByteContract(t *testing.T) {
 	init := colorcfg.Biased(900, 4, 120)
 	for _, workers := range []int{1, 3} {
 		fast := NewGraphEngine(dynamics.ThreeMajority{}, csr, init, workers, 77, rng.New(5))
-		slow := NewGraphEngine(dynamics.ThreeMajority{}, hiddenCSR{csr}, init, workers, 77, rng.New(5))
+		slow := NewGraphEngine(dynamics.ThreeMajority{}, opaqueSource{csr}, init, workers, 77, rng.New(5))
 		if fast.loop.offsets == nil || slow.loop.offsets != nil {
 			t.Fatal("fast-path detection broken: want flat path vs generic path")
 		}
@@ -97,10 +96,12 @@ func twoSampleChi2(t *testing.T, a, b []float64) (float64, int) {
 	return stat, df
 }
 
-// TestGraphEngineCSRCrossCheck is the statistical half of the port: on the
-// clique and on a random 8-regular graph, the one-round color-0 count of
-// the CSR-sharded engine must be distributed identically to the legacy
-// path over the same structure (two-sample chi-square, α = 0.001).
+// TestGraphEngineCSRCrossCheck is the statistical half of the port: the
+// one-round color-0 count of the flat loop over the materialized clique
+// (rows include self) must be distributed identically to the paper
+// engine's alias loop (two-sample chi-square, α = 0.001). The flat loop's
+// equivalence with the generic loop is pinned byte for byte by
+// TestGraphEngineCSRByteContract.
 func TestGraphEngineCSRCrossCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical cross-check")
@@ -108,46 +109,23 @@ func TestGraphEngineCSRCrossCheck(t *testing.T) {
 	const n, reps = 360, 2500
 	init := colorcfg.FromCounts(150, 120, 90)
 	rule := dynamics.ThreeMajority{}
-
-	cases := []struct {
-		name   string
-		csr    func() graph.Graph
-		legacy func() graph.Graph
-	}{
-		{
-			// The materialized clique (rows include self) against the
-			// paper engine's alias fast path.
-			name:   "clique",
-			csr:    func() graph.Graph { return topo.FromGraph(graph.NewComplete(n)) },
-			legacy: func() graph.Graph { return graph.NewComplete(n) },
-		},
-		{
-			// The same 8-regular structure through both representations.
-			name: "8-regular",
-			csr: func() graph.Graph {
-				return topo.FromGraph(graph.NewRandomRegular(n, 8, rng.New(12)))
-			},
-			legacy: func() graph.Graph { return graph.NewRandomRegular(n, 8, rng.New(12)) },
-		},
+	clique := topo.NewComplete(n)
+	csr, err := topo.MaterializeCSR("complete", clique)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			gCSR, gLegacy := tc.csr(), tc.legacy()
-			if _, ok := gCSR.(*topo.CSR); !ok {
-				t.Fatal("csr builder did not produce *topo.CSR")
-			}
-			a := oneRoundColor0Samples(init, reps, func(rep int) Engine {
-				return NewGraphEngine(rule, gCSR, init, 2, uint64(rep)*2+1, nil)
-			})
-			b := oneRoundColor0Samples(init, reps, func(rep int) Engine {
-				return NewGraphEngine(rule, gLegacy, init, 1, uint64(rep)*2+800_000_001, nil)
-			})
-			stat, df := twoSampleChi2(t, a, b)
-			if crit := stats.ChiSquareCritical(df, 0.001); stat > crit {
-				t.Errorf("χ² = %.2f > crit %.2f (df %d): CSR path diverges from legacy path", stat, crit, df)
-			}
+	t.Run("clique", func(t *testing.T) {
+		a := oneRoundColor0Samples(init, reps, func(rep int) Engine {
+			return NewGraphEngine(rule, csr, init, 2, uint64(rep)*2+1, nil)
 		})
-	}
+		b := oneRoundColor0Samples(init, reps, func(rep int) Engine {
+			return NewGraphEngine(rule, clique, init, 1, uint64(rep)*2+800_000_001, nil)
+		})
+		stat, df := twoSampleChi2(t, a, b)
+		if crit := stats.ChiSquareCritical(df, 0.001); stat > crit {
+			t.Errorf("χ² = %.2f > crit %.2f (df %d): flat loop diverges from the alias loop", stat, crit, df)
+		}
+	})
 }
 
 // TestGraphEngineCSRLargeShardedRound exercises the sharded CSR path on a

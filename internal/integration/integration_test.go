@@ -12,9 +12,9 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
-	"plurality/internal/graph"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
+	"plurality/internal/topo"
 )
 
 // meanRounds runs reps processes built by mk and returns summary stats of
@@ -57,7 +57,7 @@ func TestEnginesProcessLevelEquivalence(t *testing.T) {
 		return engine.NewCliqueSampled(dynamics.ThreeMajority{}, init, 2, uint64(rep)*7+1)
 	}
 	mkGraph := func(rep int) engine.Engine {
-		return engine.NewGraphEngine(dynamics.ThreeMajority{}, graph.NewComplete(n), init, 2, uint64(rep)*13+5, nil)
+		return engine.NewGraphEngine(dynamics.ThreeMajority{}, topo.NewComplete(n), init, 2, uint64(rep)*13+5, nil)
 	}
 	mkMarkov := func(rep int) engine.Engine {
 		return engine.NewCliqueMarkov(dynamics.ThreeMajorityKeepOwn{}, init)
@@ -141,7 +141,7 @@ func TestAdversaryAcrossEngines(t *testing.T) {
 	engines := map[string]engine.Engine{
 		"multinomial": engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init),
 		"sampled":     engine.NewCliqueSampled(dynamics.ThreeMajority{}, init, 2, 5),
-		"graph":       engine.NewGraphEngine(dynamics.ThreeMajority{}, graph.NewComplete(n), init, 2, 6, nil),
+		"graph":       engine.NewGraphEngine(dynamics.ThreeMajority{}, topo.NewComplete(n), init, 2, 6, nil),
 		"markov":      engine.NewCliqueMarkov(dynamics.ThreeMajorityKeepOwn{}, init),
 	}
 	for name, e := range engines {
@@ -214,17 +214,19 @@ func TestFullPipelineTrajectoryMonotoneAfterThreshold(t *testing.T) {
 	k := 8
 	init := colorcfg.Biased(n, k, core.Corollary1Bias(n, k, 1.0))
 	e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
-	res := core.Run(e, core.Options{MaxRounds: 1000, Rand: rng.New(3), TrackBias: true})
+	trajectory := []int64{init.Bias()}
+	res := core.Run(e, core.Options{MaxRounds: 1000, Rand: rng.New(3),
+		OnRound: func(_ int, c colorcfg.Config) { trajectory = append(trajectory, c.Bias()) }})
 	if !res.WonInitialPlurality {
 		t.Fatal("did not converge")
 	}
 	drops := 0
-	for i := 1; i < len(res.BiasTrajectory); i++ {
-		if res.BiasTrajectory[i] < res.BiasTrajectory[i-1] {
+	for i := 1; i < len(trajectory); i++ {
+		if trajectory[i] < trajectory[i-1] {
 			drops++
 		}
 	}
-	if drops > len(res.BiasTrajectory)/10 {
-		t.Errorf("bias dropped in %d/%d rounds despite Cor-1 bias", drops, len(res.BiasTrajectory))
+	if drops > len(trajectory)/10 {
+		t.Errorf("bias dropped in %d/%d rounds despite Cor-1 bias", drops, len(trajectory))
 	}
 }

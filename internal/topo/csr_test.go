@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"plurality/internal/graph"
 	"plurality/internal/rng"
 )
 
@@ -53,8 +52,20 @@ func checkCSR(t *testing.T, g *CSR) int64 {
 	return degreeSum
 }
 
+// sortedCSR materializes an implicit source with its rows sorted, the
+// canonical layout checkCSR verifies.
+func sortedCSR(t *testing.T, src NeighborSource) *CSR {
+	t.Helper()
+	g, err := MaterializeCSR(src.Name(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortRows(g)
+	return g
+}
+
 // connected reports whether the graph is connected (BFS from 0).
-func connected(g graph.Graph) bool {
+func connected(g NeighborSource) bool {
 	n := g.N()
 	if n == 0 {
 		return true
@@ -210,28 +221,6 @@ func TestReadCSRRejectsCorruption(t *testing.T) {
 	for name, data := range cases {
 		if _, err := ReadCSR(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: ReadCSR accepted corrupted input", name)
-		}
-	}
-}
-
-func TestFromGraphMatchesEdgeList(t *testing.T) {
-	// CSR↔edge-list round trip: materializing the implicit torus and
-	// re-deriving neighbor sets must agree with the implicit structure.
-	impl := graph.NewTorus(4, 5)
-	g := FromGraph(impl)
-	checkCSR(t, g)
-	if g.N() != impl.N() {
-		t.Fatalf("n = %d, want %d", g.N(), impl.N())
-	}
-	for v := int64(0); v < impl.N(); v++ {
-		want := make([]int64, 0, 4)
-		for i := int64(0); i < impl.Degree(v); i++ {
-			want = append(want, impl.Neighbor(v, i))
-		}
-		slices.Sort(want)
-		got := g.Neighbors[g.Offsets[v]:g.Offsets[v+1]]
-		if !slices.Equal(got, want) {
-			t.Fatalf("vertex %d: row %v, want %v", v, got, want)
 		}
 	}
 }

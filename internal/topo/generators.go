@@ -423,6 +423,147 @@ func geometricSkip(r *rng.Rand, p float64) int64 {
 
 // ----- implicit families (O(1) memory, structure computed on the fly) -----
 
+// Complete is the paper's topology: every agent can sample every agent.
+// With IncludeSelf (the paper's convention) samples are uniform over all n
+// vertices including the sampler; without it they are uniform over the
+// other n-1. The graph engine recognises Complete with IncludeSelf and
+// draws colors from an alias table instead of sampling vertices.
+type Complete struct {
+	Vertices    int64
+	IncludeSelf bool
+}
+
+// NewComplete returns the paper's clique (self included) on n >= 1
+// vertices.
+func NewComplete(n int64) Complete {
+	if n <= 0 {
+		panic("topo: Complete needs n > 0")
+	}
+	return Complete{Vertices: n, IncludeSelf: true}
+}
+
+// Name implements NeighborSource.
+func (g Complete) Name() string {
+	if g.IncludeSelf {
+		return "complete+self"
+	}
+	return "complete"
+}
+
+// N implements NeighborSource.
+func (g Complete) N() int64 { return g.Vertices }
+
+// Degree implements NeighborSource; with IncludeSelf, v counts itself.
+func (g Complete) Degree(int64) int64 {
+	if g.IncludeSelf {
+		return g.Vertices
+	}
+	return g.Vertices - 1
+}
+
+// Neighbor implements NeighborSource.
+func (g Complete) Neighbor(v, i int64) int64 {
+	if !g.IncludeSelf && i >= v {
+		return i + 1
+	}
+	return i
+}
+
+// SampleNeighbor implements NeighborSource.
+func (g Complete) SampleNeighbor(v int64, r *rng.Rand) int64 {
+	if g.IncludeSelf {
+		return r.Int63n(g.Vertices)
+	}
+	u := r.Int63n(g.Vertices - 1)
+	if u >= v {
+		u++
+	}
+	return u
+}
+
+// Cycle is the n-vertex ring.
+type Cycle struct {
+	Vertices int64
+}
+
+// NewCycle returns a ring on n >= 3 vertices.
+func NewCycle(n int64) Cycle {
+	if n < 3 {
+		panic("topo: Cycle needs n >= 3")
+	}
+	return Cycle{Vertices: n}
+}
+
+// Name implements NeighborSource.
+func (Cycle) Name() string { return "cycle" }
+
+// N implements NeighborSource.
+func (g Cycle) N() int64 { return g.Vertices }
+
+// Degree implements NeighborSource.
+func (Cycle) Degree(int64) int64 { return 2 }
+
+// Neighbor implements NeighborSource: neighbor 0 is v+1, neighbor 1 is
+// v-1.
+func (g Cycle) Neighbor(v, i int64) int64 {
+	if i == 0 {
+		return (v + 1) % g.Vertices
+	}
+	return (v - 1 + g.Vertices) % g.Vertices
+}
+
+// SampleNeighbor implements NeighborSource.
+func (g Cycle) SampleNeighbor(v int64, r *rng.Rand) int64 {
+	return g.Neighbor(v, r.Int63n(2))
+}
+
+// UniformDegree implements the degree-class hint: every vertex has degree
+// 2.
+func (Cycle) UniformDegree() int64 { return 2 }
+
+// Star has vertex 0 as the hub adjacent to all leaves.
+type Star struct {
+	Vertices int64
+}
+
+// NewStar returns a star on n >= 2 vertices with hub 0.
+func NewStar(n int64) Star {
+	if n < 2 {
+		panic("topo: Star needs n >= 2")
+	}
+	return Star{Vertices: n}
+}
+
+// Name implements NeighborSource.
+func (Star) Name() string { return "star" }
+
+// N implements NeighborSource.
+func (g Star) N() int64 { return g.Vertices }
+
+// Degree implements NeighborSource.
+func (g Star) Degree(v int64) int64 {
+	if v == 0 {
+		return g.Vertices - 1
+	}
+	return 1
+}
+
+// Neighbor implements NeighborSource.
+func (g Star) Neighbor(v, i int64) int64 {
+	if v == 0 {
+		return i + 1
+	}
+	return 0
+}
+
+// SampleNeighbor implements NeighborSource.
+func (g Star) SampleNeighbor(v int64, r *rng.Rand) int64 {
+	if v == 0 {
+		return 1 + r.Int63n(g.Vertices-1)
+	}
+	return 0
+}
+
 // Hypercube is the Dim-dimensional boolean hypercube on 2^Dim vertices:
 // u ~ v iff they differ in exactly one bit. Deterministic and implicit —
 // neighbor i of v is v with bit i flipped.
@@ -443,23 +584,23 @@ func NewHypercube(n int64) Hypercube {
 	return Hypercube{Dim: dim}
 }
 
-// Name implements graph.Graph.
+// Name implements NeighborSource.
 func (Hypercube) Name() string { return "hypercube" }
 
-// N implements graph.Graph.
+// N implements NeighborSource.
 func (g Hypercube) N() int64 { return 1 << g.Dim }
 
-// Degree implements graph.Graph.
+// Degree implements NeighborSource.
 func (g Hypercube) Degree(int64) int64 { return int64(g.Dim) }
 
-// Neighbor implements graph.Graph.
+// Neighbor implements NeighborSource.
 func (g Hypercube) Neighbor(v, i int64) int64 { return v ^ (1 << i) }
 
 // UniformDegree implements the degree-class hint: every vertex has degree
 // Dim.
 func (g Hypercube) UniformDegree() int64 { return int64(g.Dim) }
 
-// SampleNeighbor implements graph.Graph.
+// SampleNeighbor implements NeighborSource.
 func (g Hypercube) SampleNeighbor(v int64, r *rng.Rand) int64 {
 	return v ^ (1 << r.Int63n(int64(g.Dim)))
 }
@@ -528,33 +669,45 @@ func satPow(b int64, e int) int64 {
 	return p
 }
 
-// Name implements graph.Graph.
-func (g TorusD) Name() string { return fmt.Sprintf("torus%dd", g.Dims) }
+// Name implements NeighborSource. The square torus is plain "torus",
+// the registry's default family name.
+func (g TorusD) Name() string {
+	if g.Dims == 2 {
+		return "torus"
+	}
+	return fmt.Sprintf("torus%dd", g.Dims)
+}
 
-// N implements graph.Graph.
+// N implements NeighborSource.
 func (g TorusD) N() int64 { return satPow(g.Side, g.Dims) }
 
-// Degree implements graph.Graph.
+// Degree implements NeighborSource.
 func (g TorusD) Degree(int64) int64 { return int64(2 * g.Dims) }
 
-// Neighbor implements graph.Graph: neighbor 2j / 2j+1 steps +1 / -1 along
+// Neighbor implements NeighborSource: neighbor 2j / 2j+1 steps +1 / -1 along
 // dimension j.
 func (g TorusD) Neighbor(v, i int64) int64 {
-	dim := i / 2
 	stride := int64(1)
-	for j := int64(0); j < dim; j++ {
+	for j := i / 2; j > 0; j-- {
 		stride *= g.Side
 	}
 	digit := (v / stride) % g.Side
 	next := digit + 1
-	if i%2 == 1 {
-		next = digit - 1 + g.Side
+	if i&1 != 0 {
+		next = digit - 1
 	}
-	next %= g.Side
+	// Wrap around with compares rather than a third division: this runs
+	// once per sampled neighbor on the implicit-torus hot path.
+	if next == g.Side {
+		next = 0
+	}
+	if next < 0 {
+		next = g.Side - 1
+	}
 	return v + (next-digit)*stride
 }
 
-// SampleNeighbor implements graph.Graph.
+// SampleNeighbor implements NeighborSource.
 func (g TorusD) SampleNeighbor(v int64, r *rng.Rand) int64 {
 	return g.Neighbor(v, r.Int63n(int64(2*g.Dims)))
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"plurality/internal/graph"
 	"plurality/internal/rng"
 )
 
@@ -200,8 +199,7 @@ func TestHypercubeStructure(t *testing.T) {
 	if g.N() != 16 || g.Dim != 4 {
 		t.Fatalf("hypercube(16): n=%d dim=%d", g.N(), g.Dim)
 	}
-	csr := FromGraph(g)
-	checkCSR(t, csr)
+	checkCSR(t, sortedCSR(t, g))
 	if !connected(g) {
 		t.Fatal("hypercube disconnected")
 	}
@@ -224,7 +222,7 @@ func TestTorusDStructure(t *testing.T) {
 	if g.Side != 3 || g.Dims != 3 || g.N() != 27 {
 		t.Fatalf("torus3: side=%d dims=%d n=%d", g.Side, g.Dims, g.N())
 	}
-	csr := FromGraph(g)
+	csr := sortedCSR(t, g)
 	checkCSR(t, csr)
 	if !connected(g) {
 		t.Fatal("torus3 disconnected")
@@ -233,12 +231,6 @@ func TestTorusDStructure(t *testing.T) {
 		if csr.Degree(v) != 6 {
 			t.Fatalf("degree(%d) = %d, want 6", v, csr.Degree(v))
 		}
-	}
-	// The 2-d TorusD must agree with the legacy square torus edge set.
-	a := FromGraph(NewTorusD(25, 2))
-	legacy := FromGraph(graph.NewTorus(5, 5))
-	if !slices.Equal(a.Neighbors, legacy.Neighbors) {
-		t.Fatal("TorusD(25, 2) edge set diverges from graph.Torus(5, 5)")
 	}
 }
 
@@ -276,5 +268,29 @@ func TestGeneratorsDeterministic(t *testing.T) {
 		if !slices.Equal(a.Offsets, b.Offsets) || !slices.Equal(a.Neighbors, b.Neighbors) {
 			t.Errorf("%s: not byte-deterministic", name)
 		}
+	}
+}
+
+func TestGeometricSkipAlwaysPositive(t *testing.T) {
+	r := rng.New(2)
+	for _, p := range []float64{0.001, 0.5, 0.999} {
+		for i := 0; i < 10000; i++ {
+			if s := geometricSkip(r, p); s < 1 {
+				t.Fatalf("skip %d < 1 at p=%v", s, p)
+			}
+		}
+	}
+}
+
+func TestGeometricSkipMean(t *testing.T) {
+	// E[skip] = 1/p.
+	r := rng.New(3)
+	const p, draws = 0.2, 200000
+	sum := 0.0
+	for i := 0; i < draws; i++ {
+		sum += float64(geometricSkip(r, p))
+	}
+	if mean := sum / draws; mean < 4.8 || mean > 5.2 {
+		t.Fatalf("mean skip %v, want ~5", mean)
 	}
 }

@@ -7,11 +7,10 @@ import (
 )
 
 // NeighborSource is the engine↔topology contract: the minimal surface the
-// graph engine samples neighbors through. It is deliberately identical to
-// graph.Graph's method set, so every legacy graph value satisfies it by
-// plain interface conversion — the engine has exactly one generic sampling
-// loop, shared by implicit backends, mmap backends, and the legacy graph
-// package alike.
+// graph engine samples neighbors through. Implicit families, in-RAM CSRs
+// and mmap-backed CSRs all implement it, and the engine has exactly one
+// generic sampling loop for them (plus the direct-slice loop for *CSR and
+// the alias loop for Complete with IncludeSelf).
 //
 // The rng byte contract every implementation must honor (the golden traces
 // pin it): SampleNeighbor consumes exactly one Int63n(Degree(u)) draw per
@@ -37,23 +36,6 @@ type NeighborSource interface {
 	SampleNeighbor(u int64, r *rng.Rand) int64
 }
 
-// Flat is the optional fast-path surface: sources whose adjacency lives in
-// flat int64 offset/neighbor arrays (in-RAM CSR, the legacy adjacency
-// list) expose them so the engine's hot loop can index the slices directly
-// instead of making two interface calls per sample. The arrays must satisfy
-// the CSR invariants (offsets nondecreasing, len(offsets) == N()+1,
-// neighbors of v at offsets[v]:offsets[v+1]) and must not be mutated while
-// an engine is stepping.
-//
-// The flat path consumes the rng identically to SampleNeighbor, so whether
-// the engine takes it is invisible to seeded runs.
-type Flat interface {
-	FlatRows() (offsets, neighbors []int64)
-}
-
-// FlatRows implements Flat: the CSR is its own flat representation.
-func (g *CSR) FlatRows() (offsets, neighbors []int64) { return g.Offsets, g.Neighbors }
-
 // UniformDegree is the optional degree-class hint: a source whose vertices
 // all share one positive degree returns it, and the engine's bucketed hot
 // loop hoists the per-vertex degree load, the zero-degree branch, and the
@@ -61,8 +43,8 @@ func (g *CSR) FlatRows() (offsets, neighbors []int64) { return g.Offsets, g.Neig
 // vary (or are unknown) — the hint must never overclaim, as the bucketed
 // loop indexes rows by the advertised width. Implicit regular families
 // (torus, hypercube, cycle) answer in O(1); mmap CSRs answer from the scan
-// OpenCSR already pays; for in-RAM flat sources the engine derives the
-// hint itself from the offset array.
+// OpenCSR already pays; for an in-RAM *CSR the engine derives the hint
+// itself from the offset array.
 type UniformDegree interface {
 	UniformDegree() int64
 }

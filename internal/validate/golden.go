@@ -8,14 +8,14 @@ import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
-	"plurality/internal/graph"
 	"plurality/internal/obs"
 	"plurality/internal/rng"
 	"plurality/internal/topo"
 )
 
-// goldenFS embeds the committed traces so consumers outside the package
-// directory (cmd/validate) can verify them from any working directory.
+// goldenFS embeds the committed traces, and the frozen graphs some of
+// them run on, so consumers outside the package directory (cmd/validate)
+// can verify them from any working directory.
 //
 //go:embed testdata/golden
 var goldenFS embed.FS
@@ -25,6 +25,22 @@ var goldenFS embed.FS
 // files, which are re-embedded on the next build).
 func GoldenBytes(name string) ([]byte, error) {
 	return goldenFS.ReadFile("testdata/golden/" + name + ".golden")
+}
+
+// goldenGraph reads the topology frozen for a golden spec, committed as
+// testdata/golden/<name>.csr in the topoCSR1 format. The rows are kept in
+// the order the graph's original generator produced (never sorted), because
+// draw i of a vertex maps to the i-th entry of its row.
+func goldenGraph(name string) *topo.CSR {
+	data, err := goldenFS.ReadFile("testdata/golden/" + name + ".csr")
+	if err != nil {
+		panic(fmt.Sprintf("golden graph %s: %v", name, err))
+	}
+	g, err := topo.ReadCSR(bytes.NewReader(data))
+	if err != nil {
+		panic(fmt.Sprintf("golden graph %s: %v", name, err))
+	}
+	return g
 }
 
 // GoldenSpec is one canonical seeded run whose full per-round count
@@ -87,7 +103,7 @@ func StandardGoldenSpecs() []GoldenSpec {
 			Name: "graph-complete-w2-3majority-n64-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				return engine.NewGraphEngine(dynamics.ThreeMajority{},
-					graph.NewComplete(init.N()), init, 2, r.Uint64(), nil)
+					topo.NewComplete(init.N()), init, 2, r.Uint64(), nil)
 			},
 			Initial: colorcfg.Biased(64, 3, 12), Rounds: 15, Seed: 1005,
 		},
@@ -95,23 +111,27 @@ func StandardGoldenSpecs() []GoldenSpec {
 			Name: "graph-literal-w1-3majority-n48-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				return engine.NewGraphEngine(dynamics.ThreeMajority{},
-					opaqueGraph{graph.NewComplete(init.N())}, init, 1, r.Uint64(), nil)
+					opaqueGraph{topo.NewComplete(init.N())}, init, 1, r.Uint64(), nil)
 			},
 			Initial: colorcfg.Biased(48, 3, 9), Rounds: 12, Seed: 1006,
 		},
 		{
+			// The random 8-regular graph is frozen in testdata (see
+			// goldenGraph). The draw that once seeded its generator is kept,
+			// so the engine seed drawn after it is unchanged.
 			Name: "graph-regular8-w2-3majority-n64-k4",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				layout := rng.New(r.Uint64())
+				r.Uint64() // graph seed
 				return engine.NewGraphEngine(dynamics.ThreeMajority{},
-					graph.NewRandomRegular(init.N(), 8, rng.New(r.Uint64())), init, 2, r.Uint64(), layout)
+					goldenGraph("graph-regular8-w2-3majority-n64-k4"), init, 2, r.Uint64(), layout)
 			},
 			Initial: colorcfg.Biased(64, 4, 16), Rounds: 15, Seed: 1007,
 		},
 		{
 			Name: "graph-smallworld-w2-3majority-n64-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
-				g, err := topo.Build("smallworld:6:0.2", init.N(), rng.New(r.Uint64()))
+				g, err := topo.BuildSource("smallworld:6:0.2", init.N(), rng.New(r.Uint64()), topo.BuildOpts{})
 				if err != nil {
 					panic(fmt.Sprintf("golden smallworld build: %v", err))
 				}
@@ -145,12 +165,14 @@ func StandardGoldenSpecs() []GoldenSpec {
 			// during Apply, so any change to block sizing or draw/apply
 			// interleaving moves these bytes even when the per-draw law is
 			// unchanged. Degree 6 is not a power of two, so the no-rejection
-			// fast draw is exercised rather than the shift identity.
+			// fast draw is exercised rather than the shift identity. The
+			// graph is frozen like the 8-regular one above.
 			Name: "graph-regular6-w2-3majorityutie-batch-n64-k4",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				layout := rng.New(r.Uint64())
+				r.Uint64() // graph seed
 				return engine.NewGraphEngineOpts(dynamics.ThreeMajority{UniformTie: true},
-					graph.NewRandomRegular(init.N(), 6, rng.New(r.Uint64())), init, 2, r.Uint64(), layout,
+					goldenGraph("graph-regular6-w2-3majorityutie-batch-n64-k4"), init, 2, r.Uint64(), layout,
 					engine.GraphOpts{Sampler: engine.SamplerBatch})
 			},
 			Initial: colorcfg.Biased(64, 4, 16), Rounds: 15, Seed: 1013,
