@@ -25,6 +25,7 @@ package dist
 
 import (
 	"math"
+	"math/bits"
 
 	"plurality/internal/rng"
 )
@@ -39,9 +40,14 @@ const binvThreshold = 14.0
 // For n·min(p,1-p) < 14 it uses sequential inversion (BINV); otherwise it
 // uses BTRS, Hörmann's transformed-rejection algorithm with squeeze (W.
 // Hörmann, "The generation of binomial random variates", J. Statist. Comput.
-// Simul. 46, 1993), which is exact and needs ~1.15 uniform pairs per draw
-// regardless of n. p outside [0,1] is clamped; n <= 0 returns 0.
+// Simul. 46, 1993), which is exact and needs ~1.13 uniform pairs per draw
+// regardless of n. p outside [0,1] is clamped; n <= 0 returns 0. A NaN p
+// panics: only a bug in the caller's probabilities produces one, and no
+// draw could be accepted against it.
 func Binomial(r *rng.Rand, n int64, p float64) int64 {
+	if math.IsNaN(p) {
+		panic("dist: Binomial probability is NaN")
+	}
 	if n <= 0 || p <= 0 {
 		return 0
 	}
@@ -85,9 +91,14 @@ func binomialInversion(r *rng.Rand, n int64, p float64) int64 {
 }
 
 // binomialBTRS is Hörmann's transformed-rejection sampler with squeeze.
-// Requires n·p >= 10 and p <= 1/2. The squeeze step accepts ~85% of
-// proposals without any transcendental call; the exact acceptance test
-// compares against the log-PMF via Lgamma.
+// Requires n·p >= 14 and p <= 1/2 (Binomial's dispatch guarantees both). The
+// squeeze accepts ~79% of proposals (~89% of draws) without any
+// transcendental call. A proposal the squeeze misses is decided by BTPE's
+// step-5.2 bracket on log f(k)/f(m) (Kachitvichyanukul & Schmeiser, CACM
+// 31(2), 1988), widened by a bound on the float error of the Lgamma test, so
+// it decides only where that test would decide the same way; inside the
+// widened bracket the Lgamma test itself decides. The draws and the rng
+// stream are therefore bit-identical to running the Lgamma test alone.
 func binomialBTRS(r *rng.Rand, n int64, p float64) int64 {
 	nf := float64(n)
 	q := 1 - p
@@ -98,12 +109,13 @@ func binomialBTRS(r *rng.Rand, n int64, p float64) int64 {
 	c := nf*p + 0.5
 	vr := 0.92 - 4.2/b
 
-	// Constants of the exact test, computed lazily: the squeeze accepts the
-	// bulk of draws without ever needing them.
+	// Constants of the bracket and of the Lgamma test, each computed lazily:
+	// the squeeze accepts the bulk of draws without either, and the bracket
+	// decides the bulk of the rest without the Lgamma constants.
 	var (
-		alpha, lpq, h float64
-		m             float64
-		haveExact     bool
+		alpha, m, npq, slackLg float64
+		lpq, h                 float64
+		haveBracket, haveExact bool
 	)
 
 	for {
@@ -117,18 +129,45 @@ func binomialBTRS(r *rng.Rand, n int64, p float64) int64 {
 		if us >= 0.07 && v <= vr {
 			return int64(kf) // squeeze acceptance: no log/lgamma needed
 		}
-		if !haveExact {
+		if !haveBracket {
 			alpha = (2.83 + 5.1/b) * spq
-			lpq = math.Log(p / q)
 			m = math.Floor((nf + 1) * p)
+			npq = nf * p * q
+			// B = (n+1)·ln2·bitlen(n+1) bounds every term of the Lgamma
+			// test below (|(k-m)·lpq| too, as p >= 14/n), whose float error
+			// is a few ulps of B; 64·2⁻⁵²·B covers it.
+			slackLg = 64 * 0x1p-52 * (nf + 1) * math.Ln2 * float64(bits.Len64(uint64(n)+1))
+			haveBracket = true
+		}
+		v = v * alpha / (a/(us*us) + b)
+		lv := math.Log(v)
+		if d := math.Abs(kf - m); d < npq/2-1 {
+			// 2⁻⁴⁹ of |t|+rho covers the bracket's own rounding.
+			t, rho := btpeBracket(d, npq)
+			slack := slackLg + 0x1p-49*(rho-t)
+			if lv < t-rho-slack {
+				return int64(kf)
+			}
+			if lv > t+rho+slack {
+				continue
+			}
+		}
+		if !haveExact {
+			lpq = math.Log(p / q)
 			h = lgamma(m+1) + lgamma(nf-m+1)
 			haveExact = true
 		}
-		v = v * alpha / (a/(us*us) + b)
-		if math.Log(v) <= h-lgamma(kf+1)-lgamma(nf-kf+1)+(kf-m)*lpq {
+		if lv <= h-lgamma(kf+1)-lgamma(nf-kf+1)+(kf-m)*lpq {
 			return int64(kf)
 		}
 	}
+}
+
+// btpeBracket returns the centre t and half-width rho of BTPE's step-5.2
+// bracket t-rho <= log f(m±d)/f(m) <= t+rho, where f is the Binomial(n, p)
+// pmf, m = ⌊(n+1)p⌋ and d < npq/2 - 1.
+func btpeBracket(d, npq float64) (t, rho float64) {
+	return -d * d / (2 * npq), (d / npq) * ((d*(d/3+0.625)+1.0/6)/npq + 0.5)
 }
 
 // lgamma wraps math.Lgamma, discarding the sign (arguments here are always
@@ -147,8 +186,9 @@ func lgamma(x float64) float64 {
 // the chain short-circuits as soon as all n trials are spent, which on
 // concentrated configurations (the common late-round case) makes it cheaper
 // still. probs must be non-negative; it is treated as normalized (the last
-// color absorbs any round-off so that Σ out = n always holds exactly).
-// len(out) must equal len(probs). Allocation-free.
+// color absorbs any round-off so that Σ out = n always holds exactly). A NaN
+// entry panics (in Binomial) once the chain reaches it. len(out) must equal
+// len(probs). Allocation-free.
 func Multinomial(r *rng.Rand, n int64, probs []float64, out []int64) {
 	if len(out) != len(probs) {
 		panic("dist: Multinomial output length mismatch")

@@ -50,6 +50,21 @@ func TestBinomialEdgeCases(t *testing.T) {
 			t.Fatalf("Binomial(1e9, .25) = %d out of range", y)
 		}
 	}
+	// A NaN probability must panic, not spin: every comparison with NaN
+	// is false, so the rejection sampler would never accept a draw.
+	for name, f := range map[string]func(){
+		"Binomial":    func() { Binomial(r, 100, math.NaN()) },
+		"Multinomial": func() { Multinomial(r, 100, []float64{0.5, math.NaN(), 0.5}, make([]int64, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a NaN probability did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 // TestBinomialChiSquare checks goodness of fit against the exact PMF across
@@ -273,11 +288,29 @@ func BenchmarkBinomialInversion(b *testing.B) {
 	}
 }
 
+// BenchmarkBinomialBTRS times the rejection sampler at the shapes the
+// workloads draw: n=10⁸ at p = 1/8, 1/64 and 1/512 is the first conditional
+// binomial of a k=8, 64 and 512 clique round at a uniform start; n=10⁶ at
+// p = 1/16 is a daemon job's (k=16); n=10⁹ at p = 0.3 is the extreme-n row.
 func BenchmarkBinomialBTRS(b *testing.B) {
-	r := rng.New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Binomial(r, 1_000_000_000, 0.3)
+	for _, bc := range []struct {
+		name string
+		n    int64
+		p    float64
+	}{
+		{"n=1e9/p=0.3", 1_000_000_000, 0.3},
+		{"n=1e8/p=1_8", 100_000_000, 1.0 / 8},
+		{"n=1e8/p=1_64", 100_000_000, 1.0 / 64},
+		{"n=1e8/p=1_512", 100_000_000, 1.0 / 512},
+		{"n=1e6/p=1_16", 1_000_000, 1.0 / 16},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			r := rng.New(1)
+			b.ReportAllocs()
+			for b.Loop() {
+				Binomial(r, bc.n, bc.p)
+			}
+		})
 	}
 }
 

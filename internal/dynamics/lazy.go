@@ -26,7 +26,7 @@ type Lazy struct {
 // NewLazy wraps rule; q must be in [0, 1) and rule must implement
 // ProbModel.
 func NewLazy(rule Rule, q float64) Lazy {
-	if q < 0 || q >= 1 {
+	if !(q >= 0 && q < 1) { // also rejects NaN
 		panic("dynamics: Lazy requires 0 <= q < 1")
 	}
 	if _, ok := rule.(ProbModel); !ok {

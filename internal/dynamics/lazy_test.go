@@ -79,6 +79,7 @@ func TestLazyPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"qNegative": func() { NewLazy(ThreeMajority{}, -0.1) },
 		"qOne":      func() { NewLazy(ThreeMajority{}, 1) },
+		"qNaN":      func() { NewLazy(ThreeMajority{}, math.NaN()) },
 		"noModel":   func() { NewLazy(NewHPlurality(5), 0.5) },
 	} {
 		func() {
