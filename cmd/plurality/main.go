@@ -12,11 +12,31 @@
 //	plurality -engine graph -graph torus:3 -graph-mode implicit -n 1000000000 -k 3 -bias auto
 //	plurality -engine graph -graph smallworld:2:0.1 -graph-mode mmap -graph-file /data/sw.csr -n 100000000 -k 3 -bias auto
 //	plurality -adversary strongest:200 -n 200000 -k 4 -bias auto
+//
+// The flags -rule, -engine, -graph, -sampler, -n, -k, -bias, -seed and
+// -max-rounds fill an internal/service JobSpec, the spec pluralityd
+// accepts as a job, and the run is replicate 0 of that spec's
+// one-replicate job: the spec's builder makes the engine, on the job's
+// graph (drawn from rng.New(seed)), and the run draws from
+// rng.New(mc.RepSeeds(seed, 1)[0]). So with -workers 1 and without
+// -adversary or -m-plurality, a run reports the rounds and outcome that
+// replicate 0 of the pluralityd job with the same spec records. The
+// exception is undecided: the run goes on to full consensus
+// (core.WhenConsensusOf), while job records stop once the colored agents
+// are monochromatic (core.WhenMonochromatic). The spec passes
+// JobSpec.Check, which is Validate without the daemon's resource caps, so
+// bad input is an error and a run may exceed the caps.
+//
+// Migration: before runs were JobSpec replicates, the engine seeds
+// derived from -seed directly and the run drew from rng.New(seed), so a
+// seeded run's trajectory differs from earlier versions. The graph is
+// unchanged.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -24,97 +44,114 @@ import (
 	"plurality/internal/adversary"
 	"plurality/internal/colorcfg"
 	"plurality/internal/core"
-	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/mc"
 	"plurality/internal/obs"
 	"plurality/internal/rng"
+	"plurality/internal/service"
 	"plurality/internal/topo"
 	"plurality/internal/trace"
 )
 
+// config collects the flags: spec is the run; the rest pick the topology
+// backend and worker count, the CLI-side core.Options (adversary, stop
+// rule) and what is printed or written.
+type config struct {
+	spec        service.JobSpec
+	graphMode   string
+	graphFile   string
+	workers     int
+	adversary   string
+	printRounds bool
+	traceFile   string
+	mPlurality  int64
+	dumpPath    string
+	phases      bool
+}
+
 func main() {
-	var (
-		ruleName    = flag.String("rule", "3majority", "dynamics: 3majority | 3majority-utie | hplurality:H | median | polling | 2choices | 2choices-keepown | undecided")
-		engName     = flag.String("engine", "auto", "engine: auto | multinomial | sampled | graph | population")
-		graphName   = flag.String("graph", "complete", "topology for -engine graph (internal/topo registry spec): complete | cycle | star | torus[:DIMS] | hypercube | regular:D | gnp:P | smallworld:K:BETA | ba:M | sbm:B:PIN:POUT | barbell:D")
-		graphMode   = flag.String("graph-mode", "auto", "topology backend for -engine graph: auto | implicit (zero materialization) | csr (force in-RAM) | mmap (serve from -graph-file, building it first if absent)")
-		graphFile   = flag.String("graph-file", "", "CSR file for -graph-mode mmap (created atomically when missing)")
-		sampler     = flag.String("sampler", "default", "rng draw discipline for -engine graph: default (per-draw byte contract, golden-pinned) | batch (bulk block draws; faster, certified by its own golden)")
-		n           = flag.Int64("n", 100_000, "number of agents")
-		k           = flag.Int("k", 8, "number of colors")
-		biasFlag    = flag.String("bias", "auto", "initial additive bias (integer) or 'auto' for the Corollary 1 threshold")
-		seed        = flag.Uint64("seed", 1, "random seed")
-		maxRounds   = flag.Int("max-rounds", 1_000_000, "round budget")
-		advName     = flag.String("adversary", "none", "adversary: none | strongest:F | spread:F | random:F | boost:F")
-		workers     = flag.Int("workers", 4, "worker goroutines for the sampled/graph engines")
-		printRounds = flag.Bool("print-rounds", false, "print the configuration every round")
-		traceFile   = flag.String("trace", "", "write a JSONL telemetry trace (per-round wall time, convergence stats, memory samples; cmd/tracereport renders it) to this file")
-		mPlur       = flag.Int64("m-plurality", -1, "stop at M-plurality consensus instead of full consensus")
-		dumpPath    = flag.String("dump-trajectory", "", "write the per-round trajectory to this CSV file")
-		phases      = flag.Bool("phases", false, "print the Lemma 3/4/5 phase segmentation after the run")
-	)
+	var cfg config
+	s := &cfg.spec
+	flag.StringVar(&s.Rule, "rule", "3majority", "dynamics: 3majority | 3majority-utie | hplurality:H | median | polling | 2choices | 2choices-keepown | undecided")
+	flag.StringVar(&s.Engine, "engine", "auto", "engine: auto | multinomial | sampled | graph | population")
+	flag.StringVar(&s.Graph, "graph", "complete", "topology for -engine graph (internal/topo registry spec): complete | cycle | star | torus[:DIMS] | hypercube | regular:D | gnp:P | smallworld:K:BETA | ba:M | sbm:B:PIN:POUT | barbell:D")
+	flag.StringVar(&cfg.graphMode, "graph-mode", "auto", "topology backend for -engine graph: auto | implicit (zero materialization) | csr (force in-RAM) | mmap (serve from -graph-file, building it first if absent)")
+	flag.StringVar(&cfg.graphFile, "graph-file", "", "CSR file for -graph-mode mmap (created atomically when missing)")
+	flag.StringVar(&s.Sampler, "sampler", "default", "rng draw discipline for -engine graph: default (per-draw byte contract, golden-pinned) | batch (bulk block draws; faster, certified by its own golden)")
+	flag.Int64Var(&s.N, "n", 100_000, "number of agents")
+	flag.IntVar(&s.K, "k", 8, "number of colors")
+	flag.StringVar(&s.Bias, "bias", "auto", "initial additive bias (integer) or 'auto' for the Corollary 1 threshold")
+	flag.Uint64Var(&s.Seed, "seed", 1, "random seed")
+	flag.IntVar(&s.MaxRounds, "max-rounds", 1_000_000, "round budget")
+	flag.StringVar(&cfg.adversary, "adversary", "none", "adversary: none | strongest:F | spread:F | random:F | boost:F")
+	flag.IntVar(&cfg.workers, "workers", 4, "worker goroutines for the sampled/graph engines")
+	flag.BoolVar(&cfg.printRounds, "print-rounds", false, "print the configuration every round")
+	flag.StringVar(&cfg.traceFile, "trace", "", "write a JSONL telemetry trace (per-round wall time, convergence stats, memory samples; cmd/tracereport renders it) to this file")
+	flag.Int64Var(&cfg.mPlurality, "m-plurality", -1, "stop at M-plurality consensus instead of full consensus")
+	flag.StringVar(&cfg.dumpPath, "dump-trajectory", "", "write the per-round trajectory to this CSV file")
+	flag.BoolVar(&cfg.phases, "phases", false, "print the Lemma 3/4/5 phase segmentation after the run")
 	flag.Parse()
 
-	if err := run(*ruleName, *engName, *graphName, *graphMode, *graphFile, *sampler, *n, *k, *biasFlag, *seed,
-		*maxRounds, *advName, *workers, *printRounds, *traceFile, *mPlur, *dumpPath, *phases); err != nil {
+	if _, err := run(os.Stdout, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "plurality:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ruleName, engName, graphName, graphMode, graphFile, samplerName string, n int64, k int,
-	biasFlag string, seed uint64, maxRounds int, advName string, workers int,
-	printRounds bool, traceFile string, mPlur int64, dumpPath string, phases bool) error {
-
-	bias, err := parseBias(biasFlag, n, k)
-	if err != nil {
-		return err
+// build checks the flags' spec and builds replicate 0 of its
+// one-replicate job: the engine, on the job's graph, and the replicate's
+// generator.
+func build(cfg config) (service.JobSpec, engine.Engine, *rng.Rand, error) {
+	spec := cfg.spec
+	spec.Replicates = 1
+	spec.GraphSeed = spec.Seed
+	if err := spec.Check(); err != nil {
+		return spec, nil, nil, err
 	}
-	init := colorcfg.Biased(n, k, bias)
-
-	r := rng.New(seed)
-
-	// The undecided-state protocol and the keep-own rules are stateful and
-	// have dedicated engines.
-	var eng engine.Engine
-	if ruleName == "undecided" {
-		eng = engine.NewUndecidedExact(init)
-	} else if ruleName == "2choices-keepown" {
-		eng = engine.NewCliqueMarkov(dynamics.TwoChoicesKeepOwn{}, init)
-	} else {
-		rule, err := parseRule(ruleName)
+	var g topo.NeighborSource
+	if spec.Engine == "graph" {
+		var err error
+		g, err = spec.BuildGraph(topo.BuildOpts{Mode: topo.Mode(cfg.graphMode), Path: cfg.graphFile})
 		if err != nil {
-			return err
-		}
-		eng, err = buildEngine(engName, graphName, graphMode, graphFile, samplerName, rule, init, workers, seed, r)
-		if err != nil {
-			return err
+			return spec, nil, nil, err
 		}
 	}
+	bias, _ := spec.BiasValue() // Check accepted it
+	r := rng.New(mc.RepSeeds(spec.Seed, 1)[0])
+	return spec, spec.BuildEngine(colorcfg.Biased(spec.N, spec.K, bias), g, cfg.workers, r), r, nil
+}
 
-	adv, err := parseAdversary(advName)
+// run executes the flags' run, reports it on w and returns its result.
+func run(w io.Writer, cfg config) (core.Result, error) {
+	adv, err := parseAdversary(cfg.adversary)
 	if err != nil {
-		return err
+		return core.Result{}, err
 	}
+	spec, eng, r, err := build(cfg)
+	if err != nil {
+		return core.Result{}, err
+	}
+	defer eng.Close()
+	n, k := spec.N, spec.K
 
 	stop := core.WhenConsensusOf(n)
-	if mPlur >= 0 {
-		stop = core.WhenMPlurality(n, mPlur)
+	if cfg.mPlurality >= 0 {
+		stop = core.WhenMPlurality(n, cfg.mPlurality)
 	}
 
 	var rec *trace.Recorder
-	if dumpPath != "" || phases {
+	if cfg.dumpPath != "" || cfg.phases {
 		rec = trace.NewRecorder(n)
-		rec.ObserveInitial(init)
+		rec.ObserveInitial(eng.Config())
 	}
 	opts := core.Options{
-		MaxRounds: maxRounds,
+		MaxRounds: spec.MaxRounds,
 		Rand:      r,
 		Adversary: adv,
 		Stop:      stop,
 	}
 	var telemetry *obs.Recorder
-	if traceFile != "" {
+	if cfg.traceFile != "" {
 		telemetry = &obs.Recorder{}
 		opts.Observer = telemetry // typed pointer assigned only when non-nil
 	}
@@ -122,120 +159,60 @@ func run(ruleName, engName, graphName, graphMode, graphFile, samplerName string,
 		if rec != nil {
 			rec.Observe(round, c)
 		}
-		if printRounds {
+		if cfg.printRounds {
 			first, second := c.TopTwo()
-			fmt.Printf("round %5d  top=%d  c1=%d  c2=%d  bias=%d  support=%d\n",
+			fmt.Fprintf(w, "round %5d  top=%d  c1=%d  c2=%d  bias=%d  support=%d\n",
 				round, c.Plurality(), first, second, c.Bias(), c.Support())
 		}
 	}
 
-	fmt.Printf("engine: %s\n", eng.Name())
-	fmt.Printf("start:  n=%d k=%d bias=%d (cor1 threshold: %d)\n",
+	bias, _ := spec.BiasValue()
+	fmt.Fprintf(w, "engine: %s\n", eng.Name())
+	fmt.Fprintf(w, "start:  n=%d k=%d bias=%d (cor1 threshold: %d)\n",
 		n, k, bias, core.Corollary1Bias(n, k, 1.0))
 	res := core.Run(eng, opts)
 
-	fmt.Printf("rounds: %d (stopped=%v)\n", res.Rounds, res.Stopped)
-	fmt.Printf("winner: color %d (initial plurality %d, won=%v)\n",
+	fmt.Fprintf(w, "rounds: %d (stopped=%v)\n", res.Rounds, res.Stopped)
+	fmt.Fprintf(w, "winner: color %d (initial plurality %d, won=%v)\n",
 		res.Winner, res.InitialPlurality, res.WonInitialPlurality)
 	first, _ := res.Final.TopTwo()
-	fmt.Printf("final:  c_max=%d/%d minority-mass=%d\n", first, n, n-first)
+	fmt.Fprintf(w, "final:  c_max=%d/%d minority-mass=%d\n", first, n, n-first)
 	lambda := core.Lambda(n, k)
-	fmt.Printf("theory: λ=%.3g, predicted O(λ·ln n)=%.0f rounds\n",
+	fmt.Fprintf(w, "theory: λ=%.3g, predicted O(λ·ln n)=%.0f rounds\n",
 		lambda, core.UpperBoundRounds(n, lambda, 1))
-	if phases && rec != nil {
-		fmt.Printf("\nphase segmentation (Lemmas 3/4/5):\n%s", rec.Summary())
+	if cfg.phases && rec != nil {
+		fmt.Fprintf(w, "\nphase segmentation (Lemmas 3/4/5):\n%s", rec.Summary())
 	}
-	if dumpPath != "" && rec != nil {
-		f, err := os.Create(dumpPath)
+	if cfg.dumpPath != "" && rec != nil {
+		f, err := os.Create(cfg.dumpPath)
 		if err != nil {
-			return fmt.Errorf("dump trajectory: %w", err)
+			return res, fmt.Errorf("dump trajectory: %w", err)
 		}
 		defer f.Close()
 		if err := rec.WriteCSV(f); err != nil {
-			return fmt.Errorf("dump trajectory: %w", err)
+			return res, fmt.Errorf("dump trajectory: %w", err)
 		}
-		fmt.Printf("trajectory: %d rounds written to %s\n", rec.Len(), dumpPath)
+		fmt.Fprintf(w, "trajectory: %d rounds written to %s\n", rec.Len(), cfg.dumpPath)
 	}
 	if telemetry != nil {
-		f, err := os.Create(traceFile)
+		f, err := os.Create(cfg.traceFile)
 		if err != nil {
-			return fmt.Errorf("write trace: %w", err)
+			return res, fmt.Errorf("write trace: %w", err)
 		}
 		werr := telemetry.WriteTrace(f, obs.Header{
-			Engine: eng.Name(), Rule: ruleName, N: n, K: k, Seed: seed,
+			Engine: eng.Name(), Rule: spec.Rule, N: n, K: k, Seed: spec.Seed,
 		})
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
-			return fmt.Errorf("write trace: %w", werr)
+			return res, fmt.Errorf("write trace: %w", werr)
 		}
 		sum := telemetry.Summarize()
-		fmt.Printf("trace:  %d rounds (%d retained) written to %s, %.1f ns/agent\n",
-			sum.Rounds, sum.Retained, traceFile, sum.NsPerAgent)
+		fmt.Fprintf(w, "trace:  %d rounds (%d retained) written to %s, %.1f ns/agent\n",
+			sum.Rounds, sum.Retained, cfg.traceFile, sum.NsPerAgent)
 	}
-	return nil
-}
-
-func parseBias(s string, n int64, k int) (int64, error) {
-	if s == "auto" {
-		return core.Corollary1Bias(n, k, 1.0), nil
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad -bias %q: %v", s, err)
-	}
-	return v, nil
-}
-
-// parseRule resolves the shared rule names (see dynamics.ParseRule).
-func parseRule(s string) (dynamics.Rule, error) {
-	return dynamics.ParseRule(s)
-}
-
-func buildEngine(engName, graphName, graphMode, graphFile, samplerName string, rule dynamics.Rule,
-	init colorcfg.Config, workers int, seed uint64, r *rng.Rand) (engine.Engine, error) {
-	if engName == "auto" {
-		if _, ok := rule.(dynamics.ProbModel); ok {
-			engName = "multinomial"
-		} else {
-			engName = "sampled"
-		}
-	}
-	sampler, err := engine.ParseSampler(samplerName)
-	if err != nil {
-		return nil, err
-	}
-	if sampler == engine.SamplerBatch && engName != "graph" {
-		return nil, fmt.Errorf("-sampler batch applies only to -engine graph, not %q", engName)
-	}
-	switch engName {
-	case "multinomial":
-		return engine.NewCliqueMultinomial(rule, init), nil
-	case "sampled":
-		return engine.NewCliqueSampled(rule, init, workers, seed^0xdead), nil
-	case "population":
-		return engine.NewPopulation(rule, init), nil
-	case "graph":
-		// Topology specs resolve through the internal/topo registry —
-		// the same names sweep, the service, and validate accept. The
-		// backend mode picks the representation (implicit / in-RAM CSR /
-		// mmap); every mode yields the same seeded run.
-		mode, err := topo.ParseMode(graphMode)
-		if err != nil {
-			return nil, err
-		}
-		if mode == topo.ModeMmap && graphFile == "" {
-			return nil, fmt.Errorf("-graph-mode mmap needs -graph-file")
-		}
-		g, err := topo.BuildSource(graphName, init.N(), r, topo.BuildOpts{Mode: mode, Path: graphFile})
-		if err != nil {
-			return nil, err
-		}
-		return engine.NewGraphEngineOpts(rule, g, init, workers, seed^0xbeef, r,
-			engine.GraphOpts{Sampler: sampler}), nil
-	}
-	return nil, fmt.Errorf("unknown engine %q", engName)
+	return res, nil
 }
 
 func parseAdversary(s string) (adversary.Adversary, error) {

@@ -1,18 +1,52 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"plurality/internal/colorcfg"
-	"plurality/internal/dynamics"
+	"plurality/internal/mc"
 	"plurality/internal/obs"
-	"plurality/internal/rng"
+	"plurality/internal/service"
 )
 
+// testCfg is a small run with the flags' defaults for everything but the
+// population.
+func testCfg() config {
+	return config{
+		spec: service.JobSpec{Rule: "3majority", Engine: "auto", Graph: "complete",
+			N: 2000, K: 3, Bias: "auto", Seed: 1, MaxRounds: 10000, Sampler: "default"},
+		graphMode:  "auto",
+		workers:    2,
+		adversary:  "none",
+		mPlurality: -1,
+	}
+}
+
+// graphCfg is a graph-engine run on n vertices with bias 20.
+func graphCfg(graph, mode, file, sampler string, n int64) config {
+	cfg := testCfg()
+	cfg.spec.Engine = "graph"
+	cfg.spec.Graph = graph
+	cfg.spec.N = n
+	cfg.spec.Bias = "20"
+	cfg.spec.Sampler = sampler
+	cfg.graphMode = mode
+	cfg.graphFile = file
+	cfg.workers = 1
+	return cfg
+}
+
 func TestParseRule(t *testing.T) {
+	// -rule resolves through the spec: each good name builds an engine
+	// running the rule with the expected display name, and each bad one
+	// is an error.
 	good := map[string]string{
 		"3majority":      "3-majority",
 		"3majority-utie": "3-majority(uniform-tie)",
@@ -22,39 +56,53 @@ func TestParseRule(t *testing.T) {
 		"hplurality:7":   "7-plurality",
 	}
 	for in, want := range good {
-		r, err := parseRule(in)
+		cfg := testCfg()
+		cfg.spec.Rule = in
+		_, e, _, err := build(cfg)
 		if err != nil {
-			t.Errorf("parseRule(%q): %v", in, err)
+			t.Errorf("-rule %s: %v", in, err)
 			continue
 		}
-		if r.Name() != want {
-			t.Errorf("parseRule(%q).Name() = %q, want %q", in, r.Name(), want)
+		if name := e.Name(); !strings.Contains(name, "["+want) {
+			t.Errorf("-rule %s: engine %q, want rule %q", in, name, want)
 		}
+		e.Close()
 	}
 	for _, bad := range []string{"", "nope", "hplurality:", "hplurality:0", "hplurality:x"} {
-		if _, err := parseRule(bad); err == nil {
-			t.Errorf("parseRule(%q) should fail", bad)
+		cfg := testCfg()
+		cfg.spec.Rule = bad
+		if _, _, _, err := build(cfg); err == nil {
+			t.Errorf("-rule %q should fail", bad)
 		}
 	}
 }
 
 func TestParseBias(t *testing.T) {
-	if v, err := parseBias("123", 1000, 4); err != nil || v != 123 {
-		t.Errorf("explicit bias: %v %v", v, err)
+	// -bias sets the initial configuration through the spec: an integer
+	// is the additive bias toward color 0, "auto" the Corollary 1
+	// threshold, anything else an error.
+	cfg := testCfg()
+	cfg.spec.N, cfg.spec.K, cfg.spec.Bias = 1000, 4, "123"
+	_, e, _, err := build(cfg)
+	if err != nil {
+		t.Fatalf("explicit bias: %v", err)
 	}
-	if v, err := parseBias("auto", 100000, 4); err != nil || v <= 0 {
-		t.Errorf("auto bias: %v %v", v, err)
+	if got, want := e.Config(), colorcfg.Biased(1000, 4, 123); !got.Equal(want) {
+		t.Errorf("explicit bias: initial configuration %v, want %v", got, want)
 	}
-	if _, err := parseBias("abc", 100, 2); err == nil {
-		t.Error("bad bias accepted")
+	cfg.spec.N, cfg.spec.Bias = 100000, "auto"
+	if _, e, _, err := build(cfg); err != nil || e.Config().Bias() <= 0 {
+		t.Errorf("auto bias: %v", err)
+	}
+	cfg.spec.N, cfg.spec.K, cfg.spec.Bias = 100, 2, "abc"
+	if _, _, _, err := build(cfg); err == nil || !strings.Contains(err.Error(), "bad bias") {
+		t.Errorf("bad bias error = %v", err)
 	}
 }
 
 func TestBuildEngineGraphSpecs(t *testing.T) {
 	// -graph resolves through the topo registry: every family is
 	// reachable from this CLI by name, and bad specs error out.
-	r := rng.New(1)
-	init := colorcfg.Biased(100, 3, 20)
 	for _, spec := range []string{
 		"complete", "cycle", "star", "torus", "hypercube",
 		"regular:4", "gnp:0.3", "smallworld:4:0.1", "ba:3",
@@ -64,10 +112,9 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 		if spec == "hypercube" {
 			n = 128
 		}
-		e, err := buildEngine("graph", spec, "auto", "", "default", dynamics.ThreeMajority{},
-			colorcfg.Biased(n, 3, 20), 1, 5, r)
+		_, e, _, err := build(graphCfg(spec, "auto", "", "default", n))
 		if err != nil {
-			t.Errorf("buildEngine(graph, %q): %v", spec, err)
+			t.Errorf("build(graph, %q): %v", spec, err)
 			continue
 		}
 		if e.N() != n {
@@ -76,19 +123,18 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 		e.Close()
 	}
 	for _, bad := range []string{"nope", "regular:x", "gnp:y", "torus:0"} {
-		if _, err := buildEngine("graph", bad, "auto", "", "default", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
-			t.Errorf("buildEngine(graph, %q) should fail", bad)
+		if _, _, _, err := build(graphCfg(bad, "auto", "", "default", 100)); err == nil {
+			t.Errorf("build(graph, %q) should fail", bad)
 		}
 	}
-	if _, err := buildEngine("graph", "torus", "auto", "", "default", dynamics.ThreeMajority{},
-		colorcfg.Biased(101, 3, 20), 1, 5, r); err == nil {
+	if _, _, _, err := build(graphCfg("torus", "auto", "", "default", 101)); err == nil {
 		t.Error("non-square torus accepted")
 	}
 
 	// Backend modes: implicit needs no file, mmap builds one and reuses it,
 	// and mmap without a path is rejected up front.
 	for _, mode := range []string{"implicit", "csr"} {
-		e, err := buildEngine("graph", "torus", mode, "", "default", dynamics.ThreeMajority{}, init, 1, 5, r)
+		_, e, _, err := build(graphCfg("torus", mode, "", "default", 100))
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
@@ -96,23 +142,23 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "t.csr")
 	for i := 0; i < 2; i++ { // second pass exercises cache reuse
-		e, err := buildEngine("graph", "torus", "mmap", path, "default", dynamics.ThreeMajority{}, init, 1, 5, r)
+		_, e, _, err := build(graphCfg("torus", "mmap", path, "default", 100))
 		if err != nil {
 			t.Fatalf("mmap pass %d: %v", i, err)
 		}
 		e.Close()
 	}
-	if _, err := buildEngine("graph", "torus", "mmap", "", "default", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
+	if _, _, _, err := build(graphCfg("torus", "mmap", "", "default", 100)); err == nil {
 		t.Error("mmap without -graph-file accepted")
 	}
-	if _, err := buildEngine("graph", "torus", "nope", "", "default", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
+	if _, _, _, err := build(graphCfg("torus", "nope", "", "default", 100)); err == nil {
 		t.Error("unknown graph mode accepted")
 	}
 
 	// The batch sampler is a graph-engine notion: accepted there (and
 	// stamped into the engine name), rejected for the clique engines and
 	// for unknown sampler strings.
-	e, err := buildEngine("graph", "torus", "auto", "", "batch", dynamics.ThreeMajority{}, init, 1, 5, r)
+	_, e, _, err := build(graphCfg("torus", "auto", "", "batch", 100))
 	if err != nil {
 		t.Fatalf("batch sampler on graph engine: %v", err)
 	}
@@ -120,11 +166,105 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 		t.Errorf("batch engine name %q does not advertise the sampler", name)
 	}
 	e.Close()
-	if _, err := buildEngine("sampled", "complete", "auto", "", "batch", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
+	sampled := graphCfg("complete", "auto", "", "batch", 100)
+	sampled.spec.Engine = "sampled"
+	if _, _, _, err := build(sampled); err == nil {
 		t.Error("batch sampler accepted on a non-graph engine")
 	}
-	if _, err := buildEngine("graph", "torus", "auto", "", "turbo", dynamics.ThreeMajority{}, init, 1, 5, r); err == nil {
+	if _, _, _, err := build(graphCfg("torus", "auto", "", "turbo", 100)); err == nil {
 		t.Error("unknown sampler accepted")
+	}
+}
+
+// TestRunRejectsBadSpecs pins fail-closed input handling: each case used
+// to panic or run, and now fails with the JobSpec check's error before
+// printing anything.
+func TestRunRejectsBadSpecs(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*service.JobSpec)
+		want   string
+	}{
+		{"bias above n", func(s *service.JobSpec) { s.N, s.K, s.Bias = 100, 2, "1000" }, "bias 1000 outside [0, n=100]"},
+		{"negative bias", func(s *service.JobSpec) { s.N, s.K, s.Bias = 100, 2, "-5" }, "bias -5 outside [0, n=100]"},
+		{"n zero", func(s *service.JobSpec) { s.N, s.K = 0, 2 }, "n must be >= 1, got 0"},
+		{"k zero", func(s *service.JobSpec) { s.K = 0 }, "k must be >= 2, got 0"},
+		{"k one", func(s *service.JobSpec) { s.K = 1 }, "k must be >= 2, got 1"},
+		{"k above n", func(s *service.JobSpec) { s.N, s.K = 10, 20 }, "k = 20 exceeds n = 10"},
+		{"undecided on sampled", func(s *service.JobSpec) { s.Rule, s.Engine = "undecided", "sampled" }, "carries its own engine"},
+		{"keep-own on graph", func(s *service.JobSpec) { s.Rule, s.Engine = "2choices-keepown", "graph" }, "carries its own engine"},
+	}
+	for _, tc := range cases {
+		cfg := testCfg()
+		tc.mutate(&cfg.spec)
+		var out bytes.Buffer
+		_, err := run(&out, cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error = %v, want %q", tc.name, err, tc.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: printed %q before failing", tc.name, out.String())
+		}
+	}
+}
+
+// TestBuildSkipsServiceCaps pins that the CLI runs what only the
+// daemon's admission caps refuse: here more colors than service.MaxK and
+// an h above service.MaxH.
+func TestBuildSkipsServiceCaps(t *testing.T) {
+	for _, mutate := range []func(*service.JobSpec){
+		func(s *service.JobSpec) { s.N, s.K = 10_000, service.MaxK+1 },
+		func(s *service.JobSpec) { s.Rule = fmt.Sprintf("hplurality:%d", service.MaxH+1) },
+	} {
+		cfg := testCfg()
+		mutate(&cfg.spec)
+		_, e, _, err := build(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg.spec, err)
+		}
+		e.Close()
+	}
+}
+
+// TestRunIsReplicateZero pins the cross-surface contract: at -workers 1 a
+// run reports the rounds and outcome that replicate 0 of the pluralityd
+// job with the same spec records.
+func TestRunIsReplicateZero(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*service.JobSpec)
+	}{
+		{"multinomial", func(s *service.JobSpec) { s.Engine = "multinomial" }},
+		{"sampled", func(s *service.JobSpec) { s.Engine = "sampled" }},
+		{"graph-torus", func(s *service.JobSpec) { s.Engine, s.Graph, s.N = "graph", "torus", 900 }},
+		{"graph-regular4", func(s *service.JobSpec) { s.Engine, s.Graph = "graph", "regular:4" }},
+		{"2choices-keepown", func(s *service.JobSpec) { s.Rule = "2choices-keepown" }},
+	}
+	pool := mc.NewPool(1)
+	defer pool.Close()
+	for _, tc := range cases {
+		cfg := testCfg()
+		cfg.workers = 1
+		tc.mutate(&cfg.spec)
+		res, err := run(io.Discard, cfg)
+		if err != nil {
+			t.Fatalf("%s: run: %v", tc.name, err)
+		}
+		// The job takes the spec the way pluralityd does: normalized
+		// (graph seed = seed, one replicate) and validated.
+		spec := cfg.spec
+		spec.Normalize()
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		recs, err := pool.Run(context.Background(), spec.MCJob(), mc.RunOpts{})
+		if err != nil {
+			t.Fatalf("%s: job: %v", tc.name, err)
+		}
+		if res.Rounds < 1 || recs[0].Rounds != res.Rounds || recs[0].Success != res.WonInitialPlurality {
+			t.Errorf("%s: run reports %d rounds, won=%v; replicate 0 of %s records %+v",
+				tc.name, res.Rounds, res.WonInitialPlurality, spec.Name(), recs[0])
+		}
 	}
 }
 
@@ -152,29 +292,44 @@ func TestParseAdversary(t *testing.T) {
 }
 
 func TestRunEndToEnd(t *testing.T) {
-	// Small end-to-end run through the CLI plumbing (no flags).
-	err := run("3majority", "auto", "complete", "auto", "", "default", 2000, 3, "auto", 1, 10000,
-		"none", 2, false, "", -1, "", false)
-	if err != nil {
+	// Small end-to-end runs through the CLI plumbing (no flags).
+	if _, err := run(io.Discard, testCfg()); err != nil {
 		t.Fatalf("run: %v", err)
 	}
+	// Multi-worker agent-level engines: the clique sampler and the
+	// graph engine step with two workers.
+	sampled := testCfg()
+	sampled.spec.Engine = "sampled"
+	if _, err := run(io.Discard, sampled); err != nil {
+		t.Fatalf("run sampled: %v", err)
+	}
+	graph := graphCfg("torus", "auto", "", "default", 900)
+	graph.workers = 2
+	if _, err := run(io.Discard, graph); err != nil {
+		t.Fatalf("run graph: %v", err)
+	}
 	// Undecided path.
-	err = run("undecided", "auto", "complete", "auto", "", "default", 2000, 3, "500", 1, 10000,
-		"none", 2, false, "", -1, "", false)
-	if err != nil {
+	undecided := testCfg()
+	undecided.spec.Rule, undecided.spec.Bias = "undecided", "500"
+	if _, err := run(io.Discard, undecided); err != nil {
 		t.Fatalf("run undecided: %v", err)
 	}
 	// Keep-own path with adversary and M-plurality stop.
-	err = run("2choices-keepown", "auto", "complete", "auto", "", "default", 2000, 3, "auto", 1, 10000,
-		"strongest:2", 2, false, "", 50, "", true)
-	if err != nil {
+	keepOwn := testCfg()
+	keepOwn.spec.Rule = "2choices-keepown"
+	keepOwn.adversary, keepOwn.mPlurality, keepOwn.phases = "strongest:2", 50, true
+	if _, err := run(io.Discard, keepOwn); err != nil {
 		t.Fatalf("run keep-own: %v", err)
 	}
 	// Error paths.
-	if err := run("nope", "auto", "complete", "auto", "", "default", 100, 2, "auto", 1, 10, "none", 1, false, "", -1, "", false); err == nil {
+	bad := testCfg()
+	bad.spec.Rule = "nope"
+	if _, err := run(io.Discard, bad); err == nil {
 		t.Error("bad rule accepted")
 	}
-	if err := run("3majority", "nope", "complete", "auto", "", "default", 100, 2, "auto", 1, 10, "none", 1, false, "", -1, "", false); err == nil {
+	bad = testCfg()
+	bad.spec.Engine = "nope"
+	if _, err := run(io.Discard, bad); err == nil {
 		t.Error("bad engine accepted")
 	}
 }
@@ -184,9 +339,9 @@ func TestRunEndToEnd(t *testing.T) {
 // tolerant reader consumes without skips.
 func TestRunTraceFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
-	err := run("3majority", "auto", "complete", "auto", "", "default", 2000, 3, "auto", 1, 10000,
-		"none", 2, false, path, -1, "", false)
-	if err != nil {
+	cfg := testCfg()
+	cfg.traceFile = path
+	if _, err := run(io.Discard, cfg); err != nil {
 		t.Fatalf("run with -trace: %v", err)
 	}
 	f, err := os.Open(path)

@@ -1,9 +1,9 @@
 // Command sweep runs a parameter grid of plurality-consensus processes on
 // the replicate-parallel internal/mc runner and emits either one
-// aggregated CSV row per (rule, n, k, bias-multiplier) cell — mean rounds,
-// success rate, 95% Wilson interval — or one JSONL record per replicate,
-// the raw material for custom plots beyond the canned experiments of
-// cmd/experiments.
+// aggregated CSV row per (rule, graph, n, k, bias-multiplier) cell — mean
+// rounds, success rate, 95% Wilson interval — or one JSONL record per
+// replicate, the raw material for custom plots beyond the canned
+// experiments of cmd/experiments.
 //
 //	sweep -rules 3majority,median -ns 10000,100000 -ks 2,8,32 -cs 0.5,1,2 -reps 20
 //	sweep -graphs complete,regular:8,smallworld:10:0.1 -ns 10000 -reps 20
@@ -11,18 +11,29 @@
 //	sweep -format jsonl -out grid.jsonl -resume           # finish an interrupted grid
 //	sweep -ns 100000 -reps 8 -trace-dir traces/           # per-cell telemetry traces
 //
-// Topology specs resolve through the internal/topo registry (the same
-// names the service and cmd/validate accept). "complete" runs the paper's
-// clique on the closed-form/sampled clique engines; every other family
-// runs the CSR-sharded graph engine on one quenched graph per cell (built
-// once from a seed derived from the cell name, shared by all replicates).
+// Every cell is an internal/service JobSpec, the spec pluralityd accepts
+// as a job: engine "auto" on "complete" (the paper's clique, on the
+// closed-form or sampled clique engine) and "graph" on every other
+// internal/topo registry family (the CSR-sharded graph engine on one
+// quenched graph per cell, shared by its replicates), bias
+// core.Corollary1Bias(n, k, c), and a seed derived from -seed and the
+// cell's spec, which also seeds the graph. A cell runs the job its spec
+// compiles to, so its JSONL records carry JobSpec.Name() and are
+// byte-identical to the records of the pluralityd job with that spec.
+// Every cell passes JobSpec.Check — Validate without the daemon's
+// resource caps — before the first byte of output.
 //
-// Replicate seeds are pre-derived per cell from (-seed, cell name), so a
-// grid is deterministic for a fixed -seed regardless of -workers, cells
+// A grid is deterministic for a fixed -seed regardless of -workers, cells
 // are reproducible in isolation, and an interrupted -format jsonl grid
 // resumes from its own output file: records already on disk are not
 // re-simulated, and the completed file is byte-identical to an
 // uninterrupted run.
+//
+// Migration: before cells were JobSpecs, records were named
+// rule/g=…/n=…/k=…/c=… and cells ran on other seeds, so -resume rejects
+// a file written by an earlier version as a foreign grid. The CSV header
+// is unchanged; its rule column now holds the -rules name (3majority, not
+// 3-majority).
 package main
 
 import (
@@ -37,15 +48,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
-	"plurality/internal/colorcfg"
 	"plurality/internal/core"
-	"plurality/internal/dynamics"
-	"plurality/internal/engine"
 	"plurality/internal/mc"
 	"plurality/internal/obs"
 	"plurality/internal/rng"
+	"plurality/internal/service"
 	"plurality/internal/topo"
 )
 
@@ -74,7 +82,7 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.rules, "rules", "3majority", "comma-separated rules: 3majority | 3majority-utie | median | polling | 2choices | hplurality:H")
+	flag.StringVar(&cfg.rules, "rules", "3majority", "comma-separated rules: 3majority | 3majority-utie | median | polling | 2choices | hplurality:H | 2choices-keepown | undecided (the last two on complete only)")
 	flag.StringVar(&cfg.graphs, "graphs", "complete",
 		"comma-separated topology specs ("+strings.Join(topo.FamilyUsages(), " | ")+")")
 	flag.StringVar(&cfg.graphMode, "graph-mode", "auto", "topology backend: auto | implicit | csr | mmap (mmap caches built graphs under -graph-dir, keyed by spec, n, and graph seed)")
@@ -104,8 +112,9 @@ func main() {
 	}
 }
 
-// run validates the config, wires the output file and resume index, and
-// hands off to sweep.
+// run validates the config and every grid cell, wires the output file
+// and resume index, and hands off to sweep. Nothing is written, and no
+// output file is opened, until every cell has passed its check.
 func run(ctx context.Context, cfg config) error {
 	if cfg.format != "csv" && cfg.format != "jsonl" {
 		return fmt.Errorf("unknown -format %q (want csv or jsonl)", cfg.format)
@@ -115,7 +124,8 @@ func run(ctx context.Context, cfg config) error {
 	} else if mode == topo.ModeMmap && cfg.graphDir == "" {
 		return errors.New("-graph-mode mmap requires -graph-dir")
 	}
-	if _, err := engine.ParseSampler(cfg.sampler); err != nil {
+	cells, err := grid(cfg)
+	if err != nil {
 		return err
 	}
 	if cfg.traceDir != "" {
@@ -129,7 +139,6 @@ func run(ctx context.Context, cfg config) error {
 			return errors.New("-resume requires -format jsonl and -out FILE")
 		}
 		var (
-			err   error
 			valid int64
 			torn  bool
 		)
@@ -147,7 +156,7 @@ func run(ctx context.Context, cfg config) error {
 		}
 	}
 	if cfg.out == "" {
-		return sweep(ctx, cfg, os.Stdout, done)
+		return sweep(ctx, cfg, cells, os.Stdout, done)
 	}
 	mode := os.O_CREATE | os.O_WRONLY
 	if cfg.resume {
@@ -159,81 +168,100 @@ func run(ctx context.Context, cfg config) error {
 	if err != nil {
 		return err
 	}
-	err = sweep(ctx, cfg, f, done)
+	err = sweep(ctx, cfg, cells, f, done)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// sweep drives the grid: one mc.Job per cell, replicates fanned out
-// across a persistent pool.
-func sweep(ctx context.Context, cfg config, w io.Writer, done map[string]map[int]mc.Record) error {
-	ruleNames := strings.Split(cfg.rules, ",")
+// cell is one grid point: the spec its job runs and the bias multiplier
+// c that set the spec's Bias (the CSV's bias_mult column).
+type cell struct {
+	spec service.JobSpec
+	c    float64
+}
+
+// grid expands the flags into the grid's cells, in output order, and
+// checks every cell's spec: a bad cell fails the whole grid before any
+// simulation.
+func grid(cfg config) ([]cell, error) {
 	nVals, err := parseInts(cfg.ns)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	kVals, err := parseInts(cfg.ks)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	cVals, err := parseFloats(cfg.cs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-
-	rules := make([]dynamics.Rule, 0, len(ruleNames))
-	for _, ruleName := range ruleNames {
-		rule, err := parseRule(strings.TrimSpace(ruleName))
-		if err != nil {
-			return err
-		}
-		rules = append(rules, rule)
-	}
-	// Canonicalize every (graph, n) pair up front through the topo
-	// registry: a bad spec fails the whole grid before any simulation.
-	graphNames := strings.Split(cfg.graphs, ",")
-	graphs := make([]string, 0, len(graphNames))
-	for _, gname := range graphNames {
-		gname = strings.TrimSpace(gname)
-		canon := ""
-		for _, n := range nVals {
-			c, err := topo.Canonical(gname, n)
-			if err != nil {
-				return fmt.Errorf("-graphs %s at n=%d: %w", gname, n, err)
-			}
-			canon = c
-		}
-		graphs = append(graphs, canon)
-	}
-	sampler, err := engine.ParseSampler(cfg.sampler)
-	if err != nil {
-		return err
-	}
-	if sampler == engine.SamplerBatch {
-		// The clique cells run the dedicated clique engines, which have no
-		// sampler notion; refuse rather than silently run them on the
-		// default discipline under a -sampler batch grid.
-		for _, g := range graphs {
-			if g == "complete" {
-				return errors.New(`-sampler batch applies only to graph-engine cells; drop "complete" from -graphs`)
-			}
-		}
-	}
-	cells := make([]string, 0, len(rules)*len(graphs)*len(nVals)*len(kVals)*len(cVals))
-	for _, rule := range rules {
-		for _, g := range graphs {
+	var cells []cell
+	for _, rule := range strings.Split(cfg.rules, ",") {
+		for _, g := range strings.Split(cfg.graphs, ",") {
 			for _, n := range nVals {
 				for _, k := range kVals {
 					for _, c := range cVals {
-						cells = append(cells, cellName(rule.Name(), g, n, int(k), c, sampler))
+						cl, err := newCell(cfg, strings.TrimSpace(rule), strings.TrimSpace(g), n, int(k), c)
+						if err != nil {
+							return nil, err
+						}
+						cells = append(cells, cl)
 					}
 				}
 			}
 		}
 	}
-	if err := checkResumeJobs(done, cells, cfg.reps); err != nil {
+	return cells, nil
+}
+
+// newCell builds and checks one cell's spec.
+func newCell(cfg config, rule, g string, n int64, k int, c float64) (cell, error) {
+	spec := service.JobSpec{
+		Rule:       rule,
+		Engine:     "graph",
+		Graph:      g,
+		N:          n,
+		K:          k,
+		Bias:       strconv.FormatInt(core.Corollary1Bias(n, k, c), 10),
+		Replicates: cfg.reps,
+		MaxRounds:  cfg.maxRounds,
+		Sampler:    cfg.sampler,
+	}
+	if g == "complete" {
+		spec.Engine = "auto"
+	}
+	// Canonical topology names keep a cell's name, CSV row and graph
+	// cache file alike however the spec was spelled; Check reports a
+	// spec that has no canonical form.
+	if canon, err := topo.Canonical(g, n); err == nil {
+		spec.Graph = canon
+	}
+	// The seed hashes the seed-free name (seed=0), and the graph shares it.
+	spec.Seed = cellSeed(cfg.seed, spec.Name())
+	spec.GraphSeed = spec.Seed
+	err := spec.Check()
+	if err == nil && spec.Engine == "graph" && topo.Mode(cfg.graphMode) == topo.ModeImplicit {
+		if implicit, _ := topo.IsImplicit(spec.Graph); !implicit {
+			err = fmt.Errorf("%s has no implicit backend for -graph-mode implicit", spec.Graph)
+		}
+	}
+	if err != nil {
+		return cell{}, fmt.Errorf("cell rule=%s graph=%s n=%d k=%d c=%g: %w", rule, g, n, k, c, err)
+	}
+	return cell{spec: spec, c: c}, nil
+}
+
+// sweep drives the grid: one mc.Job per cell, replicates fanned out
+// across a persistent pool.
+func sweep(ctx context.Context, cfg config, cells []cell, w io.Writer, done map[string]map[int]mc.Record) error {
+	names := make([]string, len(cells))
+	for i, cl := range cells {
+		names[i] = cl.spec.Name()
+	}
+	if err := checkResumeJobs(done, names, cfg.reps); err != nil {
 		return err
 	}
 
@@ -245,17 +273,9 @@ func sweep(ctx context.Context, cfg config, w io.Writer, done map[string]map[int
 			return err
 		}
 	}
-	for _, rule := range rules {
-		for _, g := range graphs {
-			for _, n := range nVals {
-				for _, k := range kVals {
-					for _, c := range cVals {
-						if err := runCell(ctx, cfg, pool, w, done, rule, g, n, int(k), c); err != nil {
-							return err
-						}
-					}
-				}
-			}
+	for _, cl := range cells {
+		if err := runCell(ctx, cfg, pool, w, done, cl); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -309,89 +329,37 @@ func checkResumeJobs(done map[string]map[int]mc.Record, cells []string, reps int
 	return nil
 }
 
-// runCell executes one grid cell as an mc.Job and writes its output. For
-// gname != "complete" the cell runs the CSR-sharded graph engine on one
-// quenched topology: built lazily from the cell's derived graph seed and
-// shared read-only across all replicates.
+// runCell executes one grid cell's job and writes its output.
 func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
-	done map[string]map[int]mc.Record, rule dynamics.Rule, gname string, n int64, k int, c float64) error {
-	s := core.Corollary1Bias(n, k, c)
-	sampler, _ := engine.ParseSampler(cfg.sampler) // validated in sweep
-	name := cellName(rule.Name(), gname, n, k, c, sampler)
-	_, isProb := rule.(dynamics.ProbModel)
-	onClique := gname == "complete"
-	sharedGraph := sync.OnceValue(func() topo.NeighborSource {
-		// The graph seed is a pure function of (base seed, cell name), so
-		// in mmap mode the cache file name is too: re-running the same
-		// sweep reuses the on-disk graph instead of rebuilding it.
-		mode, _ := topo.ParseMode(cfg.graphMode)
-		gseed := cellSeed(cfg.seed, "graph/"+name)
-		opts := topo.BuildOpts{Mode: mode}
-		if mode == topo.ModeMmap {
-			opts.Path = filepath.Join(cfg.graphDir, topo.CacheFileName(gname, n, gseed))
-		}
-		g, err := topo.BuildSource(gname, n, rng.New(gseed), opts)
-		if err != nil {
-			panic(fmt.Sprintf("sweep: graph revalidation failed for %q: %v", gname, err))
-		}
-		return g
-	})
-	var ct *cellTracer
+	done map[string]map[int]mc.Record, cl cell) error {
+	spec := cl.spec
+	name := spec.Name()
+	gopts := topo.BuildOpts{Mode: topo.Mode(cfg.graphMode)}
+	if gopts.Mode == topo.ModeMmap {
+		// The graph seed is a pure function of (base seed, cell spec), so
+		// the cache file name is too: re-running the same sweep reuses the
+		// on-disk graph instead of rebuilding it.
+		gopts.Path = filepath.Join(cfg.graphDir, topo.CacheFileName(spec.Graph, spec.N, spec.GraphSeed))
+	}
+	var (
+		ct         *cellTracer
+		obsFor     func(seed uint64) obs.Observer
+		onProgress func(mc.Record, int, int)
+	)
 	if cfg.traceDir != "" {
-		engLabel := "graph"
-		switch {
-		case onClique && isProb:
-			engLabel = "multinomial"
-		case onClique:
-			engLabel = "sampled"
-		}
 		f, err := os.Create(filepath.Join(cfg.traceDir, traceFileName(name)))
 		if err != nil {
 			return err
 		}
-		ct = &cellTracer{f: f, engine: engLabel, rule: rule.Name(), n: n, k: k}
-	}
-	job := mc.Job{
-		Name:       name,
-		Seed:       cellSeed(cfg.seed, name),
-		Replicates: cfg.reps,
-		MaxRounds:  cfg.maxRounds,
-	}
-	job.New = func(seed uint64) mc.Run {
-		maxRounds := job.MaxRounds // the Job carries the round budget
-		return func() mc.Record {
-			r := rng.New(seed)
-			init := colorcfg.Biased(n, k, s)
-			var e engine.Engine
-			switch {
-			case onClique && isProb:
-				e = engine.NewCliqueMultinomial(rule, init)
-			case onClique:
-				// Replicates already saturate the cores; keep the
-				// agent-level engine single-worker per replicate.
-				e = engine.NewCliqueSampled(rule, init, 1, r.Uint64())
-			default:
-				e = engine.NewGraphEngineOpts(rule, sharedGraph(), init, 1, r.Uint64(), r,
-					engine.GraphOpts{Sampler: sampler})
-			}
-			defer e.Close()
-			opts := core.Options{MaxRounds: maxRounds, Rand: r}
-			if ct != nil {
-				opts.Observer = ct.tracer.Recorder(seed)
-			}
-			res := core.Run(e, opts)
-			return mc.Record{Rounds: res.Rounds, Success: res.WonInitialPlurality}
-		}
+		ct = &cellTracer{f: f, spec: spec}
+		obsFor = func(seed uint64) obs.Observer { return ct.tracer.Recorder(seed) }
+		onProgress = ct.flush
 	}
 	var sink func(mc.Record) error
 	if cfg.format == "jsonl" {
 		sink = func(rec mc.Record) error { return mc.AppendRecord(w, rec) }
 	}
-	var onProgress func(mc.Record, int, int)
-	if ct != nil {
-		onProgress = ct.flush
-	}
-	recs, err := pool.Run(ctx, job, mc.RunOpts{Done: done[name], Sink: sink, OnProgress: onProgress})
+	recs, err := pool.Run(ctx, spec.MCJobWith(obsFor, gopts), mc.RunOpts{Done: done[name], Sink: sink, OnProgress: onProgress})
 	if ct != nil {
 		if cerr := ct.f.Close(); err == nil {
 			err = ct.err
@@ -407,8 +375,8 @@ func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 		agg := mc.Aggregate(recs)
 		sum := agg.Rounds()
 		lo, hi := agg.Wilson(1.96)
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%d,%g,%d,%d,%.2f,%.2f,%.3f,%.3f,%.3f\n",
-			rule.Name(), gname, n, k, c, s, agg.N, sum.Mean, sum.Std,
+		if _, err := fmt.Fprintf(w, "%s,%s,%d,%d,%g,%s,%d,%.2f,%.2f,%.3f,%.3f,%.3f\n",
+			spec.Rule, spec.Graph, spec.N, spec.K, cl.c, spec.Bias, agg.N, sum.Mean, sum.Std,
 			agg.SuccessRate(), lo, hi); err != nil {
 			return err
 		}
@@ -417,7 +385,7 @@ func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 }
 
 // cellTracer owns one cell's -trace-dir output: an obs.Tracer handing
-// per-replicate Recorders to the job closures, and the cell's JSONL
+// per-replicate Recorders to the job's replicates, and the cell's JSONL
 // trace file. Replicates execute concurrently, but flush runs on the
 // coordinating goroutine in replicate order (OnProgress contract), so
 // the file carries one trace run per replicate in replicate order —
@@ -428,25 +396,20 @@ func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 type cellTracer struct {
 	tracer obs.Tracer
 	f      *os.File
-	engine string
-	rule   string
-	n      int64
-	k      int
+	spec   service.JobSpec
 	err    error // first WriteTrace failure; latches, surfaced after the cell
 }
 
 // flush claims the finished replicate's recorder and appends its trace
-// run to the cell file. mc fills rec.Seed for every computed replicate,
-// which is the key the job closure registered the recorder under.
+// run, headed as pluralityd heads the same job's traces, to the cell
+// file. mc fills rec.Seed for every computed replicate, which is the key
+// the replicate registered the recorder under.
 func (ct *cellTracer) flush(rec mc.Record, done, total int) {
 	r := ct.tracer.Take(rec.Seed)
 	if r == nil || ct.err != nil {
 		return
 	}
-	ct.err = r.WriteTrace(ct.f, obs.Header{
-		Engine: ct.engine, Rule: ct.rule, N: ct.n, K: ct.k,
-		Seed: rec.Seed, Job: rec.Job, Rep: rec.Rep,
-	})
+	ct.err = r.WriteTrace(ct.f, ct.spec.TraceHeader(rec))
 }
 
 // traceFileName maps a cell name to a filesystem-safe JSONL file name:
@@ -465,30 +428,13 @@ func traceFileName(cell string) string {
 	return string(out) + ".jsonl"
 }
 
-// cellName is the stable grid-cell identifier used in JSONL records and
-// resume files. The batch sampler changes every replicate's rng stream, so
-// it is part of the identity; the default is omitted so that grids written
-// before the sampler existed still resume.
-func cellName(rule, gname string, n int64, k int, c float64, sampler engine.Sampler) string {
-	name := fmt.Sprintf("%s/g=%s/n=%d/k=%d/c=%g", rule, gname, n, k, c)
-	if sampler == engine.SamplerBatch {
-		name += "/sampler=batch"
-	}
-	return name
-}
-
-// cellSeed derives the cell's job seed from the base seed and the cell
-// name, so a cell's replicates are reproducible regardless of the grid
-// shape it is embedded in.
+// cellSeed derives the cell's job seed from the base seed and the cell's
+// seed-free spec name, so a cell's replicates are reproducible regardless
+// of the grid shape it is embedded in.
 func cellSeed(base uint64, name string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
 	return rng.New(base ^ h.Sum64()).Uint64()
-}
-
-// parseRule resolves the shared rule names (see dynamics.ParseRule).
-func parseRule(s string) (dynamics.Rule, error) {
-	return dynamics.ParseRule(s)
 }
 
 func parseInts(csv string) ([]int64, error) {

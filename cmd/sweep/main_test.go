@@ -5,15 +5,16 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
+	"plurality/internal/core"
 	"plurality/internal/mc"
 	"plurality/internal/obs"
+	"plurality/internal/service"
 )
 
 // testCfg is a grid small enough for unit tests that still exercises both
@@ -36,8 +37,12 @@ func testCfg() config {
 
 func runSweep(t *testing.T, cfg config, done map[string]map[int]mc.Record) string {
 	t.Helper()
+	cells, err := grid(cfg)
+	if err != nil {
+		t.Fatalf("grid: %v", err)
+	}
 	var buf bytes.Buffer
-	if err := sweep(context.Background(), cfg, &buf, done); err != nil {
+	if err := sweep(context.Background(), cfg, cells, &buf, done); err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
 	return buf.String()
@@ -121,7 +126,8 @@ func TestSweepGraphGrid(t *testing.T) {
 
 // TestSweepBatchSampler pins the -sampler batch semantics: graph-only
 // grids run (deterministically, with the sampler stamped into the cell
-// name), clique cells are refused, and unknown samplers fail fast.
+// name), clique cells are refused with the spec check's error, and
+// unknown samplers fail fast.
 func TestSweepBatchSampler(t *testing.T) {
 	cfg := testCfg()
 	cfg.rules = "2choices"
@@ -138,13 +144,13 @@ func TestSweepBatchSampler(t *testing.T) {
 		t.Fatal("batch grid is not deterministic across reruns")
 	}
 	cfg.graphs = "complete,regular:4"
-	if err := sweep(context.Background(), cfg, io.Discard, nil); err == nil ||
-		!strings.Contains(err.Error(), "graph-engine cells") {
-		t.Fatalf("batch + complete error = %v, want graph-engine cells", err)
+	if _, err := grid(cfg); err == nil ||
+		!strings.Contains(err.Error(), "applies only to the graph engine") {
+		t.Fatalf("batch + complete error = %v, want applies only to the graph engine", err)
 	}
 	cfg.graphs = "regular:4"
 	cfg.sampler = "turbo"
-	if err := sweep(context.Background(), cfg, io.Discard, nil); err == nil ||
+	if _, err := grid(cfg); err == nil ||
 		!strings.Contains(err.Error(), "unknown sampler") {
 		t.Fatalf("unknown sampler error = %v, want unknown sampler", err)
 	}
@@ -153,15 +159,90 @@ func TestSweepBatchSampler(t *testing.T) {
 func TestSweepRejectsBadGraphSpec(t *testing.T) {
 	cfg := testCfg()
 	cfg.graphs = "moebius"
-	if err := sweep(context.Background(), cfg, io.Discard, nil); err == nil ||
+	if _, err := grid(cfg); err == nil ||
 		!strings.Contains(err.Error(), "unknown graph") {
 		t.Fatalf("bad -graphs error = %v, want unknown graph", err)
 	}
 	cfg.graphs = "regular:3"
 	cfg.ns = "999" // odd n with odd d → n·d odd
-	if err := sweep(context.Background(), cfg, io.Discard, nil); err == nil ||
+	if _, err := grid(cfg); err == nil ||
 		!strings.Contains(err.Error(), "even") {
 		t.Fatalf("parity error = %v, want n·d even", err)
+	}
+}
+
+// TestSweepRejectsBadCells pins fail-closed input handling: each case
+// used to panic or run, or failed only after writing the CSV header, and
+// now fails with the JobSpec check's error before the output file is
+// touched.
+func TestSweepRejectsBadCells(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*config)
+		want   string
+	}{
+		{"negative bias", func(c *config) { c.ns, c.ks, c.cs = "100", "2", "-1" }, "outside [0, n=100]"},
+		{"k one", func(c *config) { c.ks = "1" }, "k must be >= 2, got 1"},
+		{"k above n", func(c *config) { c.ns, c.ks = "10", "20" }, "k = 20 exceeds n = 10"},
+		{"zero reps", func(c *config) { c.reps = 0 }, "replicates must be >= 1, got 0"},
+		{"implicit regular", func(c *config) { c.graphs, c.graphMode = "regular:4", "implicit" }, "no implicit backend"},
+	}
+	for _, tc := range cases {
+		cfg := testCfg()
+		tc.mutate(&cfg)
+		cfg.out = filepath.Join(t.TempDir(), "grid.csv")
+		if err := os.WriteFile(cfg.out, []byte("previous\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run(context.Background(), cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error = %v, want %q", tc.name, err, tc.want)
+		}
+		if got, _ := os.ReadFile(cfg.out); string(got) != "previous\n" {
+			t.Errorf("%s: output file changed to %q", tc.name, got)
+		}
+	}
+}
+
+// TestSweepCellIsJob pins the cross-surface contract: a one-cell JSONL
+// grid is byte-identical to the records of the pluralityd job with the
+// cell's spec, for a clique cell and a graph cell.
+func TestSweepCellIsJob(t *testing.T) {
+	for _, tc := range []struct{ rule, graph, engine string }{
+		{"hplurality:3", "complete", "auto"}, // auto → sampled
+		{"3majority", "regular:4", "graph"},
+	} {
+		cfg := testCfg()
+		cfg.rules, cfg.graphs, cfg.ks, cfg.cs = tc.rule, tc.graph, "4", "0.5"
+		cfg.format = "jsonl"
+		got := runSweep(t, cfg, nil)
+
+		// The cell's spec as a pluralityd client would submit it, with
+		// the seed the sweep derives from the seed-free name; the second
+		// Normalize sets the graph seed to it, as the daemon does.
+		spec := service.JobSpec{Rule: tc.rule, Engine: tc.engine, Graph: tc.graph, N: 1000, K: 4,
+			Bias: strconv.FormatInt(core.Corollary1Bias(1000, 4, 0.5), 10), Replicates: cfg.reps, MaxRounds: cfg.maxRounds}
+		spec.Normalize()
+		spec.Seed = cellSeed(cfg.seed, spec.Name())
+		spec.Normalize()
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		pool := mc.NewPool(2)
+		recs, err := pool.Run(context.Background(), spec.MCJob(), mc.RunOpts{})
+		pool.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		for _, rec := range recs {
+			if err := mc.AppendRecord(&want, rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got != want.String() {
+			t.Fatalf("%s cell differs from job %s:\n got %s\nwant %s", tc.graph, spec.Name(), got, want.String())
+		}
 	}
 }
 
@@ -328,14 +409,27 @@ func TestRunFlagValidation(t *testing.T) {
 }
 
 func TestParseRule(t *testing.T) {
+	// -rules entries resolve through each cell's spec: a good name makes
+	// a cell running that rule, and a bad one fails the whole grid.
 	for _, ok := range []string{"3majority", "median", "polling", "2choices", "hplurality:3"} {
-		if _, err := parseRule(ok); err != nil {
-			t.Errorf("parseRule(%q): %v", ok, err)
+		cfg := testCfg()
+		cfg.rules = ok
+		cells, err := grid(cfg)
+		if err != nil {
+			t.Errorf("-rules %s: %v", ok, err)
+			continue
+		}
+		for _, cl := range cells {
+			if cl.spec.Rule != ok {
+				t.Errorf("-rules %s: cell rule %q", ok, cl.spec.Rule)
+			}
 		}
 	}
 	for _, bad := range []string{"4majority", "hplurality:0", "hplurality:x", ""} {
-		if _, err := parseRule(bad); err == nil {
-			t.Errorf("parseRule(%q) accepted", bad)
+		cfg := testCfg()
+		cfg.rules = bad
+		if _, err := grid(cfg); err == nil {
+			t.Errorf("-rules %q accepted", bad)
 		}
 	}
 }
@@ -406,6 +500,11 @@ func TestSweepTraceDir(t *testing.T) {
 			}
 			if tr.Header.N != 1000 || tr.Header.Seed != byRep[i].Seed {
 				t.Fatalf("%s rep %d: header %+v not tied to record %+v", path, i, tr.Header, byRep[i])
+			}
+			// Headed as pluralityd heads the job's traces: the spec's
+			// rule name and resolved engine.
+			if tr.Header.Engine != "multinomial" || (tr.Header.Rule != "3majority" && tr.Header.Rule != "2choices") {
+				t.Fatalf("%s rep %d: header engine/rule = %s/%s", path, i, tr.Header.Engine, tr.Header.Rule)
 			}
 			if tr.Summary == nil || tr.Summary.Rounds != byRep[i].Rounds {
 				t.Fatalf("%s rep %d: summary %+v disagrees with record rounds %d", path, i, tr.Summary, byRep[i].Rounds)

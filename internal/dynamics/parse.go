@@ -13,7 +13,7 @@ import (
 //	3majority | 3majority-utie | median | polling | 2choices | hplurality:H
 //
 // The stateful protocols (undecided, 2choices-keepown) carry their own
-// engines and are dispatched by the callers before name parsing.
+// engines; internal/service's JobSpec dispatches them before name parsing.
 func ParseRule(s string) (Rule, error) {
 	switch {
 	case s == "3majority":

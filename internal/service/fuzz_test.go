@@ -15,7 +15,10 @@ import (
 // never panics, and any spec it accepts can be compiled to an mc.Job —
 // and, for small populations, executed — without panicking. This is the
 // property that keeps a hostile request from crashing the shared worker
-// pool.
+// pool. Every decoded spec also goes through the CLIs' check (Check, on
+// the spec as decoded and as normalized): it must not panic, and it must
+// accept every spec Validate accepts. Only Validate-accepted specs are
+// executed, since Check admits uncapped h and n.
 func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"n": 100000, "k": 8, "seed": 1, "replicates": 5}`))
 	f.Add([]byte(`{"rule": "median", "engine": "sampled", "n": 1000, "k": 4, "bias": "17"}`))
@@ -27,14 +30,22 @@ func FuzzSpecJSON(f *testing.F) {
 	f.Add([]byte(`{"rule": "2choices-keepown", "n": 100, "k": 2}`))
 	f.Add([]byte(`{"n": -1, "k": 0, "bias": "zillions"}`))
 	f.Add([]byte(`{"engine": "graph", "graph": "regular:-0", "n": 9, "k": 2, "bias": "9"}`))
+	f.Add([]byte(`{"rule":"hplurality:100000000","n":2,"k":2,"bias":"0","max_rounds":1}`))
+	f.Add([]byte(`{"engine": "graph", "graph": "torus", "n": 9223372036854775807, "k": 2}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec JobSpec
 		if err := json.Unmarshal(data, &spec); err != nil {
 			return
 		}
+		raw := spec
+		_ = raw.Check()
 		spec.Normalize()
+		checkErr := spec.Check()
 		if err := spec.Validate(); err != nil {
 			return
+		}
+		if checkErr != nil {
+			t.Fatalf("Check rejected a spec Validate accepts: %v", checkErr)
 		}
 		// An accepted spec must compile…
 		job := spec.MCJob()

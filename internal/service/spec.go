@@ -46,13 +46,19 @@ const (
 	// neighbors are computed rather than stored — the only per-agent memory
 	// is the color arrays, so the cap matches the exact engines'.
 	MaxNGraphImplicit = 1_000_000_000
+	// MaxH bounds h in rule hplurality:H. The sampled and graph engines
+	// buffer at least h colors per worker, so one replicate's memory grows
+	// linearly in h (a single round at h = 10⁸ allocated 381 MB), and
+	// Cost does not see h. E5 and examples/hplurality use h ≤ 33.
+	MaxH = 64
 	// DefaultMaxRounds is applied when a spec omits max_rounds.
 	DefaultMaxRounds = 200_000
 )
 
-// JobSpec is the wire format of one simulation job: the same knobs the
-// cmd/plurality and cmd/sweep CLIs expose, as a JSON object. The zero
-// value of every optional field means "default" (see Normalize).
+// JobSpec is the run spec of every surface: the wire format of a
+// pluralityd job, what cmd/plurality's flags fill, and each cmd/sweep
+// grid cell. The zero value of every optional field means "default" (see
+// Normalize).
 //
 // Determinism contract: the per-replicate records of a job are a pure
 // function of the spec — replicate i runs on rng.New(mc.RepSeeds(Seed,
@@ -140,18 +146,20 @@ func (s *JobSpec) Normalize() {
 // only Engine == "auto".
 var statefulEngines = map[string]bool{"undecided": true, "2choices-keepown": true}
 
-// resolveEngine maps Engine == "auto" to the concrete engine for the rule
-// and checks rule/engine compatibility.
-func (s *JobSpec) resolveEngine() (string, error) {
+// resolve parses the rule and maps Engine == "auto" to the concrete engine
+// for it, checking rule/engine compatibility and, for the graph engine,
+// the topology; capped adds the service's n cap for the graph family. The
+// rule is nil for the stateful protocols, whose engine is their name.
+func (s *JobSpec) resolve(capped bool) (dynamics.Rule, string, error) {
 	if statefulEngines[s.Rule] {
 		if s.Engine != "auto" {
-			return "", fmt.Errorf("rule %q carries its own engine; use engine \"auto\"", s.Rule)
+			return nil, "", fmt.Errorf("rule %q carries its own engine; use engine \"auto\"", s.Rule)
 		}
-		return s.Rule, nil
+		return nil, s.Rule, nil
 	}
 	rule, err := dynamics.ParseRule(s.Rule)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	_, isProb := rule.(dynamics.ProbModel)
 	eng := s.Engine
@@ -165,17 +173,26 @@ func (s *JobSpec) resolveEngine() (string, error) {
 	switch eng {
 	case "multinomial":
 		if !isProb {
-			return "", fmt.Errorf("rule %q has no closed-form adoption probabilities; use engine \"sampled\"", s.Rule)
+			return nil, "", fmt.Errorf("rule %q has no closed-form adoption probabilities; use engine \"sampled\"", s.Rule)
 		}
 	case "sampled", "population":
 	case "graph":
-		if err := s.checkGraph(); err != nil {
-			return "", err
+		if err := s.checkGraph(capped); err != nil {
+			return nil, "", err
 		}
 	default:
-		return "", fmt.Errorf("unknown engine %q", s.Engine)
+		return nil, "", fmt.Errorf("unknown engine %q", s.Engine)
 	}
-	return eng, nil
+	return rule, eng, nil
+}
+
+// engineLabel is the resolved engine, or "invalid" for a spec that does
+// not resolve. It labels job names, metrics and traces.
+func (s *JobSpec) engineLabel() string {
+	if _, eng, err := s.resolve(false); err == nil {
+		return eng
+	}
+	return "invalid"
 }
 
 // graphMaxN is the n cap for the spec's graph family: implicit families
@@ -189,13 +206,17 @@ func (s *JobSpec) graphMaxN() int64 {
 }
 
 // checkGraph validates the Graph field through the topo registry so a bad
-// topology is a 400, not a crash. The n cap comes first: it bounds every
-// number the registry's constant-time validation arithmetic sees, so a
-// hostile spec can neither overflow nor spin. A registry size-cap
+// topology is a 400, not a crash. With capped, the n cap comes first: it
+// bounds every number the registry's validation arithmetic sees, so a
+// hostile request is rejected in constant time. A registry size-cap
 // rejection (topo.ErrTooLarge) gets a remediation hint appended — the
 // client asked for something well-formed that simply does not fit in RAM.
-func (s *JobSpec) checkGraph() error {
-	if maxN := s.graphMaxN(); s.N < 1 || s.N > maxN {
+func (s *JobSpec) checkGraph(capped bool) error {
+	maxN := int64(math.MaxInt64)
+	if capped {
+		maxN = s.graphMaxN()
+	}
+	if s.N < 1 || s.N > maxN {
 		return fmt.Errorf("graph engine needs n in [1, %d] for family %q, got %d", maxN, s.Graph, s.N)
 	}
 	if err := topo.Validate(s.Graph, s.N); err != nil {
@@ -207,9 +228,11 @@ func (s *JobSpec) checkGraph() error {
 	return nil
 }
 
-// biasValue parses the Bias field; "auto" resolves to the Corollary 1
+// BiasValue parses the Bias field; "auto" resolves to the Corollary 1
 // threshold clamped to n (tiny populations can sit below the threshold).
-func (s *JobSpec) biasValue() (int64, error) {
+// The initial configuration of every replicate is colorcfg.Biased(N, K,
+// BiasValue()).
+func (s *JobSpec) BiasValue() (int64, error) {
 	if s.Bias == "auto" {
 		b := core.Corollary1Bias(s.N, s.K, 1.0)
 		if b > s.N {
@@ -230,22 +253,37 @@ func (s *JobSpec) biasValue() (int64, error) {
 // Validate checks the (normalized) spec against the engine and graph
 // preconditions and the service resource caps. All problems are reported
 // at once, joined into one error.
-func (s *JobSpec) Validate() error {
+func (s *JobSpec) Validate() error { return s.check(true) }
+
+// Check is Validate without the service's resource caps (MaxK,
+// MaxReplicates, MaxMaxRounds, MaxN*, MaxH). The caps are admission
+// policy for a shared daemon, not preconditions of the engines, so the
+// CLIs gate their specs with Check: a spec runs locally at any size the
+// engines and the topology registry accept, such as cmd/plurality's
+// 10⁸-vertex mmap smallworld run. Every spec Validate accepts, Check
+// accepts.
+func (s *JobSpec) Check() error { return s.check(false) }
+
+func (s *JobSpec) check(capped bool) error {
 	var errs []error
+	// within reports v outside [lo, hi]; hi is a service cap, so only
+	// Validate enforces it.
+	within := func(name string, v, lo, hi int64) {
+		switch {
+		case capped && (v < lo || v > hi):
+			errs = append(errs, fmt.Errorf("%s must be in [%d, %d], got %d", name, lo, hi, v))
+		case !capped && v < lo:
+			errs = append(errs, fmt.Errorf("%s must be >= %d, got %d", name, lo, v))
+		}
+	}
 	if s.N < 1 {
 		errs = append(errs, fmt.Errorf("n must be >= 1, got %d", s.N))
 	}
-	if s.K < 2 || s.K > MaxK {
-		errs = append(errs, fmt.Errorf("k must be in [2, %d], got %d", MaxK, s.K))
-	}
-	if s.Replicates < 1 || s.Replicates > MaxReplicates {
-		errs = append(errs, fmt.Errorf("replicates must be in [1, %d], got %d", MaxReplicates, s.Replicates))
-	}
-	if s.MaxRounds < 1 || s.MaxRounds > MaxMaxRounds {
-		errs = append(errs, fmt.Errorf("max_rounds must be in [1, %d], got %d", MaxMaxRounds, s.MaxRounds))
-	}
+	within("k", int64(s.K), 2, MaxK)
+	within("replicates", int64(s.Replicates), 1, MaxReplicates)
+	within("max_rounds", int64(s.MaxRounds), 1, MaxMaxRounds)
 	if s.N >= 1 {
-		if _, err := s.biasValue(); err != nil {
+		if _, err := s.BiasValue(); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -253,12 +291,12 @@ func (s *JobSpec) Validate() error {
 	if samplerErr != nil {
 		errs = append(errs, samplerErr)
 	}
-	eng, err := s.resolveEngine()
+	rule, eng, err := s.resolve(capped)
 	if err != nil {
 		errs = append(errs, err)
 	} else if samplerErr == nil && sampler == engine.SamplerBatch && eng != "graph" {
 		errs = append(errs, fmt.Errorf("sampler \"batch\" applies only to the graph engine, not %q", eng))
-	} else if s.N >= 1 {
+	} else if capped {
 		maxN := int64(MaxNExact)
 		switch eng {
 		case "sampled", "population":
@@ -268,6 +306,9 @@ func (s *JobSpec) Validate() error {
 		}
 		if s.N > maxN {
 			errs = append(errs, fmt.Errorf("n = %d exceeds the %s-engine cap %d", s.N, eng, maxN))
+		}
+		if h, ok := rule.(dynamics.HPlurality); ok && h.H > MaxH {
+			errs = append(errs, fmt.Errorf("h = %d in rule %q exceeds the cap %d", h.H, s.Rule, MaxH))
 		}
 	}
 	if s.K >= 2 && s.N >= 1 && int64(s.K) > s.N {
@@ -280,10 +321,7 @@ func (s *JobSpec) Validate() error {
 // covers every spec field that influences the records, so two JSONL
 // streams with equal names are byte-identical.
 func (s *JobSpec) Name() string {
-	eng, err := s.resolveEngine()
-	if err != nil {
-		eng = "invalid"
-	}
+	eng := s.engineLabel()
 	name := fmt.Sprintf("%s/%s/n=%d/k=%d/bias=%s/rounds=%d/seed=%d",
 		s.Rule, eng, s.N, s.K, s.Bias, s.MaxRounds, s.Seed)
 	if eng == "graph" {
@@ -307,7 +345,8 @@ func (s *JobSpec) Name() string {
 // individually-capped) spec can never route onto the synchronous path.
 func (s *JobSpec) Cost() int64 {
 	perRound := int64(s.K)
-	if eng, err := s.resolveEngine(); err == nil && (eng == "sampled" || eng == "graph" || eng == "population") {
+	switch s.engineLabel() {
+	case "sampled", "graph", "population":
 		perRound = s.N
 	}
 	cost := float64(s.Replicates) * float64(s.MaxRounds) * float64(perRound)
@@ -317,77 +356,76 @@ func (s *JobSpec) Cost() int64 {
 	return int64(cost)
 }
 
-// buildEngine constructs the replicate's engine. The spec must have
-// passed Validate; r is the replicate's private generator (graph layout
-// and engine seeds draw from it, keeping the replicate a pure function of
-// its seed), and g is the job's shared quenched topology (nil for
-// non-graph engines).
-func (s *JobSpec) buildEngine(init colorcfg.Config, g topo.NeighborSource, r *rng.Rand) engine.Engine {
-	if s.Rule == "undecided" {
-		return engine.NewUndecidedExact(init)
-	}
-	if s.Rule == "2choices-keepown" {
-		return engine.NewCliqueMarkov(dynamics.TwoChoicesKeepOwn{}, init)
-	}
-	rule, err := dynamics.ParseRule(s.Rule)
+// TraceHeader labels the telemetry trace of replicate rec of the spec's
+// job, in pluralityd's traced jobs and cmd/sweep's -trace-dir files alike.
+func (s *JobSpec) TraceHeader(rec mc.Record) obs.Header {
+	return obs.Header{Engine: s.engineLabel(), Rule: s.Rule, N: s.N, K: s.K,
+		Seed: rec.Seed, Job: rec.Job, Rep: rec.Rep}
+}
+
+// BuildEngine constructs one replicate's engine. It is the only code that
+// turns a spec into an engine: pluralityd jobs, cmd/sweep cells and
+// cmd/plurality runs all call it. The spec must have passed Check. init
+// is colorcfg.Biased(N, K, BiasValue()); g is the quenched topology from
+// BuildGraph for the graph engine and nil otherwise; workers is the
+// agent-level engines' step parallelism (jobs and sweep cells pass 1:
+// their replicates already fan out across a pool); r is the replicate's
+// private generator, from which graph layouts and engine seeds draw, so
+// a replicate is a pure function of its seed and workers.
+func (s *JobSpec) BuildEngine(init colorcfg.Config, g topo.NeighborSource, workers int, r *rng.Rand) engine.Engine {
+	rule, eng, err := s.resolve(false)
 	if err != nil {
-		panic(fmt.Sprintf("service: buildEngine on unvalidated spec: %v", err))
-	}
-	eng, err := s.resolveEngine()
-	if err != nil {
-		panic(fmt.Sprintf("service: buildEngine on unvalidated spec: %v", err))
+		panic(fmt.Sprintf("service: BuildEngine on unchecked spec: %v", err))
 	}
 	switch eng {
+	case "undecided":
+		return engine.NewUndecidedExact(init)
+	case "2choices-keepown":
+		return engine.NewCliqueMarkov(dynamics.TwoChoicesKeepOwn{}, init)
 	case "multinomial":
 		return engine.NewCliqueMultinomial(rule, init)
 	case "sampled":
-		// Replicates already fan out across the pool; keep the agent-level
-		// engine single-worker per replicate (matches cmd/sweep).
-		return engine.NewCliqueSampled(rule, init, 1, r.Uint64())
+		return engine.NewCliqueSampled(rule, init, workers, r.Uint64())
 	case "population":
 		return engine.NewPopulation(rule, init)
-	case "graph":
-		sampler, err := engine.ParseSampler(s.Sampler)
-		if err != nil {
-			panic(fmt.Sprintf("service: buildEngine on unvalidated spec: %v", err))
-		}
-		return engine.NewGraphEngineOpts(rule, g, init, 1, r.Uint64(), r,
-			engine.GraphOpts{Sampler: sampler})
 	}
-	panic(fmt.Sprintf("service: unreachable engine %q", eng))
+	// The graph engine, the only one with a sampler choice.
+	sampler, err := engine.ParseSampler(s.Sampler)
+	if err != nil {
+		panic(fmt.Sprintf("service: BuildEngine on unchecked spec: %v", err))
+	}
+	return engine.NewGraphEngineOpts(rule, g, init, workers, r.Uint64(), r,
+		engine.GraphOpts{Sampler: sampler})
 }
 
-// mustGraph builds the validated topology from GraphSeed. CSR structures
-// are read-only during stepping, so one instance is safely shared by all
-// concurrently running replicates of a job.
-func (s *JobSpec) mustGraph() topo.NeighborSource {
-	g, err := topo.BuildSource(s.Graph, s.N, rng.New(s.GraphSeed), topo.BuildOpts{})
-	if err != nil {
-		panic(fmt.Sprintf("service: mustGraph on unvalidated spec: %v", err))
-	}
-	return g
+// BuildGraph builds the graph engine's quenched topology from GraphSeed
+// behind the backend opts selects; every backend yields the same seeded
+// run. pluralityd passes the zero value. CSR structures are read-only
+// during stepping, so one instance is safely shared by all concurrently
+// running replicates of a job.
+func (s *JobSpec) BuildGraph(opts topo.BuildOpts) (topo.NeighborSource, error) {
+	return topo.BuildSource(s.Graph, s.N, rng.New(s.GraphSeed), opts)
 }
 
 // MCJob compiles the spec into the mc.Job executed on the worker pool.
 // The spec must have passed Validate.
 func (s *JobSpec) MCJob() mc.Job {
-	return s.mcJob(nil)
+	return s.MCJobWith(nil, topo.BuildOpts{})
 }
 
-// MCJobTraced is MCJob with per-replicate telemetry: each replicate asks
-// obsFor for an observer keyed by its private seed and, when one is
-// returned, runs with it attached. Because observers consume zero rng
-// (the obs.Observer contract), the records are byte-identical to
-// MCJob's — only the side-channel telemetry differs.
-func (s *JobSpec) MCJobTraced(obsFor func(seed uint64) obs.Observer) mc.Job {
-	return s.mcJob(obsFor)
-}
-
-func (s *JobSpec) mcJob(obsFor func(seed uint64) obs.Observer) mc.Job {
+// MCJobWith is MCJob with per-replicate telemetry and a topology backend.
+// A non-nil obsFor is asked for each replicate's observer, keyed by the
+// replicate's private seed, and a replicate runs with the observer it
+// returns attached. Because observers consume zero rng (the obs.Observer
+// contract), the records are byte-identical to MCJob's — only the
+// side-channel telemetry differs. gopts selects the backend of the graph
+// engine's shared topology (see BuildGraph). The spec must have passed
+// Check.
+func (s *JobSpec) MCJobWith(obsFor func(seed uint64) obs.Observer, gopts topo.BuildOpts) mc.Job {
 	spec := *s // detach from the caller's copy
-	bias, err := spec.biasValue()
+	bias, err := spec.BiasValue()
 	if err != nil {
-		panic(fmt.Sprintf("service: MCJob on unvalidated spec: %v", err))
+		panic(fmt.Sprintf("service: MCJob on unchecked spec: %v", err))
 	}
 	job := mc.Job{
 		Name:       spec.Name(),
@@ -400,8 +438,14 @@ func (s *JobSpec) mcJob(obsFor func(seed uint64) obs.Observer) mc.Job {
 	// replicate: graph generation can dominate a short job, and the
 	// structure is immutable during stepping.
 	var sharedGraph func() topo.NeighborSource
-	if eng, err := spec.resolveEngine(); err == nil && eng == "graph" {
-		sharedGraph = sync.OnceValue(spec.mustGraph)
+	if spec.engineLabel() == "graph" {
+		sharedGraph = sync.OnceValue(func() topo.NeighborSource {
+			g, err := spec.BuildGraph(gopts)
+			if err != nil {
+				panic(fmt.Sprintf("service: graph of %s: %v", job.Name, err))
+			}
+			return g
+		})
 	}
 	job.New = func(seed uint64) mc.Run {
 		maxRounds := job.MaxRounds
@@ -412,7 +456,7 @@ func (s *JobSpec) mcJob(obsFor func(seed uint64) obs.Observer) mc.Job {
 			if sharedGraph != nil {
 				g = sharedGraph()
 			}
-			eng := spec.buildEngine(init, g, r)
+			eng := spec.BuildEngine(init, g, 1, r)
 			defer eng.Close()
 			opts := core.Options{MaxRounds: maxRounds, Rand: r}
 			if obsFor != nil {

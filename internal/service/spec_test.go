@@ -47,6 +47,7 @@ func TestValidateAcceptsEveryEngine(t *testing.T) {
 		func(s *JobSpec) { s.Engine = "graph"; s.Graph = "hypercube"; s.N = 8192 },
 		func(s *JobSpec) { s.Engine = "graph"; s.Graph = "torus:3"; s.N = 27_000 },
 		func(s *JobSpec) { s.Rule = "hplurality:5" }, // auto → sampled
+		func(s *JobSpec) { s.Rule = "hplurality:64" },
 		func(s *JobSpec) { s.Rule = "median" },
 		func(s *JobSpec) { s.Rule = "undecided" },
 		func(s *JobSpec) { s.Rule = "2choices-keepown" },
@@ -76,6 +77,7 @@ func TestValidateRejects(t *testing.T) {
 		{func(s *JobSpec) { s.MaxRounds = MaxMaxRounds + 1 }, "max_rounds"},
 		{func(s *JobSpec) { s.Rule = "gossip" }, "unknown rule"},
 		{func(s *JobSpec) { s.Rule = "hplurality:0" }, "bad h"},
+		{func(s *JobSpec) { s.Rule = "hplurality:65" }, "h = 65"},
 		{func(s *JobSpec) { s.Engine = "warp" }, "unknown engine"},
 		{func(s *JobSpec) { s.Rule = "hplurality:3"; s.Engine = "multinomial" }, "closed-form"},
 		{func(s *JobSpec) { s.Rule = "undecided"; s.Engine = "sampled" }, "its own engine"},
@@ -120,6 +122,49 @@ func TestValidateRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("case %d: error %q does not mention %q", i, err, tc.want)
+		}
+	}
+}
+
+// TestCheckSkipsOnlyTheCaps pins the CLI-side check: it accepts a spec
+// that only a service cap rejects, and still rejects a spec below a
+// field's floor, naming the floor alone.
+func TestCheckSkipsOnlyTheCaps(t *testing.T) {
+	overCap := []func(*JobSpec){
+		func(s *JobSpec) { s.K = MaxK + 1 },
+		func(s *JobSpec) { s.Replicates = MaxReplicates + 1 },
+		func(s *JobSpec) { s.MaxRounds = MaxMaxRounds + 1 },
+		func(s *JobSpec) { s.Rule = "hplurality:65" },
+		func(s *JobSpec) { s.N = MaxNExact + 1 },
+		func(s *JobSpec) { s.Engine = "sampled"; s.N = MaxNSampled + 1 },
+		func(s *JobSpec) { s.Engine = "graph"; s.Graph = "regular:8"; s.N = MaxNGraph + 8 },
+		func(s *JobSpec) { s.Engine = "graph"; s.Graph = "complete"; s.N = MaxNGraphImplicit + 4 },
+	}
+	for i, mutate := range overCap {
+		s := validSpec()
+		mutate(&s)
+		if s.Validate() == nil {
+			t.Errorf("case %d (%+v): Validate accepted a spec over a cap", i, s)
+		}
+		if err := s.Check(); err != nil {
+			t.Errorf("case %d (%+v): Check rejected a spec only a cap rejects: %v", i, s, err)
+		}
+	}
+	belowFloor := []struct {
+		mutate func(*JobSpec)
+		want   string
+	}{
+		{func(s *JobSpec) { s.K = 1 }, "k must be >= 2, got 1"},
+		{func(s *JobSpec) { s.Replicates = 0 }, "replicates must be >= 1, got 0"},
+		{func(s *JobSpec) { s.MaxRounds = -1 }, "max_rounds must be >= 1, got -1"},
+		{func(s *JobSpec) { s.N = 0 }, "n must be >= 1, got 0"},
+		{func(s *JobSpec) { s.Engine = "graph"; s.Graph = "torus"; s.N = 1<<63 - 1 }, "side"},
+	}
+	for i, tc := range belowFloor {
+		s := validSpec()
+		tc.mutate(&s)
+		if err := s.Check(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: Check error = %v, want %q", i, err, tc.want)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/mc"
 	"plurality/internal/obs"
+	"plurality/internal/topo"
 )
 
 // Traced jobs: a JobSpec submitted with "trace": true runs its first
@@ -90,7 +91,7 @@ func (o *repObserver) ObserveRound(round int, n int64, wallNs int64, cfg colorcf
 	}
 }
 
-// observerFor is the MCJobTraced hook: traced replicates get a fresh
+// observerFor is the MCJobWith observer hook: traced replicates get a fresh
 // repObserver, the rest run bare. Called from worker goroutines.
 func (jt *jobTracer) observerFor(seed uint64) obs.Observer {
 	rep, ok := jt.reps[seed]
@@ -148,15 +149,7 @@ func (jt *jobTracer) finishRep(rec mc.Record) {
 	}
 	var buf bytes.Buffer
 	// bytes.Buffer writes cannot fail.
-	_ = o.rec.WriteTrace(&buf, obs.Header{
-		Engine: jt.job.engLabel,
-		Rule:   jt.job.ruleLabel,
-		N:      jt.job.spec.N,
-		K:      jt.job.spec.K,
-		Seed:   rec.Seed,
-		Job:    rec.Job,
-		Rep:    rec.Rep,
-	})
+	_ = o.rec.WriteTrace(&buf, jt.job.spec.TraceHeader(rec))
 	jt.job.appendTrace(buf.Bytes())
 	jt.srv.met.mergeRoundDur(o.durs)
 }
@@ -171,7 +164,7 @@ func (s *Server) buildMCJob(j *jobState) (mc.Job, func(mc.Record, int, int)) {
 		return j.spec.MCJob(), prog
 	}
 	jt := newJobTracer(s, j)
-	job := j.spec.MCJobTraced(jt.observerFor)
+	job := j.spec.MCJobWith(jt.observerFor, topo.BuildOpts{})
 	return job, func(rec mc.Record, done, total int) {
 		jt.finishRep(rec)
 		prog(rec, done, total)
