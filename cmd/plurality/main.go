@@ -5,7 +5,7 @@
 //
 //	plurality -n 100000 -k 8 -bias auto
 //	plurality -rule median -n 100000 -k 32 -bias 2000 -print-rounds
-//	plurality -n 1000000 -k 8 -bias auto -trace run-trace.jsonl
+//	plurality -n 1000000 -k 8 -bias auto -trace run-trace.jsonl -phases
 //	plurality -rule hplurality:9 -engine sampled -n 50000 -k 16 -bias auto
 //	plurality -rule undecided -n 100000 -k 8 -bias 20000
 //	plurality -engine graph -graph torus -n 10000 -k 4 -bias 2000
@@ -50,7 +50,6 @@ import (
 	"plurality/internal/rng"
 	"plurality/internal/service"
 	"plurality/internal/topo"
-	"plurality/internal/trace"
 )
 
 // config collects the flags: spec is the run; the rest pick the topology
@@ -65,7 +64,6 @@ type config struct {
 	printRounds bool
 	traceFile   string
 	mPlurality  int64
-	dumpPath    string
 	phases      bool
 }
 
@@ -88,8 +86,7 @@ func main() {
 	flag.BoolVar(&cfg.printRounds, "print-rounds", false, "print the configuration every round")
 	flag.StringVar(&cfg.traceFile, "trace", "", "write a JSONL telemetry trace (per-round wall time, convergence stats, memory samples; cmd/tracereport renders it) to this file")
 	flag.Int64Var(&cfg.mPlurality, "m-plurality", -1, "stop at M-plurality consensus instead of full consensus")
-	flag.StringVar(&cfg.dumpPath, "dump-trajectory", "", "write the per-round trajectory to this CSV file")
-	flag.BoolVar(&cfg.phases, "phases", false, "print the Lemma 3/4/5 phase segmentation after the run")
+	flag.BoolVar(&cfg.phases, "phases", false, "print the Lemma 3/4/5 phase segmentation of the recorded rounds after the run")
 	flag.Parse()
 
 	if _, err := run(os.Stdout, cfg); err != nil {
@@ -139,31 +136,27 @@ func run(w io.Writer, cfg config) (core.Result, error) {
 		stop = core.WhenMPlurality(n, cfg.mPlurality)
 	}
 
-	var rec *trace.Recorder
-	if cfg.dumpPath != "" || cfg.phases {
-		rec = trace.NewRecorder(n)
-		rec.ObserveInitial(eng.Config())
-	}
 	opts := core.Options{
 		MaxRounds: spec.MaxRounds,
 		Rand:      r,
 		Adversary: adv,
 		Stop:      stop,
 	}
-	var telemetry *obs.Recorder
-	if cfg.traceFile != "" {
-		telemetry = &obs.Recorder{}
-		opts.Observer = telemetry // typed pointer assigned only when non-nil
+	var rec *obs.Recorder
+	if cfg.traceFile != "" || cfg.phases {
+		rec = &obs.Recorder{}
 	}
-	opts.OnRound = func(round int, c colorcfg.Config) {
-		if rec != nil {
-			rec.Observe(round, c)
-		}
-		if cfg.printRounds {
-			first, second := c.TopTwo()
-			fmt.Fprintf(w, "round %5d  top=%d  c1=%d  c2=%d  bias=%d  support=%d\n",
-				round, c.Plurality(), first, second, c.Bias(), c.Support())
-		}
+	if rec != nil || cfg.printRounds {
+		opts.Observer = obs.ObserverFunc(func(round int, agents int64, wallNs int64, c colorcfg.Config) {
+			if rec != nil {
+				rec.ObserveRound(round, agents, wallNs, c)
+			}
+			if cfg.printRounds {
+				first, second := c.TopTwo()
+				fmt.Fprintf(w, "round %5d  top=%d  c1=%d  c2=%d  bias=%d  support=%d\n",
+					round, c.Plurality(), first, second, c.Bias(), c.Support())
+			}
+		})
 	}
 
 	bias, _ := spec.BiasValue()
@@ -180,26 +173,15 @@ func run(w io.Writer, cfg config) (core.Result, error) {
 	lambda := core.Lambda(n, k)
 	fmt.Fprintf(w, "theory: λ=%.3g, predicted O(λ·ln n)=%.0f rounds\n",
 		lambda, core.UpperBoundRounds(n, lambda, 1))
-	if cfg.phases && rec != nil {
-		fmt.Fprintf(w, "\nphase segmentation (Lemmas 3/4/5):\n%s", rec.Summary())
+	if cfg.phases {
+		fmt.Fprintf(w, "\n%s", obs.PhaseSummary(rec.Rounds(nil), rec.Dropped()))
 	}
-	if cfg.dumpPath != "" && rec != nil {
-		f, err := os.Create(cfg.dumpPath)
-		if err != nil {
-			return res, fmt.Errorf("dump trajectory: %w", err)
-		}
-		defer f.Close()
-		if err := rec.WriteCSV(f); err != nil {
-			return res, fmt.Errorf("dump trajectory: %w", err)
-		}
-		fmt.Fprintf(w, "trajectory: %d rounds written to %s\n", rec.Len(), cfg.dumpPath)
-	}
-	if telemetry != nil {
+	if cfg.traceFile != "" {
 		f, err := os.Create(cfg.traceFile)
 		if err != nil {
 			return res, fmt.Errorf("write trace: %w", err)
 		}
-		werr := telemetry.WriteTrace(f, obs.Header{
+		werr := rec.WriteTrace(f, obs.Header{
 			Engine: eng.Name(), Rule: spec.Rule, N: n, K: k, Seed: spec.Seed,
 		})
 		if cerr := f.Close(); werr == nil {
@@ -208,7 +190,7 @@ func run(w io.Writer, cfg config) (core.Result, error) {
 		if werr != nil {
 			return res, fmt.Errorf("write trace: %w", werr)
 		}
-		sum := telemetry.Summarize()
+		sum := rec.Summarize()
 		fmt.Fprintf(w, "trace:  %d rounds (%d retained) written to %s, %.1f ns/agent\n",
 			sum.Rounds, sum.Retained, cfg.traceFile, sum.NsPerAgent)
 	}

@@ -334,14 +334,18 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunTraceFile pins the -trace flag: the run writes a parseable
-// JSONL trace whose round count matches the run and whose bytes the
-// tolerant reader consumes without skips.
+// TestRunTraceFile pins the -trace flag and the outputs that read the
+// same observer: the run writes a parseable JSONL trace whose round count
+// matches the run and whose bytes the tolerant reader consumes without
+// skips, -print-rounds prints one line per round, in order, and -phases
+// prints the phase table cmd/tracereport prints for the trace file.
 func TestRunTraceFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	cfg := testCfg()
-	cfg.traceFile = path
-	if _, err := run(io.Discard, cfg); err != nil {
+	cfg.traceFile, cfg.printRounds, cfg.phases = path, true, true
+	var out bytes.Buffer
+	res, err := run(&out, cfg)
+	if err != nil {
 		t.Fatalf("run with -trace: %v", err)
 	}
 	f, err := os.Open(path)
@@ -360,11 +364,30 @@ func TestRunTraceFile(t *testing.T) {
 	if tr.Header.Rule != "3majority" || tr.Header.N != 2000 || tr.Header.K != 3 || tr.Header.Seed != 1 {
 		t.Fatalf("trace header %+v does not describe the run", tr.Header)
 	}
-	if tr.Summary == nil || tr.Summary.Rounds < 1 || len(tr.Rounds) != tr.Summary.Retained {
-		t.Fatalf("trace summary inconsistent: %+v with %d round lines", tr.Summary, len(tr.Rounds))
+	if tr.Summary == nil || tr.Summary.Rounds != res.Rounds || len(tr.Rounds) != tr.Summary.Retained {
+		t.Fatalf("trace summary inconsistent: %+v with %d round lines for %d rounds", tr.Summary, len(tr.Rounds), res.Rounds)
 	}
 	last := tr.Rounds[len(tr.Rounds)-1]
 	if last.CMax <= 0 || last.CMax > 2000 {
 		t.Fatalf("implausible final c_max %d", last.CMax)
+	}
+
+	var rounds []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "round ") {
+			rounds = append(rounds, line)
+		}
+	}
+	if len(rounds) != res.Rounds {
+		t.Fatalf("printed %d round lines for %d rounds", len(rounds), res.Rounds)
+	}
+	for i, line := range rounds {
+		if want := fmt.Sprintf("round %5d  ", i+1); !strings.HasPrefix(line, want) {
+			t.Fatalf("round line %d is %q, want prefix %q", i, line, want)
+		}
+	}
+	table := obs.PhaseSummary(tr.Rounds, tr.Summary.Dropped)
+	if table == "" || !strings.Contains(out.String(), "\n\n"+table) {
+		t.Fatalf("-phases output differs from the trace file's phase table %q:\n%s", table, out.String())
 	}
 }

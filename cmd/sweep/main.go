@@ -184,7 +184,10 @@ type cell struct {
 
 // grid expands the flags into the grid's cells, in output order, and
 // checks every cell's spec: a bad cell fails the whole grid before any
-// simulation.
+// simulation. So do two cells with one job name (a repeated -ns value,
+// -cs values that round to one bias, two spellings of one -graphs spec):
+// -resume counts records by job name, so it would take the first cell's
+// records as the second's.
 func grid(cfg config) ([]cell, error) {
 	nVals, err := parseInts(cfg.ns)
 	if err != nil {
@@ -199,6 +202,7 @@ func grid(cfg config) ([]cell, error) {
 		return nil, err
 	}
 	var cells []cell
+	seen := map[string]bool{}
 	for _, rule := range strings.Split(cfg.rules, ",") {
 		for _, g := range strings.Split(cfg.graphs, ",") {
 			for _, n := range nVals {
@@ -208,6 +212,11 @@ func grid(cfg config) ([]cell, error) {
 						if err != nil {
 							return nil, err
 						}
+						name := cl.spec.Name()
+						if seen[name] {
+							return nil, fmt.Errorf("cell rule=%s graph=%s n=%d k=%d c=%g repeats job %s: a grid runs each job once", cl.spec.Rule, cl.spec.Graph, n, k, c, name)
+						}
+						seen[name] = true
 						cells = append(cells, cl)
 					}
 				}

@@ -186,6 +186,10 @@ func TestSweepRejectsBadCells(t *testing.T) {
 		{"k above n", func(c *config) { c.ns, c.ks = "10", "20" }, "k = 20 exceeds n = 10"},
 		{"zero reps", func(c *config) { c.reps = 0 }, "replicates must be >= 1, got 0"},
 		{"implicit regular", func(c *config) { c.graphs, c.graphMode = "regular:4", "implicit" }, "no implicit backend"},
+		// Cells sharing a job name would share their -resume records.
+		{"repeated n", func(c *config) { c.ns = "1000,1000" }, "repeats job"},
+		{"c values with one bias", func(c *config) { c.cs = "1,1.0000001" }, "repeats job"},
+		{"one graph spelled twice", func(c *config) { c.graphs = "gnp:0.5,gnp:0.50" }, "repeats job"},
 	}
 	for _, tc := range cases {
 		cfg := testCfg()

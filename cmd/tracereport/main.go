@@ -1,8 +1,9 @@
 // Command tracereport renders the JSONL telemetry traces written by
 // plurality -trace, sweep -trace-dir, and pluralityd's
 // GET /v1/jobs/{id}/trace into a human-readable run profile: where the
-// wall time went, how fast the bias drifted, and what the memory
-// high-water was.
+// wall time went, how fast the bias drifted, what the memory high-water
+// was, and the phase segmentation of the paper's Theorem 1 proof (the
+// table plurality -phases prints).
 //
 //	tracereport run-trace.jsonl
 //	tracereport traces/*.jsonl              # per-run profiles + aggregate
@@ -83,8 +84,9 @@ func run(w io.Writer, paths []string, drift int) error {
 }
 
 // profile prints one run's report: identity, round/wall totals, the
-// ns/agent distribution over the retained rounds, memory, and a sampled
-// drift table showing how the configuration converged.
+// ns/agent distribution over the retained rounds, memory, a sampled
+// drift table showing how the configuration converged, and the phase
+// table of the retained rounds.
 func profile(w io.Writer, tr obs.Trace, drift int) {
 	h := tr.Header
 	id := make([]string, 0, 7)
@@ -151,6 +153,7 @@ func profile(w io.Writer, tr obs.Trace, drift int) {
 				r.Round, r.CMax, r.Bias, r.Support, r.NsPerAgent)
 		}
 	}
+	fmt.Fprint(w, obs.PhaseSummary(tr.Rounds, sum.Dropped))
 }
 
 // aggregate prints the cross-run roll-up for multi-run inputs (a sweep

@@ -51,6 +51,9 @@ func TestReportSingleRun(t *testing.T) {
 		"speed:  ns/agent min=",
 		"memory: heap high-water",
 		"drift:",
+		// c_max grows by 10 a round from 610 and reaches 2n/3 in round 7.
+		"phase segmentation (Lemmas 3/4/5):\ngrowth     rounds 1..6 (6)  c_max 610 → 660",
+		"decay      rounds 7..25 (19)  c_max 670 → 850",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)

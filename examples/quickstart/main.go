@@ -13,6 +13,7 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/obs"
 	"plurality/internal/rng"
 )
 
@@ -38,12 +39,12 @@ func main() {
 	res := core.Run(eng, core.Options{
 		MaxRounds: 10_000,
 		Rand:      rng.New(*seed),
-		OnRound: func(round int, c colorcfg.Config) {
+		Observer: obs.ObserverFunc(func(round int, _, _ int64, c colorcfg.Config) {
 			if round%5 == 0 || c.IsMonochromatic() {
 				first, _ := c.TopTwo()
 				fmt.Printf("  round %3d: c_max=%7d  bias=%7d\n", round, first, c.Bias())
 			}
-		},
+		}),
 	})
 
 	fmt.Printf("\nconsensus on color %d after %d rounds (won initial plurality: %v)\n",

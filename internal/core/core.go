@@ -1,6 +1,7 @@
 // Package core orchestrates plurality-consensus processes: it wires an
-// engine, an optional F-bounded adversary, a stopping condition and
-// per-round hooks into a single reproducible run, and exposes the paper's
+// engine, an optional F-bounded adversary, a stopping condition and an
+// optional obs.Observer (the one per-round hook) into a single
+// reproducible run, and exposes the paper's
 // closed-form theory (Lemma 1/2 drift, Theorem 1 / Corollary 1 thresholds,
 // lower-bound predictions) for the experiment harness.
 //
@@ -85,16 +86,17 @@ type Options struct {
 	// none). Corruption happens after the dynamics step, matching the
 	// two-phase round of Section 3.1.
 	Adversary adversary.Adversary
-	// OnRound is called after every completed round (post-corruption) with
-	// a read-only view of the configuration. It must not retain c.
-	OnRound func(round int, c colorcfg.Config)
 	// Rand drives the run. Required.
 	Rand *rng.Rand
 	// Observer, if non-nil, is attached to the engine before the first
-	// round and receives per-round telemetry (wall time, post-round
-	// configuration — see obs.Observer). It never touches Rand, so a
-	// seeded run is byte-identical with and without one. Engines that do
-	// not support observation silently ignore it.
+	// round and is the run's only per-round hook: the engine calls it at
+	// the end of every Step with the round's wall time and post-step
+	// configuration (see obs.Observer; wrap a func in obs.ObserverFunc).
+	// The Adversary corrupts after that call, so the observer sees each
+	// round before its corruption while Stop sees the corrupted
+	// configuration. It never touches Rand, so a seeded run is
+	// byte-identical with and without one. Engines that do not support
+	// observation silently ignore it.
 	Observer obs.Observer
 }
 
@@ -157,9 +159,6 @@ func Run(e engine.Engine, opts Options) Result {
 		e.Step(opts.Rand)
 		adv.Corrupt(e, opts.Rand)
 		cur = e.Config()
-		if opts.OnRound != nil {
-			opts.OnRound(round+1, cur)
-		}
 	}
 	res.Final = cur
 	res.Winner = cur.Plurality()

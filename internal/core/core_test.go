@@ -8,6 +8,7 @@ import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/obs"
 	"plurality/internal/rng"
 )
 
@@ -63,15 +64,47 @@ func TestRunOnRoundHook(t *testing.T) {
 	res := Run(e, Options{
 		MaxRounds: 500,
 		Rand:      rng.New(5),
-		OnRound: func(round int, c colorcfg.Config) {
+		Observer: obs.ObserverFunc(func(round int, _, _ int64, _ colorcfg.Config) {
 			calls++
 			if round != calls {
 				t.Fatalf("round %d on call %d", round, calls)
 			}
-		},
+		}),
 	})
 	if calls != res.Rounds {
 		t.Fatalf("hook called %d times for %d rounds", calls, res.Rounds)
+	}
+
+	// Under an adversary the observer sees each round before its
+	// corruption and Stop sees the corrupted configuration: Strongest
+	// moves F agents from the observed plurality color to its rival.
+	const f = 40
+	n := int64(50000)
+	e = engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, colorcfg.Biased(n, 4, 10000))
+	var observed, stopped []colorcfg.Config
+	res = Run(e, Options{
+		MaxRounds: 5000,
+		Rand:      rng.New(6),
+		Adversary: adversary.Strongest{F: f},
+		Stop: func(c colorcfg.Config, round int) bool {
+			stopped = append(stopped, c.Clone())
+			return WhenMPlurality(n, 400)(c, round)
+		},
+		Observer: obs.ObserverFunc(func(_ int, _, _ int64, c colorcfg.Config) {
+			observed = append(observed, c.Clone())
+		}),
+	})
+	if !res.Stopped || len(observed) != res.Rounds || len(stopped) != res.Rounds+1 {
+		t.Fatalf("%d observer calls and %d stop calls for %d rounds (stopped=%v)",
+			len(observed), len(stopped), res.Rounds, res.Stopped)
+	}
+	for i, before := range observed {
+		after := stopped[i+1]
+		top := before.Plurality()
+		if after.N() != n || after[top] != before[top]-f {
+			t.Fatalf("round %d: observer saw %v, stop saw %v; want %d agents moved off color %d",
+				i+1, before, after, f, top)
+		}
 	}
 }
 

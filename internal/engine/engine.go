@@ -190,17 +190,9 @@ type CliqueSampled struct {
 	n       int64
 	round   int
 	alias   *dist.Alias
-	workers []*sampledWorker
+	workers []*graphWorker // runClique without an agent array
 	pool    *workerPool
 	obs     obs.Observer
-}
-
-type sampledWorker struct {
-	r     *rng.Rand
-	from  int64 // agent range [from, to)
-	to    int64
-	tally []int64 // cache-line padded; see paddedTallies
-	buf   []Color // batch sample buffer, a multiple of SampleSize() long
 }
 
 // NewCliqueSampled builds the sampled engine. workers <= 1 runs
@@ -216,35 +208,18 @@ func NewCliqueSampled(rule dynamics.Rule, initial colorcfg.Config, workers int, 
 	if h < 1 {
 		panic("engine: rule sample size must be >= 1")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if int64(workers) > n {
-		workers = int(n)
-	}
 	e := &CliqueSampled{
-		rule:  rule,
-		cfg:   initial.Clone(),
-		n:     n,
-		alias: dist.NewAliasCounts(initial),
+		rule:    rule,
+		cfg:     initial.Clone(),
+		n:       n,
+		alias:   dist.NewAliasCounts(initial),
+		workers: newWorkers(n, workers, initial.K(), h, seed, true, false),
 	}
-	streams := rng.Streams(seed, workers)
-	tallies := paddedTallies(workers, initial.K())
-	for w := 0; w < workers; w++ {
-		from, to := shardRange(n, workers, w)
-		e.workers = append(e.workers, &sampledWorker{
-			r:     streams[w],
-			from:  from,
-			to:    to,
-			tally: tallies[w],
-			buf:   make([]Color, batchBufLen(h, to-from)),
-		})
-	}
-	if workers > 1 {
-		fns := make([]func(), workers)
+	if len(e.workers) > 1 {
+		fns := make([]func(), len(e.workers))
 		rule, alias := e.rule, e.alias
 		for i, w := range e.workers {
-			fns[i] = func() { w.run(rule, alias) }
+			fns[i] = func() { w.runClique(rule, alias, nil) }
 		}
 		e.pool = attachPool(e, fns)
 	}
@@ -284,40 +259,17 @@ func (e *CliqueSampled) Step(_ *rng.Rand) {
 	began := obs.Began(e.obs)
 	e.alias.ResetCounts(e.cfg)
 	if e.pool == nil {
-		e.workers[0].run(e.rule, e.alias)
+		e.workers[0].runClique(e.rule, e.alias, nil)
 	} else {
 		e.pool.step()
 	}
-	clear(e.cfg)
-	for _, w := range e.workers {
-		for j, v := range w.tally {
-			e.cfg[j] += v
-		}
-	}
+	sumTallies(e.cfg, e.workers)
 	e.round++
 	observeEnd(e.obs, began, e.round, e.n, e.cfg)
 }
 
 // SetObserver implements Observable.
 func (e *CliqueSampled) SetObserver(o obs.Observer) { e.obs = o }
-
-// run processes the worker's agent shard. Samples are drawn in batches with
-// SampleMany — one tight loop over the alias table — and then consumed h at
-// a time by the rule, which amortizes per-draw call overhead.
-func (w *sampledWorker) run(rule dynamics.Rule, alias *dist.Alias) {
-	clear(w.tally)
-	h := rule.SampleSize()
-	perBatch := int64(len(w.buf) / h)
-	for v := w.from; v < w.to; {
-		m := min(perBatch, w.to-v)
-		batch := w.buf[:int(m)*h]
-		alias.SampleMany(w.r, batch)
-		for i := 0; i < int(m); i++ {
-			w.tally[rule.Apply(batch[i*h:(i+1)*h], w.r)]++
-		}
-		v += m
-	}
-}
 
 // Repaint implements Engine.
 func (e *CliqueSampled) Repaint(from, to Color, m int64) int64 {

@@ -193,12 +193,6 @@ func NewGraphEngineOpts(rule dynamics.Rule, src topo.NeighborSource, initial col
 	if h < 1 {
 		panic("engine: rule sample size must be >= 1")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if int64(workers) > n {
-		workers = int(n)
-	}
 	e := &GraphEngine{
 		rule: rule,
 		src:  src,
@@ -232,29 +226,9 @@ func NewGraphEngineOpts(rule dynamics.Rule, src topo.NeighborSource, initial col
 		}
 	}
 	e.loop = lp
-	streams := rng.Streams(seed, workers)
-	tallies := paddedTallies(workers, initial.K())
-	for w := 0; w < workers; w++ {
-		from, to := shardRange(n, workers, w)
-		bufLen := h
-		idxLen := 0
-		if lp.alias != nil || lp.batch {
-			bufLen = batchBufLen(h, to-from)
-		}
-		if lp.batch {
-			idxLen = bufLen
-		}
-		e.workers = append(e.workers, &graphWorker{
-			r:     streams[w],
-			from:  from,
-			to:    to,
-			tally: tallies[w],
-			buf:   make([]Color, bufLen),
-			idx:   make([]int64, idxLen),
-		})
-	}
-	if workers > 1 {
-		fns := make([]func(), workers)
+	e.workers = newWorkers(n, workers, initial.K(), h, seed, lp.alias != nil || lp.batch, lp.batch)
+	if len(e.workers) > 1 {
+		fns := make([]func(), len(e.workers))
 		for i, w := range e.workers {
 			fns[i] = func() { w.run(lp) }
 		}
@@ -341,12 +315,7 @@ func (e *GraphEngine) Step(_ *rng.Rand) {
 		e.pool.step()
 	}
 	e.bufs.colors, e.bufs.next = e.bufs.next, e.bufs.colors
-	clear(e.cfg)
-	for _, w := range e.workers {
-		for j, v := range w.tally {
-			e.cfg[j] += v
-		}
-	}
+	sumTallies(e.cfg, e.workers)
 	e.round++
 	observeEnd(e.obs, began, e.round, e.src.N(), e.cfg)
 }
@@ -357,10 +326,12 @@ func (e *GraphEngine) SetObserver(o obs.Observer) { e.obs = o }
 // run processes the worker's vertex shard into bufs.next, dispatching on
 // the engine's sampling plan (see graphLoop).
 func (w *graphWorker) run(lp *graphLoop) {
+	if lp.alias != nil {
+		w.runClique(lp.rule, lp.alias, lp.bufs.next)
+		return
+	}
 	clear(w.tally)
 	switch {
-	case lp.alias != nil:
-		w.runClique(lp)
 	case lp.offsets != nil && lp.batch:
 		w.runFlatBatch(lp)
 	case lp.offsets != nil:
@@ -372,19 +343,25 @@ func (w *graphWorker) run(lp *graphLoop) {
 	}
 }
 
-// runClique is the complete+self fast path: batched i.i.d. color draws from
-// the alias table.
-func (w *graphWorker) runClique(lp *graphLoop) {
-	h := lp.h
-	next := lp.bufs.next
+// runClique is the clique loop of both CliqueSampled and the graph
+// engine's complete+self fast path: each agent of the shard draws h
+// i.i.d. colors from the alias table (in SampleMany batches, which
+// amortizes per-draw call overhead) and applies the rule. It tallies the
+// adopted colors and, when next is non-nil (the graph engine's agent
+// array), stores them per agent.
+func (w *graphWorker) runClique(rule dynamics.Rule, alias *dist.Alias, next []Color) {
+	clear(w.tally)
+	h := rule.SampleSize()
 	perBatch := int64(len(w.buf) / h)
 	for v := w.from; v < w.to; {
 		m := min(perBatch, w.to-v)
 		batch := w.buf[:int(m)*h]
-		lp.alias.SampleMany(w.r, batch)
+		alias.SampleMany(w.r, batch)
 		for i := int64(0); i < m; i++ {
-			c := lp.rule.Apply(batch[int(i)*h:int(i+1)*h], w.r)
-			next[v+i] = c
+			c := rule.Apply(batch[int(i)*h:int(i+1)*h], w.r)
+			if next != nil {
+				next[v+i] = c
+			}
 			w.tally[c]++
 		}
 		v += m

@@ -70,6 +70,34 @@ func TestGraphEngineConvergesOnClique(t *testing.T) {
 	}
 }
 
+// TestCliqueSampledMatchesGraphEngine pins that the two clique engines
+// run one sampling loop: with equal seed and worker count, CliqueSampled
+// and GraphEngine on the complete graph with self loops step through
+// identical per-round counts.
+func TestCliqueSampledMatchesGraphEngine(t *testing.T) {
+	const n, rounds = 3000, 30
+	init := colorcfg.Biased(n, 4, 100)
+	for _, name := range []string{"3majority", "3majority-utie", "hplurality:5"} {
+		rule, err := dynamics.ParseRule(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			sampled := NewCliqueSampled(rule, init, workers, 11)
+			graph := NewGraphEngine(rule, topo.NewComplete(n), init, workers, 11, rng.New(5))
+			for round := 1; round <= rounds; round++ {
+				sampled.Step(nil)
+				graph.Step(nil)
+				if a, b := sampled.Config(), graph.Config(); !a.Equal(b) {
+					t.Fatalf("%s w=%d round %d: sampled %v, graph %v", name, workers, round, a, b)
+				}
+			}
+			sampled.Close()
+			graph.Close()
+		}
+	}
+}
+
 func TestGraphEngineDeterministic(t *testing.T) {
 	run := func() colorcfg.Config {
 		g := topo.NewTorusD(400, 2)

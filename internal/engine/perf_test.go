@@ -94,8 +94,8 @@ func TestStepZeroAllocs(t *testing.T) {
 			if a := testing.AllocsPerRun(20, func() { e.Step(r) }); a != 0 {
 				t.Errorf("%s: observed Step allocates %.1f objects/op, want 0", name, a)
 			}
-			if rec.Total() < 21 {
-				t.Errorf("%s: observer saw %d rounds, want >= 21", name, rec.Total())
+			if rec.Summarize().Rounds < 21 {
+				t.Errorf("%s: observer saw %d rounds, want >= 21", name, rec.Summarize().Rounds)
 			}
 		})
 	}

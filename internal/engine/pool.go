@@ -3,6 +3,9 @@ package engine
 import (
 	"runtime"
 	"sync"
+
+	"plurality/internal/colorcfg"
+	"plurality/internal/rng"
 )
 
 // workerPool runs a fixed set of closures on persistent goroutines, one per
@@ -75,6 +78,43 @@ func attachPool[E any](owner *E, fns []func()) *workerPool {
 // and keep the alias table hot in cache, small enough that per-worker sample
 // buffers stay a few KiB.
 const sampleBatchDraws = 1024
+
+// newWorkers lays out the agent-level workers of CliqueSampled and
+// GraphEngine alike, which is what makes the two step identically on the
+// clique: agents [0, n) split into shardRange chunks over workers
+// (clamped to [1, n]), each with its own rng.Streams stream of seed and a
+// padded k-color tally. A worker's sample buffer holds h colors, or a
+// batchBufLen batch when batched; withIdx adds an index buffer as long
+// as the sample buffer.
+func newWorkers(n int64, workers, k, h int, seed uint64, batched, withIdx bool) []*graphWorker {
+	workers = int(max(1, min(int64(workers), n)))
+	streams := rng.Streams(seed, workers)
+	tallies := paddedTallies(workers, k)
+	ws := make([]*graphWorker, workers)
+	for i := range ws {
+		from, to := shardRange(n, workers, i)
+		bufLen := h
+		if batched {
+			bufLen = batchBufLen(h, to-from)
+		}
+		w := &graphWorker{r: streams[i], from: from, to: to, tally: tallies[i], buf: make([]Color, bufLen)}
+		if withIdx {
+			w.idx = make([]int64, len(w.buf))
+		}
+		ws[i] = w
+	}
+	return ws
+}
+
+// sumTallies sets cfg to the sum of the workers' round tallies.
+func sumTallies(cfg colorcfg.Config, ws []*graphWorker) {
+	clear(cfg)
+	for _, w := range ws {
+		for j, v := range w.tally {
+			cfg[j] += v
+		}
+	}
+}
 
 // shardRange returns the [from, to) agent range of worker w out of
 // `workers` when n agents are split into near-equal contiguous chunks (the

@@ -8,6 +8,7 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/obs"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
 )
@@ -140,13 +141,13 @@ func runE3(p Profile, seed uint64) []*Table {
 			res := core.Run(e, core.Options{
 				MaxRounds: 500_000,
 				Rand:      r,
-				OnRound: func(round int, c colorcfg.Config) {
+				Observer: obs.ObserverFunc(func(round int, _, _ int64, c colorcfg.Config) {
 					if doubleRound < 0 {
 						if first, _ := c.TopTwo(); first >= target {
 							doubleRound = round
 						}
 					}
-				},
+				}),
 			})
 			if doubleRound < 0 {
 				doubleRound = res.Rounds

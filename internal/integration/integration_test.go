@@ -12,6 +12,7 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/obs"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
 	"plurality/internal/topo"
@@ -216,7 +217,7 @@ func TestFullPipelineTrajectoryMonotoneAfterThreshold(t *testing.T) {
 	e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
 	trajectory := []int64{init.Bias()}
 	res := core.Run(e, core.Options{MaxRounds: 1000, Rand: rng.New(3),
-		OnRound: func(_ int, c colorcfg.Config) { trajectory = append(trajectory, c.Bias()) }})
+		Observer: obs.ObserverFunc(func(_ int, _, _ int64, c colorcfg.Config) { trajectory = append(trajectory, c.Bias()) })})
 	if !res.WonInitialPlurality {
 		t.Fatal("did not converge")
 	}

@@ -6,9 +6,8 @@
 //	...
 //	{"type":"summary", "rounds":..., "retained":..., "dropped":..., "wall_ns":..., "ns_per_agent":..., "heap_max":...}
 //
-// Round lines reuse the trace package's record shape (the same field
-// names as trace.WriteCSV's columns), so any consumer of the CSV trace
-// format can read the convergence columns here unchanged. Multiple runs
+// Round lines carry RoundStats, so a parsed trace feeds Segments and
+// PhaseSummary exactly as the live Recorder's rounds do. Multiple runs
 // may be concatenated in one file (cmd/sweep and pluralityd's
 // per-replicate traces do exactly that); ReadTraces splits them back
 // apart. The reader is tolerant by construction — torn tails, corrupt

@@ -1,5 +1,6 @@
-// Package obs is the run-level telemetry layer: per-round wall-clock
-// timing, convergence statistics and sampled memory readings for any
+// Package obs is the run-level telemetry layer and the only per-round
+// hook of a run: per-round wall-clock timing, convergence statistics,
+// sampled memory readings and the paper's phase segmentation for any
 // engine, captured behind a strict zero-cost-when-off contract.
 //
 // The contract has three clauses, all load-bearing:
@@ -17,15 +18,21 @@
 //     internal/validate.TraceBytesObserved against all committed
 //     goldens.
 //
+// Every per-round consumer is an Observer: ObserverFunc adapts a func
+// literal, and core.Options.Observer attaches one to a run. Because the
+// engine reports at the end of its Step, an observer of a run with an
+// adversary sees each round before that round's corruption.
+//
 // Recorder is the standard implementation: a bounded ring of per-round
-// statistics (the trace package's record shape — c_max, c_second, bias,
-// minority_mass, support, plurality — plus wall_ns, ns/agent and
-// sampled runtime.ReadMemStats readings) that serializes to a JSONL
-// trace (jsonl.go) consumed by cmd/tracereport and served by
-// pluralityd's GET /v1/jobs/{id}/trace. Recorder.ObserveRound performs
-// zero steady-state allocations, so it is safe to attach even to the
-// n=10⁷ sparse benchmark (the CI overhead budget pins it within 2% of
-// the detached run).
+// statistics (c_max, c_second, bias, minority_mass, support, plurality,
+// plus wall_ns, ns/agent and sampled runtime.ReadMemStats readings)
+// that serializes to a JSONL trace (jsonl.go) consumed by
+// cmd/tracereport and served by pluralityd's GET /v1/jobs/{id}/trace.
+// Segments and PhaseSummary (phase.go) split retained rounds into the
+// growth, decay and extinction phases of the paper's Theorem 1 proof.
+// Recorder.ObserveRound performs zero steady-state allocations, so it is
+// safe to attach even to the n=10⁷ sparse benchmark (the CI overhead
+// budget pins it within 2% of the detached run).
 package obs
 
 import (
@@ -48,10 +55,17 @@ type Observer interface {
 	ObserveRound(round int, n int64, wallNs int64, cfg colorcfg.Config)
 }
 
-// RoundStats is one observed round. The convergence fields mirror
-// trace.Point (and serialize under the same names as trace.WriteCSV's
-// columns); the timing and memory fields are the telemetry this package
-// adds on top.
+// ObserverFunc adapts a function to the Observer interface.
+type ObserverFunc func(round int, n int64, wallNs int64, cfg colorcfg.Config)
+
+// ObserveRound implements Observer by calling f.
+func (f ObserverFunc) ObserveRound(round int, n int64, wallNs int64, cfg colorcfg.Config) {
+	f(round, n, wallNs, cfg)
+}
+
+// RoundStats is one observed round: the convergence fields (the
+// columns the phase segmentation reads; n is CMax + MinorityMass) and
+// the timing and memory telemetry of the round.
 type RoundStats struct {
 	Round        int     `json:"round"`
 	WallNs       int64   `json:"wall_ns"`
@@ -98,7 +112,6 @@ type Recorder struct {
 	n       int64 // agent count of the observed engine (from the last round)
 	wallNs  int64 // cumulative wall time across all observed rounds
 	heapMax uint64
-	numGC   uint32
 	mem     runtime.MemStats
 }
 
@@ -141,7 +154,6 @@ func (r *Recorder) ObserveRound(round int, n int64, wallNs int64, cfg colorcfg.C
 		if r.mem.HeapAlloc > r.heapMax {
 			r.heapMax = r.mem.HeapAlloc
 		}
-		r.numGC = r.mem.NumGC
 	}
 	r.ring[r.total%len(r.ring)] = st
 	r.total++
@@ -158,10 +170,6 @@ func (r *Recorder) memStride() int {
 	}
 	return r.MemEvery
 }
-
-// Total is the number of rounds observed, including any dropped from
-// the ring.
-func (r *Recorder) Total() int { return r.total }
 
 // Len is the number of rounds retained in the ring.
 func (r *Recorder) Len() int {
@@ -186,18 +194,6 @@ func (r *Recorder) Rounds(dst []RoundStats) []RoundStats {
 		dst = append(dst, r.At(i))
 	}
 	return dst
-}
-
-// WallNs is the cumulative wall time of all observed rounds.
-func (r *Recorder) WallNs() int64 { return r.wallNs }
-
-// HeapMax is the high-water HeapAlloc across the memory samples taken
-// so far (0 when sampling is disabled or no sample has fired yet).
-func (r *Recorder) HeapMax() uint64 { return r.heapMax }
-
-// Reset clears the recorder for reuse, keeping the allocated ring.
-func (r *Recorder) Reset() {
-	r.total, r.n, r.wallNs, r.heapMax, r.numGC = 0, 0, 0, 0, 0
 }
 
 // Began returns the current wall clock when an observer is attached and

@@ -13,8 +13,8 @@ func TestRecorderStats(t *testing.T) {
 	r := &Recorder{MemEvery: -1}
 	cfg := colorcfg.Config{3, 10, 7, 0}
 	r.ObserveRound(1, 25, 500, cfg)
-	if r.Total() != 1 || r.Len() != 1 {
-		t.Fatalf("Total=%d Len=%d, want 1,1", r.Total(), r.Len())
+	if r.Summarize().Rounds != 1 || r.Len() != 1 {
+		t.Fatalf("Rounds=%d Len=%d, want 1,1", r.Summarize().Rounds, r.Len())
 	}
 	st := r.At(0)
 	if st.Round != 1 || st.WallNs != 500 {
@@ -45,17 +45,14 @@ func TestRecorderRingWrap(t *testing.T) {
 	for round := 1; round <= 10; round++ {
 		r.ObserveRound(round, 10, int64(round), cfg)
 	}
-	if r.Total() != 10 || r.Len() != 4 || r.Dropped() != 6 {
-		t.Fatalf("Total/Len/Dropped = %d/%d/%d, want 10/4/6", r.Total(), r.Len(), r.Dropped())
+	if r.Summarize().Rounds != 10 || r.Len() != 4 || r.Dropped() != 6 {
+		t.Fatalf("Rounds/Len/Dropped = %d/%d/%d, want 10/4/6", r.Summarize().Rounds, r.Len(), r.Dropped())
 	}
 	got := r.Rounds(nil)
 	for i, st := range got {
 		if want := 7 + i; st.Round != want {
 			t.Errorf("retained[%d].Round = %d, want %d", i, st.Round, want)
 		}
-	}
-	if r.WallNs() != 55 {
-		t.Errorf("WallNs = %d, want 55", r.WallNs())
 	}
 	s := r.Summarize()
 	if s.Rounds != 10 || s.Retained != 4 || s.Dropped != 6 || s.WallNs != 55 {
@@ -75,7 +72,7 @@ func TestRecorderMemSampling(t *testing.T) {
 			t.Errorf("round %d sampled = %v, want %v", i+1, got, want)
 		}
 	}
-	if r.HeapMax() == 0 {
+	if r.Summarize().HeapMax == 0 {
 		t.Errorf("HeapMax = 0 after sampling")
 	}
 }
@@ -178,7 +175,10 @@ func TestReadTracesOverlongLine(t *testing.T) {
 }
 
 func TestTracerConcurrent(t *testing.T) {
-	tr := &Tracer{Cap: 8, MemEvery: -1}
+	// Recorders are compared by identity, not observed into: each one
+	// allocates its DefaultCap ring on the first ObserveRound.
+	tr := &Tracer{}
+	got := make([]*Recorder, 400)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -186,26 +186,24 @@ func TestTracerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for s := 0; s < 50; s++ {
 				seed := uint64(g*50 + s)
-				rec := tr.Recorder(seed)
-				rec.ObserveRound(1, 10, 1, colorcfg.Config{10})
+				got[seed] = tr.Recorder(seed)
+				if tr.Recorder(seed) != got[seed] {
+					t.Errorf("Recorder(%d) handed out two recorders", seed)
+				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if tr.Len() != 400 {
-		t.Fatalf("Len = %d, want 400", tr.Len())
-	}
 	for seed := uint64(0); seed < 400; seed++ {
-		rec := tr.Take(seed)
-		if rec == nil || rec.Total() != 1 {
-			t.Fatalf("Take(%d) = %v", seed, rec)
+		if rec := tr.Take(seed); rec == nil || rec != got[seed] {
+			t.Fatalf("Take(%d) = %p, want %p", seed, rec, got[seed])
+		}
+		if tr.Take(seed) != nil {
+			t.Fatalf("Take(%d) twice returned a recorder", seed)
 		}
 	}
 	if tr.Take(99999) != nil {
 		t.Errorf("Take of unknown seed should be nil")
-	}
-	if tr.Len() != 0 {
-		t.Errorf("Len = %d after draining, want 0", tr.Len())
 	}
 }
 

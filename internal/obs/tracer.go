@@ -14,17 +14,12 @@ import "sync"
 // each individual Recorder is still owned by exactly one goroutine at
 // a time (the replicate until it finishes, then the coordinator).
 type Tracer struct {
-	// Cap / MemEvery configure every Recorder handed out (Recorder
-	// semantics: zero means default, negative MemEvery disables).
-	Cap      int
-	MemEvery int
-
 	mu sync.Mutex
 	m  map[uint64]*Recorder
 }
 
 // Recorder returns the recorder for the replicate seeded with seed,
-// creating it on first use.
+// creating it, with the default bounds, on first use.
 func (t *Tracer) Recorder(seed uint64) *Recorder {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -33,7 +28,7 @@ func (t *Tracer) Recorder(seed uint64) *Recorder {
 	}
 	r := t.m[seed]
 	if r == nil {
-		r = &Recorder{Cap: t.Cap, MemEvery: t.MemEvery}
+		r = &Recorder{}
 		t.m[seed] = r
 	}
 	return r
@@ -47,11 +42,4 @@ func (t *Tracer) Take(seed uint64) *Recorder {
 	r := t.m[seed]
 	delete(t.m, seed)
 	return r
-}
-
-// Len is the number of outstanding (not yet taken) recorders.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
 }

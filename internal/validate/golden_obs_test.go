@@ -33,8 +33,8 @@ func TestGoldenTracesObserved(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("observed trace diverged from committed golden.\n%s", traceDiff(want, got))
 			}
-			if rec.Total() != spec.Rounds {
-				t.Errorf("observer saw %d rounds, want %d", rec.Total(), spec.Rounds)
+			if rec.Summarize().Rounds != spec.Rounds {
+				t.Errorf("observer saw %d rounds, want %d", rec.Summarize().Rounds, spec.Rounds)
 			}
 			// The recorder's view must agree with the engine's: the last
 			// observed round's counts sum to the colored population of the
