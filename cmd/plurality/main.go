@@ -13,12 +13,12 @@
 //	plurality -engine graph -graph smallworld:2:0.1 -graph-mode mmap -graph-file /data/sw.csr -n 100000000 -k 3 -bias auto
 //	plurality -adversary strongest:200 -n 200000 -k 4 -bias auto
 //
-// The flags -rule, -engine, -graph, -sampler, -n, -k, -bias, -seed and
-// -max-rounds fill an internal/service JobSpec, the spec pluralityd
-// accepts as a job, and the run is replicate 0 of that spec's
-// one-replicate job: the spec's builder makes the engine, on the job's
-// graph (drawn from rng.New(seed)), and the run draws from
-// rng.New(mc.RepSeeds(seed, 1)[0]). So with -workers 1 and without
+// The flags -rule, -engine, -graph, -n, -k, -bias, -seed and -max-rounds
+// fill an internal/service JobSpec, the spec pluralityd accepts as a job,
+// and the run is replicate 0 of that spec's one-replicate job: the spec's
+// builder makes the engine, on the job's graph (drawn from
+// rng.New(seed)), and the run draws from rng.New(mc.RepSeeds(seed, 1)[0]).
+// -workers never changes a run, so at any -workers and without
 // -adversary or -m-plurality, a run reports the rounds and outcome that
 // replicate 0 of the pluralityd job with the same spec records. The
 // exception is undecided: the run goes on to full consensus
@@ -75,7 +75,6 @@ func main() {
 	flag.StringVar(&s.Graph, "graph", "complete", "topology for -engine graph (internal/topo registry spec): complete | cycle | star | torus[:DIMS] | hypercube | regular:D | gnp:P | smallworld:K:BETA | ba:M | sbm:B:PIN:POUT | barbell:D")
 	flag.StringVar(&cfg.graphMode, "graph-mode", "auto", "topology backend for -engine graph: auto | implicit (zero materialization) | csr (force in-RAM) | mmap (serve from -graph-file, building it first if absent)")
 	flag.StringVar(&cfg.graphFile, "graph-file", "", "CSR file for -graph-mode mmap (created atomically when missing)")
-	flag.StringVar(&s.Sampler, "sampler", "default", "rng draw discipline for -engine graph: default (per-draw byte contract, golden-pinned) | batch (bulk block draws; faster, certified by its own golden)")
 	flag.Int64Var(&s.N, "n", 100_000, "number of agents")
 	flag.IntVar(&s.K, "k", 8, "number of colors")
 	flag.StringVar(&s.Bias, "bias", "auto", "initial additive bias (integer) or 'auto' for the Corollary 1 threshold")

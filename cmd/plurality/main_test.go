@@ -21,7 +21,7 @@ import (
 func testCfg() config {
 	return config{
 		spec: service.JobSpec{Rule: "3majority", Engine: "auto", Graph: "complete",
-			N: 2000, K: 3, Bias: "auto", Seed: 1, MaxRounds: 10000, Sampler: "default"},
+			N: 2000, K: 3, Bias: "auto", Seed: 1, MaxRounds: 10000},
 		graphMode:  "auto",
 		workers:    2,
 		adversary:  "none",
@@ -30,13 +30,12 @@ func testCfg() config {
 }
 
 // graphCfg is a graph-engine run on n vertices with bias 20.
-func graphCfg(graph, mode, file, sampler string, n int64) config {
+func graphCfg(graph, mode, file string, n int64) config {
 	cfg := testCfg()
 	cfg.spec.Engine = "graph"
 	cfg.spec.Graph = graph
 	cfg.spec.N = n
 	cfg.spec.Bias = "20"
-	cfg.spec.Sampler = sampler
 	cfg.graphMode = mode
 	cfg.graphFile = file
 	cfg.workers = 1
@@ -112,7 +111,7 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 		if spec == "hypercube" {
 			n = 128
 		}
-		_, e, _, err := build(graphCfg(spec, "auto", "", "default", n))
+		_, e, _, err := build(graphCfg(spec, "auto", "", n))
 		if err != nil {
 			t.Errorf("build(graph, %q): %v", spec, err)
 			continue
@@ -123,18 +122,18 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 		e.Close()
 	}
 	for _, bad := range []string{"nope", "regular:x", "gnp:y", "torus:0"} {
-		if _, _, _, err := build(graphCfg(bad, "auto", "", "default", 100)); err == nil {
+		if _, _, _, err := build(graphCfg(bad, "auto", "", 100)); err == nil {
 			t.Errorf("build(graph, %q) should fail", bad)
 		}
 	}
-	if _, _, _, err := build(graphCfg("torus", "auto", "", "default", 101)); err == nil {
+	if _, _, _, err := build(graphCfg("torus", "auto", "", 101)); err == nil {
 		t.Error("non-square torus accepted")
 	}
 
 	// Backend modes: implicit needs no file, mmap builds one and reuses it,
 	// and mmap without a path is rejected up front.
 	for _, mode := range []string{"implicit", "csr"} {
-		_, e, _, err := build(graphCfg("torus", mode, "", "default", 100))
+		_, e, _, err := build(graphCfg("torus", mode, "", 100))
 		if err != nil {
 			t.Fatalf("mode %s: %v", mode, err)
 		}
@@ -142,38 +141,19 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "t.csr")
 	for i := 0; i < 2; i++ { // second pass exercises cache reuse
-		_, e, _, err := build(graphCfg("torus", "mmap", path, "default", 100))
+		_, e, _, err := build(graphCfg("torus", "mmap", path, 100))
 		if err != nil {
 			t.Fatalf("mmap pass %d: %v", i, err)
 		}
 		e.Close()
 	}
-	if _, _, _, err := build(graphCfg("torus", "mmap", "", "default", 100)); err == nil {
+	if _, _, _, err := build(graphCfg("torus", "mmap", "", 100)); err == nil {
 		t.Error("mmap without -graph-file accepted")
 	}
-	if _, _, _, err := build(graphCfg("torus", "nope", "", "default", 100)); err == nil {
+	if _, _, _, err := build(graphCfg("torus", "nope", "", 100)); err == nil {
 		t.Error("unknown graph mode accepted")
 	}
 
-	// The batch sampler is a graph-engine notion: accepted there (and
-	// stamped into the engine name), rejected for the clique engines and
-	// for unknown sampler strings.
-	_, e, _, err := build(graphCfg("torus", "auto", "", "batch", 100))
-	if err != nil {
-		t.Fatalf("batch sampler on graph engine: %v", err)
-	}
-	if name := e.Name(); !strings.Contains(name, "batch") {
-		t.Errorf("batch engine name %q does not advertise the sampler", name)
-	}
-	e.Close()
-	sampled := graphCfg("complete", "auto", "", "batch", 100)
-	sampled.spec.Engine = "sampled"
-	if _, _, _, err := build(sampled); err == nil {
-		t.Error("batch sampler accepted on a non-graph engine")
-	}
-	if _, _, _, err := build(graphCfg("torus", "auto", "", "turbo", 100)); err == nil {
-		t.Error("unknown sampler accepted")
-	}
 }
 
 // TestRunRejectsBadSpecs pins fail-closed input handling: each case used
@@ -226,9 +206,10 @@ func TestBuildSkipsServiceCaps(t *testing.T) {
 	}
 }
 
-// TestRunIsReplicateZero pins the cross-surface contract: at -workers 1 a
-// run reports the rounds and outcome that replicate 0 of the pluralityd
-// job with the same spec records.
+// TestRunIsReplicateZero pins the cross-surface contract: at any -workers
+// (3 here, while job replicates step on one worker) a run reports the
+// rounds and outcome that replicate 0 of the pluralityd job with the same
+// spec records.
 func TestRunIsReplicateZero(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -244,7 +225,7 @@ func TestRunIsReplicateZero(t *testing.T) {
 	defer pool.Close()
 	for _, tc := range cases {
 		cfg := testCfg()
-		cfg.workers = 1
+		cfg.workers = 3
 		tc.mutate(&cfg.spec)
 		res, err := run(io.Discard, cfg)
 		if err != nil {
@@ -303,7 +284,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if _, err := run(io.Discard, sampled); err != nil {
 		t.Fatalf("run sampled: %v", err)
 	}
-	graph := graphCfg("torus", "auto", "", "default", 900)
+	graph := graphCfg("torus", "auto", "", 900)
 	graph.workers = 2
 	if _, err := run(io.Discard, graph); err != nil {
 		t.Fatalf("run graph: %v", err)

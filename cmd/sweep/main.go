@@ -66,7 +66,6 @@ type config struct {
 	graphs    string
 	graphMode string
 	graphDir  string
-	sampler   string
 	ns        string
 	ks        string
 	cs        string
@@ -87,7 +86,6 @@ func main() {
 		"comma-separated topology specs ("+strings.Join(topo.FamilyUsages(), " | ")+")")
 	flag.StringVar(&cfg.graphMode, "graph-mode", "auto", "topology backend: auto | implicit | csr | mmap (mmap caches built graphs under -graph-dir, keyed by spec, n, and graph seed)")
 	flag.StringVar(&cfg.graphDir, "graph-dir", "", "directory for -graph-mode mmap CSR files (required there)")
-	flag.StringVar(&cfg.sampler, "sampler", "default", "graph-engine rng draw discipline: default (per-draw byte contract) | batch (bulk block draws; faster, not draw-compatible with default)")
 	flag.StringVar(&cfg.ns, "ns", "100000", "comma-separated population sizes")
 	flag.StringVar(&cfg.ks, "ks", "2,8,32", "comma-separated color counts")
 	flag.StringVar(&cfg.cs, "cs", "1", "comma-separated bias multipliers applied to the Cor-1 threshold")
@@ -237,7 +235,6 @@ func newCell(cfg config, rule, g string, n int64, k int, c float64) (cell, error
 		Bias:       strconv.FormatInt(core.Corollary1Bias(n, k, c), 10),
 		Replicates: cfg.reps,
 		MaxRounds:  cfg.maxRounds,
-		Sampler:    cfg.sampler,
 	}
 	if g == "complete" {
 		spec.Engine = "auto"

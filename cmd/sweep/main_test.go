@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -121,38 +122,6 @@ func TestSweepGraphGrid(t *testing.T) {
 	cfg.workers = 1
 	if runSweep(t, cfg, nil) != out {
 		t.Fatal("graph grid output depends on -workers")
-	}
-}
-
-// TestSweepBatchSampler pins the -sampler batch semantics: graph-only
-// grids run (deterministically, with the sampler stamped into the cell
-// name), clique cells are refused with the spec check's error, and
-// unknown samplers fail fast.
-func TestSweepBatchSampler(t *testing.T) {
-	cfg := testCfg()
-	cfg.rules = "2choices"
-	cfg.graphs = "regular:4"
-	cfg.ks = "2"
-	cfg.reps = 3
-	cfg.sampler = "batch"
-	cfg.format = "jsonl"
-	out := runSweep(t, cfg, nil)
-	if !strings.Contains(out, "/sampler=batch") {
-		t.Errorf("batch cell records lack the sampler suffix:\n%s", out)
-	}
-	if runSweep(t, cfg, nil) != out {
-		t.Fatal("batch grid is not deterministic across reruns")
-	}
-	cfg.graphs = "complete,regular:4"
-	if _, err := grid(cfg); err == nil ||
-		!strings.Contains(err.Error(), "applies only to the graph engine") {
-		t.Fatalf("batch + complete error = %v, want applies only to the graph engine", err)
-	}
-	cfg.graphs = "regular:4"
-	cfg.sampler = "turbo"
-	if _, err := grid(cfg); err == nil ||
-		!strings.Contains(err.Error(), "unknown sampler") {
-		t.Fatalf("unknown sampler error = %v, want unknown sampler", err)
 	}
 }
 
@@ -355,6 +324,32 @@ func TestSweepResumeRejectsForeignGrid(t *testing.T) {
 	cfg.ks = "2" // narrower grid: the k=4 records on disk are now foreign
 	if err := run(context.Background(), cfg); err == nil {
 		t.Fatal("resume with a changed grid must fail, not mix stale records into the file")
+	}
+
+	// A graph grid written by a version that still had -sampler batch:
+	// its cells are named with a /sampler=batch suffix, which no cell of
+	// this version carries, so the whole file is foreign.
+	cfg = testCfg()
+	cfg.format = "jsonl"
+	cfg.rules, cfg.graphs, cfg.ks, cfg.reps = "2choices", "regular:4", "2", 2
+	cfg.out = filepath.Join(dir, "batch.jsonl")
+	if err := run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(cfg.out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := regexp.MustCompile(`(/gseed=\d+)"`).ReplaceAll(raw, []byte(`$1/sampler=batch"`))
+	if bytes.Equal(old, raw) {
+		t.Fatal("no graph cell names to rewrite")
+	}
+	if err := os.WriteFile(cfg.out, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.resume = true
+	if err := run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "not in this grid") {
+		t.Fatalf("resume of a /sampler=batch file: err = %v, want a foreign-grid error", err)
 	}
 }
 

@@ -48,26 +48,6 @@ type Rule interface {
 	Apply(samples []Color, r *rng.Rand) Color
 }
 
-// RandFree is the optional marker for rules whose Apply never consumes the
-// rng (for every input, not just typical ones). The graph engine's batched
-// sampling path interleaves a block of neighbor draws before a block of rule
-// applications; for a rand-free rule that reordering leaves the rng stream
-// byte-identical to the sequential loop, so the engine may batch by default
-// without perturbing seeded runs. Rules that consume randomness on any input
-// (uniform tie-breaks, reservoir plurality) must not implement this, or must
-// return false.
-type RandFree interface {
-	// RandFree reports whether Apply is guaranteed not to touch the rng.
-	RandFree() bool
-}
-
-// IsRandFree reports whether the rule declares, via the RandFree marker,
-// that Apply never consumes the rng.
-func IsRandFree(rule Rule) bool {
-	rf, ok := rule.(RandFree)
-	return ok && rf.RandFree()
-}
-
 // ProbModel is implemented by rules whose adoption probabilities on the
 // clique have a closed form: dst[j] receives the probability that a single
 // agent adopts color j at the next round given configuration c. Σ dst = 1.
@@ -113,10 +93,6 @@ func (m ThreeMajority) Apply(s []Color, r *rng.Rand) Color {
 	}
 	return a
 }
-
-// RandFree implements the batching marker: the first-sample tie-break never
-// touches the rng; the uniform variant draws on rainbow ties.
-func (m ThreeMajority) RandFree() bool { return !m.UniformTie }
 
 // AdoptionProbs implements ProbModel using Lemma 1:
 //
@@ -234,10 +210,6 @@ func (Median) Apply(s []Color, _ *rng.Rand) Color {
 	return b
 }
 
-// RandFree implements the batching marker: the median is deterministic in
-// its samples.
-func (Median) RandFree() bool { return true }
-
 // AdoptionProbs implements ProbModel. With F(j) = Σ_{h<=j} c_h / n the CDF
 // of one sample, P(median <= j) = F(j)²·(3 − 2F(j)), so the per-color
 // probability is the successive difference. O(k) per round.
@@ -273,9 +245,6 @@ func (Polling) SampleSize() int { return 1 }
 
 // Apply implements Rule.
 func (Polling) Apply(s []Color, _ *rng.Rand) Color { return s[0] }
-
-// RandFree implements the batching marker: polling copies its one sample.
-func (Polling) RandFree() bool { return true }
 
 // AdoptionProbs implements ProbModel: p_j = c_j / n.
 func (Polling) AdoptionProbs(c colorcfg.Config, dst []float64) {

@@ -13,7 +13,8 @@
 //     (needed for h-plurality and the Theorem 3 rule zoo, which have no
 //     closed form). Each of the n agents draws h i.i.d. colors from an
 //     alias table over c and applies the rule. O(n·h) per round,
-//     parallelized across worker goroutines with independent rng streams.
+//     parallelized across worker goroutines over blocks of agents, each
+//     block with its own rng streams.
 //   - GraphEngine — literal agent-array engine on an arbitrary topology
 //     (a topo.NeighborSource), double-buffered; used to cross-validate the
 //     clique engines and for the beyond-clique extension experiments.
@@ -178,27 +179,27 @@ func min64(a, b int64) int64 {
 // CliqueSampled is the exact agent-level clique engine for arbitrary rules:
 // each agent independently draws h colors from the current configuration
 // (alias table) and applies the rule. Agents are anonymous on the clique,
-// so only counts are stored. Work is sharded across Workers goroutines,
-// each with its own rng stream derived deterministically from the seed
-// passed to NewCliqueSampled. The goroutines are persistent (see
+// so only counts are stored. Agents are cut into fixed blocks that worker
+// goroutines claim each round, and each block draws from streams keyed by
+// (seed, round, block) (see graphLoop), so a run is deterministic for a
+// fixed seed at any worker count. The goroutines are persistent (see
 // workerPool), so a steady-state Step performs zero allocations; call Close
 // when discarding a multi-worker engine early, or let the garbage collector
 // reap the workers via the attached cleanup.
 type CliqueSampled struct {
-	rule    dynamics.Rule
-	cfg     colorcfg.Config
-	n       int64
-	round   int
-	alias   *dist.Alias
-	workers []*graphWorker // runClique without an agent array
-	pool    *workerPool
-	obs     obs.Observer
+	rule  dynamics.Rule
+	cfg   colorcfg.Config
+	n     int64
+	round int
+	crew  // GraphEngine's clique row, without an agent array
+	obs   obs.Observer
 }
 
 // NewCliqueSampled builds the sampled engine. workers <= 1 runs
-// single-threaded; seed feeds the per-worker rng streams (the rng passed to
-// Step is unused by this engine's sampling but kept for interface parity —
-// pass the same generator you seed elsewhere for clarity).
+// single-threaded, and the worker count never changes the run; seed keys
+// the per-block streams (the rng passed to Step is unused by this engine's
+// sampling but kept for interface parity — pass the same generator you
+// seed elsewhere for clarity).
 func NewCliqueSampled(rule dynamics.Rule, initial colorcfg.Config, workers int, seed uint64) *CliqueSampled {
 	n := initial.N()
 	if n <= 0 {
@@ -208,36 +209,20 @@ func NewCliqueSampled(rule dynamics.Rule, initial colorcfg.Config, workers int, 
 	if h < 1 {
 		panic("engine: rule sample size must be >= 1")
 	}
-	e := &CliqueSampled{
-		rule:    rule,
-		cfg:     initial.Clone(),
-		n:       n,
-		alias:   dist.NewAliasCounts(initial),
-		workers: newWorkers(n, workers, initial.K(), h, seed, true, false),
-	}
-	if len(e.workers) > 1 {
-		fns := make([]func(), len(e.workers))
-		rule, alias := e.rule, e.alias
-		for i, w := range e.workers {
-			fns[i] = func() { w.runClique(rule, alias, nil) }
-		}
-		e.pool = attachPool(e, fns)
-	}
+	e := &CliqueSampled{rule: rule, cfg: initial.Clone(), n: n}
+	lp := &graphLoop{seed: seed, n: n, rule: rule, alias: dist.NewAliasCounts(initial), h: h}
+	e.crew = newCrew(e, lp, workers, initial.K())
 	return e
 }
 
 // Close stops the worker goroutines of a multi-worker engine. The engine
 // must not be stepped afterwards. Optional: an unreachable engine's workers
 // are stopped by a GC cleanup.
-func (e *CliqueSampled) Close() {
-	if e.pool != nil {
-		e.pool.shutdown()
-	}
-}
+func (e *CliqueSampled) Close() { e.crew.close() }
 
 // Name implements Engine.
 func (e *CliqueSampled) Name() string {
-	return fmt.Sprintf("clique-sampled[%s,w=%d]", e.rule.Name(), len(e.workers))
+	return fmt.Sprintf("clique-sampled[%s]", e.rule.Name())
 }
 
 // N implements Engine.
@@ -257,13 +242,7 @@ func (e *CliqueSampled) Config() colorcfg.Config { return e.cfg.Clone() }
 // cost is O(n·h) alias draws and zero allocations.
 func (e *CliqueSampled) Step(_ *rng.Rand) {
 	began := obs.Began(e.obs)
-	e.alias.ResetCounts(e.cfg)
-	if e.pool == nil {
-		e.workers[0].runClique(e.rule, e.alias, nil)
-	} else {
-		e.pool.step()
-	}
-	sumTallies(e.cfg, e.workers)
+	e.crew.step(e.round, e.cfg)
 	e.round++
 	observeEnd(e.obs, began, e.round, e.n, e.cfg)
 }

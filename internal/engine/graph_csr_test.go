@@ -20,15 +20,15 @@ type opaqueSource struct{ topo.NeighborSource }
 
 // TestGraphEngineCSRByteContract pins the representation-independence
 // contract: the CSR direct-slice path and the generic NeighborSource path
-// consume the rng identically, so the same (structure, seed, workers)
-// triple yields byte-identical runs whichever path executes.
+// consume the rng identically, so the same (structure, seed) pair yields
+// byte-identical runs whichever path executes.
 func TestGraphEngineCSRByteContract(t *testing.T) {
 	csr := topo.RandomRegular("regular:6", 900, 6, rng.New(31))
 	init := colorcfg.Biased(900, 4, 120)
 	for _, workers := range []int{1, 3} {
 		fast := NewGraphEngine(dynamics.ThreeMajority{}, csr, init, workers, 77, rng.New(5))
 		slow := NewGraphEngine(dynamics.ThreeMajority{}, opaqueSource{csr}, init, workers, 77, rng.New(5))
-		if fast.loop.offsets == nil || slow.loop.offsets != nil {
+		if fast.lp.offsets == nil || slow.lp.offsets != nil {
 			t.Fatal("fast-path detection broken: want flat path vs generic path")
 		}
 		for round := 0; round < 12; round++ {

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"plurality/internal/colorcfg"
 	"plurality/internal/dist"
@@ -28,11 +29,12 @@ import (
 // changes. That is what takes sparse runs past RAM: implicit torus to
 // n = 10⁹, mmap smallworld to n = 10⁸.
 //
-// Vertices are sharded across worker goroutines with independent rng
-// streams, so a run is deterministic for a fixed (seed, workers) pair. The
-// goroutines are persistent (workerPool), so a steady-state Step performs
-// zero allocations; Close stops them explicitly, and a GC cleanup reaps
-// them when the engine is abandoned.
+// Vertices are cut into fixed blocks that worker goroutines claim each
+// round, and each block draws from streams keyed by (seed, round, block)
+// (see graphLoop), so a run is deterministic for a fixed seed at any
+// worker count. The goroutines are persistent (workerPool), so a
+// steady-state Step performs zero allocations; Close stops them
+// explicitly, and a GC cleanup reaps them when the engine is abandoned.
 //
 // On the paper's clique (Complete with IncludeSelf) a uniformly sampled
 // neighbor's color is exactly an i.i.d. draw from the color distribution
@@ -42,71 +44,17 @@ import (
 // processes are identical in distribution; the fast path just trades n
 // random memory reads per round for k-sized table lookups.
 //
-// Every other topology runs one of the sampling plans described at
-// graphLoop: batched two-pass loops whenever the rule is rand-free (the
-// rng stream is provably unchanged by the reordering, so all goldens stay
-// byte-identical), degree-bucketed flat loops when every vertex shares one
-// degree, and the legacy per-vertex loops otherwise. The opt-in
-// sampler=batch mode (GraphOpts.Sampler) trades the per-draw byte contract
-// for bulk Uint64-block generation — see Sampler.
+// Every other topology runs one of the two-pass loops described at
+// graphLoop: draw a block of neighbor ids, then gather their colors and
+// apply the rule.
 type GraphEngine struct {
-	rule    dynamics.Rule
-	src     topo.NeighborSource
-	bufs    *graphBuffers
-	cfg     colorcfg.Config
-	round   int
-	loop    *graphLoop
-	workers []*graphWorker
-	pool    *workerPool
-	obs     obs.Observer
-}
-
-// Sampler selects the rng draw discipline of the graph engine's sampling
-// loops.
-type Sampler int
-
-const (
-	// SamplerDefault preserves the NeighborSource byte contract pinned by
-	// the golden traces: every sample costs exactly one Int63n(degree) draw
-	// (none for an isolated vertex), in per-vertex order interleaved with
-	// any rng the rule consumes. The engine still batches draws under this
-	// contract when the rule is rand-free — the reordering is then
-	// invisible to the stream.
-	SamplerDefault Sampler = iota
-	// SamplerBatch is the opt-in relaxed discipline: every sample costs
-	// exactly one raw Uint64 (generated in blocks), mapped to a neighbor
-	// index by 128-bit multiply-shift with no rejection step (bias at most
-	// degree·2⁻⁶⁴), and a block of draws completes before the block's rule
-	// applications consume any rng. Runs remain fully deterministic for a
-	// fixed (seed, workers) pair — the mode has its own golden trace — but
-	// are not comparable draw-for-draw with the default discipline.
-	SamplerBatch
-)
-
-// String implements fmt.Stringer ("default" / "batch").
-func (s Sampler) String() string {
-	if s == SamplerBatch {
-		return "batch"
-	}
-	return "default"
-}
-
-// ParseSampler parses a user-facing sampler name; "" means default.
-func ParseSampler(s string) (Sampler, error) {
-	switch s {
-	case "", "default":
-		return SamplerDefault, nil
-	case "batch":
-		return SamplerBatch, nil
-	}
-	return 0, fmt.Errorf("unknown sampler %q (want default or batch)", s)
-}
-
-// GraphOpts carries the optional knobs of NewGraphEngineOpts.
-type GraphOpts struct {
-	// Sampler selects the rng draw discipline; zero value is
-	// SamplerDefault.
-	Sampler Sampler
+	rule  dynamics.Rule
+	src   topo.NeighborSource
+	bufs  *graphBuffers
+	cfg   colorcfg.Config
+	round int
+	crew
+	obs obs.Observer
 }
 
 // graphBuffers holds the double-buffered vertex color arrays. They live in
@@ -117,28 +65,41 @@ type graphBuffers struct {
 	next   []Color
 }
 
-// graphLoop is the engine's sampling plan: everything the worker loops
-// need, resolved once at construction and immutable afterwards. It lives in
-// its own allocation (like graphBuffers) so pool goroutines never capture
-// the engine itself. Dispatch order in graphWorker.run:
+// graphLoop is the agent loop of CliqueSampled and GraphEngine: its block
+// schedule, and everything the worker rows need, resolved once at
+// construction. It lives in its own allocation (like graphBuffers) so pool
+// goroutines never capture the engine itself.
 //
-//	alias != nil            → clique fast path (batched alias draws)
-//	offsets != nil && batch → flat two-pass loop: fill a neighbor-index
-//	                          block in one tight rng loop (degree-bucketed
-//	                          when unifDeg > 0), then gather colors, so the
-//	                          random color reads pipeline instead of
-//	                          serializing behind the rule
-//	offsets != nil          → legacy per-vertex flat loop (rng-consuming
-//	                          rules under the default byte contract)
-//	batch                   → generic two-pass loop over SampleNeighbor
-//	                          (relaxed mode: Degree+Neighbor with
-//	                          multiply-shift draws)
-//	otherwise               → legacy per-vertex generic loop
+// Agents [0, n) are cut into blocks of blockLen agents, a length that
+// depends on the rule's sample size h alone. Each round, workers claim
+// block indices from the claimed counter, and a worker seeds two streams
+// per block from (seed, round, block): one for the block's neighbor or
+// alias draws and one for its rule.Apply calls. A block's draws therefore
+// depend neither on which worker runs it nor on how many there are, so a
+// run is a pure function of its seed, and a whole block can be drawn
+// before the rule runs, whatever the rule. Dispatch order in
+// graphWorker.run:
+//
+//	alias != nil   → clique row: one block of alias draws, then the rule
+//	offsets != nil → flat row: fill a block of neighbor ids in one tight
+//	                 rng loop (degree-bucketed when unifDeg > 0), then
+//	                 gather colors and apply the rule, so the random
+//	                 color reads pipeline instead of serializing behind
+//	                 the rule
+//	otherwise      → generic row: the same two passes over SampleNeighbor
 type graphLoop struct {
+	claimed  atomic.Int64 // blocks claimed so far this round
+	round    uint64       // the round being computed (0-based)
+	seed     uint64
+	n        int64
+	blockLen int64
+
 	src  topo.NeighborSource
 	rule dynamics.Rule
+	// bufs is the graph engine's agent array; nil for CliqueSampled,
+	// which only tallies.
 	bufs *graphBuffers
-	// alias is non-nil only on the complete+self fast path.
+	// alias is non-nil only on the clique row.
 	alias *dist.Alias
 	// offsets/neighbors are non-nil only when src is an in-RAM *topo.CSR;
 	// the workers then index its arrays directly.
@@ -147,44 +108,31 @@ type graphLoop struct {
 	h         int
 	// unifDeg, when positive, promises every vertex has exactly this
 	// degree (from the topo.UniformDegree hint or a one-time offsets
-	// scan); the flat batched loop then hoists the degree load, the
-	// zero-degree branch, and the rejection threshold out of the rng loop.
+	// scan); the flat loop then hoists the degree load, the zero-degree
+	// branch, and the rejection threshold out of the rng loop.
 	unifDeg int64
-	// batch selects the two-pass (draw block, then gather+apply) loops:
-	// always in relaxed mode, and under the default contract exactly when
-	// the rule is rand-free (dynamics.IsRandFree), which makes the
-	// reordering byte-invisible.
-	batch bool
-	// relaxed is the sampler=batch draw discipline (see SamplerBatch).
-	relaxed bool
-	// fast3 replaces rule.Apply in the batched loops with the inlined
-	// first-sample 3-majority ("if s1 == s2 adopt s1, else adopt s0" — a
-	// conditional move, no data-dependent branch). Set only for
-	// dynamics.ThreeMajority without UniformTie, whose Apply it replicates
-	// exactly.
+	// fast3 replaces rule.Apply with the inlined first-sample 3-majority
+	// ("if s1 == s2 adopt s1, else adopt s0" — a conditional move, no
+	// data-dependent branch). Set only for dynamics.ThreeMajority without
+	// UniformTie off the clique row, whose Apply it replicates exactly.
 	fast3 bool
 }
 
 type graphWorker struct {
-	r     *rng.Rand
-	from  int64
-	to    int64
-	tally []int64 // cache-line padded; see paddedTallies
-	buf   []Color // h scratch colors; a block multiple on batched paths
-	idx   []int64 // batched paths: per-block neighbor vertex ids
+	draw  rng.Rand // the current block's neighbor/alias stream
+	rule  rng.Rand // the current block's rule.Apply stream
+	tally []int64  // cache-line padded; see paddedTallies
+	buf   []Color  // one block of sampled colors
+	idx   []int64  // non-clique rows: one block of sampled vertex ids
 }
 
-// NewGraphEngine builds the engine over any topo.NeighborSource with the
-// default sampler. The initial configuration is laid out over the vertices
-// in color blocks and then shuffled with layoutRng so that topology
-// experiments are not biased by block placement (on the clique the layout
-// is irrelevant). workers <= 1 runs single-threaded.
+// NewGraphEngine builds the engine over any topo.NeighborSource. The
+// initial configuration is laid out over the vertices in color blocks and
+// then shuffled with layoutRng so that topology experiments are not biased
+// by block placement (on the clique the layout is irrelevant). seed keys
+// the per-block streams; workers <= 1 runs single-threaded, and the
+// worker count never changes the run.
 func NewGraphEngine(rule dynamics.Rule, src topo.NeighborSource, initial colorcfg.Config, workers int, seed uint64, layoutRng *rng.Rand) *GraphEngine {
-	return NewGraphEngineOpts(rule, src, initial, workers, seed, layoutRng, GraphOpts{})
-}
-
-// NewGraphEngineOpts is NewGraphEngine with explicit options.
-func NewGraphEngineOpts(rule dynamics.Rule, src topo.NeighborSource, initial colorcfg.Config, workers int, seed uint64, layoutRng *rng.Rand, opts GraphOpts) *GraphEngine {
 	n := src.N()
 	if initial.N() != n {
 		panic(fmt.Sprintf("engine: configuration has %d agents but graph has %d vertices", initial.N(), n))
@@ -207,7 +155,7 @@ func NewGraphEngineOpts(rule dynamics.Rule, src topo.NeighborSource, initial col
 			e.bufs.colors[i], e.bufs.colors[j] = e.bufs.colors[j], e.bufs.colors[i]
 		})
 	}
-	lp := &graphLoop{src: src, rule: rule, bufs: e.bufs, h: h}
+	lp := &graphLoop{seed: seed, n: n, src: src, rule: rule, bufs: e.bufs, h: h}
 	if c, ok := src.(topo.Complete); ok && c.IncludeSelf {
 		lp.alias = dist.NewAliasCounts(initial)
 	} else {
@@ -219,21 +167,11 @@ func NewGraphEngineOpts(rule dynamics.Rule, src topo.NeighborSource, initial col
 		} else if lp.offsets != nil {
 			lp.unifDeg = uniformFlatDegree(lp.offsets)
 		}
-		lp.relaxed = opts.Sampler == SamplerBatch
-		lp.batch = lp.relaxed || dynamics.IsRandFree(rule)
 		if tm, ok := rule.(dynamics.ThreeMajority); ok && !tm.UniformTie {
 			lp.fast3 = true
 		}
 	}
-	e.loop = lp
-	e.workers = newWorkers(n, workers, initial.K(), h, seed, lp.alias != nil || lp.batch, lp.batch)
-	if len(e.workers) > 1 {
-		fns := make([]func(), len(e.workers))
-		for i, w := range e.workers {
-			fns[i] = func() { w.run(lp) }
-		}
-		e.pool = attachPool(e, fns)
-	}
+	e.crew = newCrew(e, lp, workers, initial.K())
 	return e
 }
 
@@ -262,18 +200,11 @@ func uniformFlatDegree(offsets []int64) int64 {
 // Close stops the worker goroutines of a multi-worker engine. The engine
 // must not be stepped afterwards. Optional: an unreachable engine's workers
 // are stopped by a GC cleanup.
-func (e *GraphEngine) Close() {
-	if e.pool != nil {
-		e.pool.shutdown()
-	}
-}
+func (e *GraphEngine) Close() { e.crew.close() }
 
 // Name implements Engine.
 func (e *GraphEngine) Name() string {
-	if e.loop.relaxed {
-		return fmt.Sprintf("graph[%s,%s,w=%d,batch]", e.src.Name(), e.rule.Name(), len(e.workers))
-	}
-	return fmt.Sprintf("graph[%s,%s,w=%d]", e.src.Name(), e.rule.Name(), len(e.workers))
+	return fmt.Sprintf("graph[%s,%s]", e.src.Name(), e.rule.Name())
 }
 
 // N implements Engine.
@@ -306,16 +237,8 @@ func (e *GraphEngine) AppendColors(dst []Color) []Color {
 // Step implements Engine.
 func (e *GraphEngine) Step(_ *rng.Rand) {
 	began := obs.Began(e.obs)
-	if e.loop.alias != nil {
-		e.loop.alias.ResetCounts(e.cfg)
-	}
-	if e.pool == nil {
-		e.workers[0].run(e.loop)
-	} else {
-		e.pool.step()
-	}
+	e.crew.step(e.round, e.cfg)
 	e.bufs.colors, e.bufs.next = e.bufs.next, e.bufs.colors
-	sumTallies(e.cfg, e.workers)
 	e.round++
 	observeEnd(e.obs, began, e.round, e.src.N(), e.cfg)
 }
@@ -323,114 +246,84 @@ func (e *GraphEngine) Step(_ *rng.Rand) {
 // SetObserver implements Observable.
 func (e *GraphEngine) SetObserver(o obs.Observer) { e.obs = o }
 
-// run processes the worker's vertex shard into bufs.next, dispatching on
-// the engine's sampling plan (see graphLoop).
+// run claims blocks until the round has none left, seeds the block's two
+// streams, and runs the row the engine's plan selects (see graphLoop).
 func (w *graphWorker) run(lp *graphLoop) {
-	if lp.alias != nil {
-		w.runClique(lp.rule, lp.alias, lp.bufs.next)
-		return
-	}
 	clear(w.tally)
-	switch {
-	case lp.offsets != nil && lp.batch:
-		w.runFlatBatch(lp)
-	case lp.offsets != nil:
-		w.runFlatSerial(lp)
-	case lp.batch:
-		w.runGenericBatch(lp)
-	default:
-		w.runGenericSerial(lp)
+	for {
+		b, v0, m, ok := lp.claim()
+		if !ok {
+			return
+		}
+		w.draw.SeedStream(lp.seed, lp.round, uint64(2*b))
+		w.rule.SeedStream(lp.seed, lp.round, uint64(2*b+1))
+		switch {
+		case lp.alias != nil:
+			w.runClique(lp, v0, m)
+		case lp.offsets != nil:
+			w.runFlat(lp, v0, m)
+		default:
+			w.runGeneric(lp, v0, m)
+		}
 	}
 }
 
-// runClique is the clique loop of both CliqueSampled and the graph
-// engine's complete+self fast path: each agent of the shard draws h
-// i.i.d. colors from the alias table (in SampleMany batches, which
-// amortizes per-draw call overhead) and applies the rule. It tallies the
-// adopted colors and, when next is non-nil (the graph engine's agent
-// array), stores them per agent.
-func (w *graphWorker) runClique(rule dynamics.Rule, alias *dist.Alias, next []Color) {
-	clear(w.tally)
-	h := rule.SampleSize()
-	perBatch := int64(len(w.buf) / h)
-	for v := w.from; v < w.to; {
-		m := min(perBatch, w.to-v)
-		batch := w.buf[:int(m)*h]
-		alias.SampleMany(w.r, batch)
-		for i := int64(0); i < m; i++ {
-			c := rule.Apply(batch[int(i)*h:int(i+1)*h], w.r)
-			if next != nil {
-				next[v+i] = c
-			}
-			w.tally[c]++
-		}
-		v += m
+// runClique is the clique row of both CliqueSampled and the graph
+// engine's complete+self fast path: the block's agents draw h i.i.d.
+// colors each from the alias table in one SampleMany call, which
+// amortizes per-draw call overhead, and apply the rule.
+func (w *graphWorker) runClique(lp *graphLoop, v0, m int64) {
+	buf := w.buf[:m*int64(lp.h)]
+	lp.alias.SampleMany(&w.draw, buf)
+	var next []Color
+	if lp.bufs != nil {
+		next = lp.bufs.next
 	}
+	w.applyBlock(lp, buf, next, v0, m)
 }
 
-// runFlatBatch is the sparse hot loop: per block of vertices, pass 1 fills
-// the reusable index buffer with one neighbor draw per sample in a tight
-// rng loop (degree-bucketed when the degree is uniform), then pass 2
-// gathers colors and applies the rule. Splitting the passes lets the
-// out-of-order core overlap the block's random color-array reads — the
-// dominant cache misses at n >= 10⁷ — instead of serializing them behind
-// each vertex's rule application.
-func (w *graphWorker) runFlatBatch(lp *graphLoop) {
-	h := int64(lp.h)
-	colors, next := lp.bufs.colors, lp.bufs.next
-	offsets, neighbors := lp.offsets, lp.neighbors
-	perBlock := int64(len(w.idx)) / h
-	for v0 := w.from; v0 < w.to; {
-		m := min(perBlock, w.to-v0)
-		idx := w.idx[:m*h]
-		if d := lp.unifDeg; d > 0 {
-			// Bucketed pass 1: one FillUniform kernel call for the whole
-			// block, then a branch-free sweep resolving draws to vertex ids
-			// (row reads are near-sequential as v ascends).
-			if lp.relaxed {
-				dist.FillUniformRelaxed(w.r, d, idx)
-			} else {
-				dist.FillUniform(w.r, d, idx)
+// runFlat is the sparse hot loop: pass 1 fills the block's index buffer
+// with one neighbor draw per sample in a tight rng loop (degree-bucketed
+// when the degree is uniform), then pass 2 gathers colors and applies the
+// rule. Splitting the passes lets the out-of-order core overlap the
+// block's random color-array reads — the dominant cache misses at
+// n >= 10⁷ — instead of serializing them behind each vertex's rule
+// application.
+func (w *graphWorker) runFlat(lp *graphLoop, v0, m int64) {
+	h := lp.h
+	idx := w.idx[:m*int64(h)]
+	if d := lp.unifDeg; d > 0 {
+		// Bucketed pass 1: one FillUniform kernel call for the whole
+		// block, then a branch-free sweep resolving draws to vertex ids
+		// (row reads are near-sequential as v ascends). Uniform degree
+		// means offsets is an arithmetic sequence, so the resolve sweep
+		// steps lo by d instead of streaming the offsets array.
+		dist.FillUniform(&w.draw, d, idx)
+		neighbors := lp.neighbors
+		p := 0
+		for lo, end := lp.offsets[v0], lp.offsets[v0+m]; lo < end; lo += d {
+			row := neighbors[lo : lo+d]
+			for s := 0; s < h; s++ {
+				idx[p] = row[idx[p]]
+				p++
 			}
-			// Uniform degree means offsets is an arithmetic sequence, so
-			// the resolve sweep steps lo by d instead of streaming the
-			// offsets array.
-			p := 0
-			for lo := offsets[v0]; lo < offsets[v0+m]; lo += d {
-				row := neighbors[lo : lo+d]
-				for s := int64(0); s < h; s++ {
-					idx[p] = row[idx[p]]
-					p++
-				}
-			}
-		} else if lp.relaxed {
-			w.fillFlatRelaxed(lp, idx, v0, m)
-		} else {
-			w.fillFlatExact(lp, idx, v0, m)
 		}
-		if lp.fast3 {
-			w.applyFused3(colors, next, idx, v0, m)
-		} else {
-			buf := w.buf[:len(idx)]
-			for i, u := range idx {
-				buf[i] = colors[u]
-			}
-			w.applyBlock(lp, buf, next, v0, m)
-		}
-		v0 += m
+	} else {
+		w.fillFlatExact(lp, idx, v0, m)
 	}
+	w.gatherApply(lp, idx, v0, m)
 }
 
 // fillFlatExact fills idx with one resolved neighbor id per sample for
 // vertices [v0, v0+m) of a flat source with varying degrees, consuming the
-// rng exactly like the serial loop: one Int63n(degree) per draw (the
+// rng exactly like SampleNeighbor: one Int63n(degree) per draw (the
 // inlined Lemire multiply-shift below is rng.Uint64n verbatim, with the
 // rejection threshold hoisted per vertex), none for an isolated vertex,
 // which samples itself.
 func (w *graphWorker) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
 	h := lp.h
 	offsets, neighbors := lp.offsets, lp.neighbors
-	r := w.r
+	r := &w.draw
 	p := 0
 	for v := v0; v < v0+m; v++ {
 		lo := offsets[v]
@@ -454,88 +347,36 @@ func (w *graphWorker) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
 	}
 }
 
-// fillFlatRelaxed is fillFlatExact under the sampler=batch discipline:
-// exactly one raw Uint64 per sample, multiply-shift, no rejection.
-func (w *graphWorker) fillFlatRelaxed(lp *graphLoop, idx []int64, v0, m int64) {
-	h := lp.h
-	offsets, neighbors := lp.offsets, lp.neighbors
-	r := w.r
+// runGeneric is the two-pass loop for non-flat sources (implicit
+// families, mmap CSRs, opaque graphs): pass 1 fills the index buffer with
+// sampled neighbor ids through SampleNeighbor, pass 2 gathers colors and
+// applies the rule.
+func (w *graphWorker) runGeneric(lp *graphLoop, v0, m int64) {
+	h, src, r := lp.h, lp.src, &w.draw
+	idx := w.idx[:m*int64(h)]
 	p := 0
 	for v := v0; v < v0+m; v++ {
-		lo := offsets[v]
-		d := uint64(offsets[v+1] - lo)
-		if d == 0 {
-			for s := 0; s < h; s++ {
-				idx[p] = v
-				p++
-			}
-			continue
-		}
 		for s := 0; s < h; s++ {
-			hi, _ := bits.Mul64(r.Uint64(), d)
-			idx[p] = neighbors[lo+int64(hi)]
+			idx[p] = src.SampleNeighbor(v, r)
 			p++
 		}
 	}
+	w.gatherApply(lp, idx, v0, m)
 }
 
-// runGenericBatch is the two-pass loop for non-flat sources (implicit
-// families, mmap CSRs, opaque graphs): pass 1 fills the index buffer with
-// sampled neighbor ids through the interface, pass 2 gathers colors and
-// applies the rule. Under the default contract the draws go through
-// SampleNeighbor (byte-identical to the serial loop); in relaxed mode they
-// are multiply-shift indices resolved through Neighbor, so every backend of
-// the same topology still draws identically in batch mode.
-func (w *graphWorker) runGenericBatch(lp *graphLoop) {
-	h := int64(lp.h)
+// gatherApply is pass 2 of the flat and generic rows: it resolves the
+// block's sampled vertex ids to colors and applies the rule.
+func (w *graphWorker) gatherApply(lp *graphLoop, idx []int64, v0, m int64) {
 	colors, next := lp.bufs.colors, lp.bufs.next
-	src := lp.src
-	r := w.r
-	perBlock := int64(len(w.idx)) / h
-	for v0 := w.from; v0 < w.to; {
-		m := min(perBlock, w.to-v0)
-		idx := w.idx[:m*h]
-		if lp.relaxed {
-			p := 0
-			for v := v0; v < v0+m; v++ {
-				d := lp.unifDeg
-				if d == 0 {
-					d = src.Degree(v)
-				}
-				if d == 0 {
-					for s := int64(0); s < h; s++ {
-						idx[p] = v
-						p++
-					}
-					continue
-				}
-				ud := uint64(d)
-				for s := int64(0); s < h; s++ {
-					hi, _ := bits.Mul64(r.Uint64(), ud)
-					idx[p] = src.Neighbor(v, int64(hi))
-					p++
-				}
-			}
-		} else {
-			p := 0
-			for v := v0; v < v0+m; v++ {
-				for s := int64(0); s < h; s++ {
-					idx[p] = src.SampleNeighbor(v, r)
-					p++
-				}
-			}
-		}
-		if lp.fast3 {
-			w.applyFused3(colors, next, idx, v0, m)
-		} else {
-			buf := w.buf[:len(idx)]
-			for i, u := range idx {
-				buf[i] = colors[u]
-			}
-			w.applyBlock(lp, buf, next, v0, m)
-		}
-		v0 += m
+	if lp.fast3 {
+		w.applyFused3(colors, next, idx, v0, m)
+		return
 	}
+	buf := w.buf[:len(idx)]
+	for i, u := range idx {
+		buf[i] = colors[u]
+	}
+	w.applyBlock(lp, buf, next, v0, m)
 }
 
 // applyFused3 gathers a block's colors and applies first-sample 3-majority
@@ -561,56 +402,18 @@ func (w *graphWorker) applyFused3(colors, next []Color, idx []int64, v0, m int64
 	}
 }
 
-// applyBlock applies the rule to each h-sample group of buf, writing
-// next[v0:v0+m] and the worker tally.
+// applyBlock applies the rule, on the block's rule stream, to each
+// h-sample group of buf, writing the worker tally and, when next is
+// non-nil (the graph engine's agent array), next[v0:v0+m].
 func (w *graphWorker) applyBlock(lp *graphLoop, buf []Color, next []Color, v0, m int64) {
 	h := lp.h
 	p := 0
 	for i := int64(0); i < m; i++ {
-		c := lp.rule.Apply(buf[p:p+h], w.r)
+		c := lp.rule.Apply(buf[p:p+h], &w.rule)
 		p += h
-		next[v0+i] = c
-		w.tally[c]++
-	}
-}
-
-// runFlatSerial is the legacy per-vertex flat loop, kept for rng-consuming
-// rules under the default byte contract (their draws must interleave with
-// the samples in per-vertex order). Same stream as the interface path: one
-// Int63n(degree) per draw; isolated vertices sample themselves, matching
-// SampleNeighbor.
-func (w *graphWorker) runFlatSerial(lp *graphLoop) {
-	h := lp.h
-	colors, next := lp.bufs.colors, lp.bufs.next
-	offsets, neighbors := lp.offsets, lp.neighbors
-	for v := w.from; v < w.to; v++ {
-		lo := offsets[v]
-		d := offsets[v+1] - lo
-		for s := 0; s < h; s++ {
-			u := v
-			if d != 0 {
-				u = neighbors[lo+w.r.Int63n(d)]
-			}
-			w.buf[s] = colors[u]
+		if next != nil {
+			next[v0+i] = c
 		}
-		c := lp.rule.Apply(w.buf[:h], w.r)
-		next[v] = c
-		w.tally[c]++
-	}
-}
-
-// runGenericSerial is the legacy per-vertex loop over any NeighborSource,
-// kept for rng-consuming rules under the default byte contract. The
-// source's SampleNeighbor contract guarantees the identical rng stream.
-func (w *graphWorker) runGenericSerial(lp *graphLoop) {
-	h := lp.h
-	colors, next := lp.bufs.colors, lp.bufs.next
-	for v := w.from; v < w.to; v++ {
-		for s := 0; s < h; s++ {
-			w.buf[s] = colors[lp.src.SampleNeighbor(v, w.r)]
-		}
-		c := lp.rule.Apply(w.buf[:h], w.r)
-		next[v] = c
 		w.tally[c]++
 	}
 }

@@ -71,9 +71,9 @@ func TestGraphEngineConvergesOnClique(t *testing.T) {
 }
 
 // TestCliqueSampledMatchesGraphEngine pins that the two clique engines
-// run one sampling loop: with equal seed and worker count, CliqueSampled
-// and GraphEngine on the complete graph with self loops step through
-// identical per-round counts.
+// run one sampling loop: with equal seed, CliqueSampled and GraphEngine on
+// the complete graph with self loops step through identical per-round
+// counts.
 func TestCliqueSampledMatchesGraphEngine(t *testing.T) {
 	const n, rounds = 3000, 30
 	init := colorcfg.Biased(n, 4, 100)

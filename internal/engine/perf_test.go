@@ -46,7 +46,6 @@ func TestStepZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batch := GraphOpts{Sampler: SamplerBatch}
 	cases := map[string]Engine{
 		"clique-multinomial": NewCliqueMultinomial(dynamics.ThreeMajority{}, init),
 		"clique-markov":      NewCliqueMarkov(dynamics.ThreeMajorityKeepOwn{}, init),
@@ -60,19 +59,15 @@ func TestStepZeroAllocs(t *testing.T) {
 			torus, initTorus, 4, 11, nil),
 		"graph-mmap-w4": NewGraphEngine(dynamics.ThreeMajority{},
 			mmapSrc, init, 4, 11, nil),
-		// Every dispatch row of the rewritten graph loop: the skewed-degree
-		// batched path, the serial fallback for an rng-consuming rule, and
-		// the relaxed batch sampler on flat, skewed and implicit sources.
+		// The remaining rows and kernels of the graph loop: the
+		// skewed-degree flat row, and an rng-consuming rule (the rule's
+		// own stream, the generic apply pass) on the flat and generic rows.
 		"graph-gnp-w4": NewGraphEngine(dynamics.ThreeMajority{}, gnp, init, 4, 11, nil),
-		"graph-csr-utie-serial-w4": NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},
+		"graph-csr-utie-w4": NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},
 			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init, 4, 11, nil),
-		"graph-csr-batch-w4": NewGraphEngineOpts(dynamics.ThreeMajority{},
-			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init, 4, 11, nil, batch),
-		"graph-csr-utie-batch-w4": NewGraphEngineOpts(dynamics.ThreeMajority{UniformTie: true},
-			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init, 4, 11, nil, batch),
-		"graph-gnp-batch-w4":      NewGraphEngineOpts(dynamics.ThreeMajority{}, gnp, init, 4, 11, nil, batch),
-		"graph-implicit-batch-w4": NewGraphEngineOpts(dynamics.ThreeMajority{}, torus, initTorus, 4, 11, nil, batch),
-		"undecided-exact":         NewUndecidedExact(init),
+		"graph-implicit-utie-w4": NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},
+			torus, initTorus, 4, 11, nil),
+		"undecided-exact": NewUndecidedExact(init),
 	}
 	for name, e := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -235,9 +230,9 @@ func TestEnginesAgreeInDistribution(t *testing.T) {
 	}
 }
 
-// TestSampledBatchBoundary covers shard/batch edge interactions: shards
-// smaller than one batch, shards that are not batch multiples, and h that
-// does not divide the batch size.
+// TestSampledBatchBoundary covers block edge interactions: populations
+// smaller than one block, populations that are not block multiples, h that
+// does not divide the block's 1024 draws, and more workers than blocks.
 func TestSampledBatchBoundary(t *testing.T) {
 	r := rng.New(2)
 	for _, tc := range []struct {
@@ -247,9 +242,9 @@ func TestSampledBatchBoundary(t *testing.T) {
 		h       int
 	}{
 		{5, 2, 1, 3},
-		{1025, 4, 2, 3}, // odd split, batch remainder
+		{1025, 4, 2, 3}, // block remainder
 		{4096, 4, 3, 5}, // h=5 does not divide 1024
-		{30, 3, 8, 7},   // shards of ~4 agents, buf capped by shard size
+		{30, 3, 8, 7},   // one block, buf capped by n, workers clamped to 1
 	} {
 		var rule dynamics.Rule = dynamics.ThreeMajority{}
 		if tc.h != 3 {

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"plurality/internal/colorcfg"
-	"plurality/internal/rng"
 )
 
 // workerPool runs a fixed set of closures on persistent goroutines, one per
@@ -73,71 +72,88 @@ func attachPool[E any](owner *E, fns []func()) *workerPool {
 	return p
 }
 
-// sampleBatchDraws is the target number of alias draws per SampleMany batch
-// in the agent-sampling engines: large enough to amortize per-call overhead
-// and keep the alias table hot in cache, small enough that per-worker sample
-// buffers stay a few KiB.
+// sampleBatchDraws is the number of samples drawn per agent block: large
+// enough to amortize per-block seeding and per-call overhead and keep the
+// alias table hot in cache, small enough that per-worker sample buffers
+// stay a few KiB.
 const sampleBatchDraws = 1024
 
-// newWorkers lays out the agent-level workers of CliqueSampled and
-// GraphEngine alike, which is what makes the two step identically on the
-// clique: agents [0, n) split into shardRange chunks over workers
-// (clamped to [1, n]), each with its own rng.Streams stream of seed and a
-// padded k-color tally. A worker's sample buffer holds h colors, or a
-// batchBufLen batch when batched; withIdx adds an index buffer as long
-// as the sample buffer.
-func newWorkers(n int64, workers, k, h int, seed uint64, batched, withIdx bool) []*graphWorker {
-	workers = int(max(1, min(int64(workers), n)))
-	streams := rng.Streams(seed, workers)
-	tallies := paddedTallies(workers, k)
-	ws := make([]*graphWorker, workers)
-	for i := range ws {
-		from, to := shardRange(n, workers, i)
-		bufLen := h
-		if batched {
-			bufLen = batchBufLen(h, to-from)
-		}
-		w := &graphWorker{r: streams[i], from: from, to: to, tally: tallies[i], buf: make([]Color, bufLen)}
-		if withIdx {
-			w.idx = make([]int64, len(w.buf))
-		}
-		ws[i] = w
+// claim returns the next unclaimed block of the round: its index and its
+// agent range [v0, v0+m). ok is false once every block has been claimed.
+func (lp *graphLoop) claim() (b, v0, m int64, ok bool) {
+	b = lp.claimed.Add(1) - 1
+	v0 = b * lp.blockLen
+	if v0 >= lp.n {
+		return 0, 0, 0, false
 	}
-	return ws
+	return b, v0, min(lp.blockLen, lp.n-v0), true
 }
 
-// sumTallies sets cfg to the sum of the workers' round tallies.
-func sumTallies(cfg colorcfg.Config, ws []*graphWorker) {
+// crew is the persistent worker set of an agent-level engine, CliqueSampled
+// and GraphEngine alike: its workers claim the blocks of lp's schedule,
+// each tallying into its own cache-line padded tally.
+type crew struct {
+	lp      *graphLoop
+	workers []*graphWorker
+	pool    *workerPool // nil for a single worker, which runs on Step's goroutine
+}
+
+// newCrew lays out the workers of an agent-level engine over lp's n
+// agents: workers is clamped to [1, number of blocks], and each worker
+// gets a padded k-color tally and a one-block sample buffer (plus an
+// index buffer for the non-clique rows). Multi-worker crews run on a
+// persistent pool tied to owner's lifetime (attachPool).
+func newCrew[E any](owner *E, lp *graphLoop, workers, k int) crew {
+	lp.blockLen = max(1, sampleBatchDraws/int64(lp.h))
+	blocks := (lp.n + lp.blockLen - 1) / lp.blockLen
+	workers = int(max(1, min(int64(workers), blocks)))
+	bufLen := int(min(lp.blockLen, lp.n)) * lp.h
+	tallies := paddedTallies(workers, k)
+	c := crew{lp: lp, workers: make([]*graphWorker, workers)}
+	for i := range c.workers {
+		w := &graphWorker{tally: tallies[i], buf: make([]Color, bufLen)}
+		if lp.alias == nil {
+			w.idx = make([]int64, bufLen)
+		}
+		c.workers[i] = w
+	}
+	if workers > 1 {
+		fns := make([]func(), workers)
+		for i, w := range c.workers {
+			fns[i] = func() { w.run(lp) }
+		}
+		c.pool = attachPool(owner, fns)
+	}
+	return c
+}
+
+// step computes round `round` into cfg: every block is claimed and run by
+// some worker, and cfg becomes the sum of the workers' tallies.
+func (c *crew) step(round int, cfg colorcfg.Config) {
+	lp := c.lp
+	if lp.alias != nil {
+		lp.alias.ResetCounts(cfg)
+	}
+	lp.round = uint64(round)
+	lp.claimed.Store(0)
+	if c.pool == nil {
+		c.workers[0].run(lp)
+	} else {
+		c.pool.step()
+	}
 	clear(cfg)
-	for _, w := range ws {
+	for _, w := range c.workers {
 		for j, v := range w.tally {
 			cfg[j] += v
 		}
 	}
 }
 
-// shardRange returns the [from, to) agent range of worker w out of
-// `workers` when n agents are split into near-equal contiguous chunks (the
-// last worker absorbs the remainder).
-func shardRange(n int64, workers, w int) (from, to int64) {
-	chunk := n / int64(workers)
-	from = int64(w) * chunk
-	to = from + chunk
-	if w == workers-1 {
-		to = n
+// close stops a multi-worker crew's goroutines (idempotent).
+func (c *crew) close() {
+	if c.pool != nil {
+		c.pool.shutdown()
 	}
-	return from, to
-}
-
-// batchBufLen sizes a worker's sample buffer: a whole multiple of the
-// rule's sample size h targeting sampleBatchDraws draws, capped at the
-// shard's total demand so tiny shards don't over-allocate.
-func batchBufLen(h int, shard int64) int {
-	batchAgents := max(int64(1), int64(sampleBatchDraws/h))
-	if shard < batchAgents {
-		batchAgents = shard
-	}
-	return int(batchAgents) * h
 }
 
 // paddedTallies carves per-worker int64 tally slices out of one backing

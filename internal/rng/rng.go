@@ -7,10 +7,12 @@
 // is no global generator — which makes every simulation and experiment
 // reproducible from a single seed.
 //
-// Independent parallel streams are derived either with Jump (which advances
-// the state by 2^128 steps, giving non-overlapping subsequences) or with
-// NewStream (which derives a child seed via splitmix64). Engines that shard
-// agents across workers use one stream per worker.
+// Independent parallel streams are derived with Jump (which advances the
+// state by 2^128 steps, giving non-overlapping subsequences), with
+// NewStream (which derives a child seed via splitmix64), or with
+// SeedStream (which keys a stream by counters, so the agent-level engines
+// can seed each block of agents from (seed, round, block) whichever
+// goroutine runs it).
 package rng
 
 import "math/bits"
@@ -21,14 +23,21 @@ type Rand struct {
 	s0, s1, s2, s3 uint64
 }
 
-// splitmix64 advances x and returns a well-mixed 64-bit value. It is the
-// recommended seeding procedure for the xoshiro family.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
+// golden is splitmix64's increment, 2^64 divided by the golden ratio.
+const golden uint64 = 0x9e3779b97f4a7c15
+
+// mix is splitmix64's output function, a bijection on uint64.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// splitmix64 advances x and returns a well-mixed 64-bit value. It is the
+// recommended seeding procedure for the xoshiro family.
+func splitmix64(x *uint64) uint64 {
+	*x += golden
+	return mix(*x)
 }
 
 // New returns a generator seeded from the given 64-bit seed. Different seeds
@@ -41,8 +50,21 @@ func New(seed uint64) *Rand {
 }
 
 // Seed resets the generator state from a 64-bit seed.
-func (r *Rand) Seed(seed uint64) {
-	x := seed
+func (r *Rand) Seed(seed uint64) { r.seedFrom(seed) }
+
+// SeedStream resets the generator in place to the stream keyed by
+// (seed, round, i). Its four state words are the splitmix64 outputs at
+// positions 4c+1 … 4c+4, with c = round·2³² + i, of the sequence that
+// starts at mix(seed). Distinct keys thus never share a state word (for
+// round < 2³⁰ and i < 2³²): this is the counter-based construction of
+// Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3" (SC'11),
+// with xoshiro256++ drawing from each keyed state.
+func (r *Rand) SeedStream(seed, round, i uint64) {
+	r.seedFrom(mix(seed) + (round<<32+i)*4*golden)
+}
+
+// seedFrom sets the state to the next four splitmix64 outputs after x.
+func (r *Rand) seedFrom(x uint64) {
 	r.s0 = splitmix64(&x)
 	r.s1 = splitmix64(&x)
 	r.s2 = splitmix64(&x)
@@ -50,7 +72,7 @@ func (r *Rand) Seed(seed uint64) {
 	// A state of all zeros is invalid for xoshiro; splitmix64 cannot produce
 	// four zero outputs in a row, but guard anyway.
 	if r.s0|r.s1|r.s2|r.s3 == 0 {
-		r.s0 = 0x9e3779b97f4a7c15
+		r.s0 = golden
 	}
 }
 
@@ -202,18 +224,4 @@ func (r *Rand) Jump() {
 func (r *Rand) Clone() *Rand {
 	c := *r
 	return &c
-}
-
-// Streams returns n independent generators derived from seed using the jump
-// construction: stream i has the state of a seed-initialized generator
-// advanced by i*2^128 steps. The streams are mutually non-overlapping for any
-// realistic draw count.
-func Streams(seed uint64, n int) []*Rand {
-	out := make([]*Rand, n)
-	base := New(seed)
-	for i := 0; i < n; i++ {
-		out[i] = base.Clone()
-		base.Jump()
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -190,19 +191,30 @@ func TestCloneProducesSameSequence(t *testing.T) {
 	}
 }
 
+// TestStreamsIndependent checks the keyed streams the agent-level engines
+// reseed per (round, block): a key reproduces its stream however the
+// generator was used before, and neighbouring keys and seeds draw
+// disjoint values.
 func TestStreamsIndependent(t *testing.T) {
-	ss := Streams(2024, 4)
-	if len(ss) != 4 {
-		t.Fatalf("expected 4 streams, got %d", len(ss))
-	}
-	seen := make(map[uint64]int)
-	for si, s := range ss {
-		for i := 0; i < 1000; i++ {
-			v := s.Uint64()
-			if prev, ok := seen[v]; ok {
-				t.Fatalf("streams %d and %d collided on value %x", prev, si, v)
+	var r, again Rand
+	seen := make(map[uint64]string)
+	for _, seed := range []uint64{2024, 2025} {
+		for round := uint64(0); round < 3; round++ {
+			for i := uint64(0); i < 4; i++ {
+				key := fmt.Sprint(seed, "/", round, "/", i)
+				r.SeedStream(seed, round, i)
+				again.SeedStream(seed, round, i)
+				for d := 0; d < 1000; d++ {
+					v := r.Uint64()
+					if again.Uint64() != v {
+						t.Fatalf("stream %s not reproducible at draw %d", key, d)
+					}
+					if prev, ok := seen[v]; ok {
+						t.Fatalf("streams %s and %s collided on value %x", prev, key, v)
+					}
+					seen[v] = key
+				}
 			}
-			seen[v] = si
 		}
 	}
 }
@@ -259,6 +271,18 @@ func BenchmarkFloat64(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += r.Float64()
+	}
+	_ = sink
+}
+
+// BenchmarkSeedStream times the per-block reseed of the agent-level
+// engines, which pay two per block of ⌊1024/h⌋ agents per round.
+func BenchmarkSeedStream(b *testing.B) {
+	var r Rand
+	var sink uint64
+	for i := 0; b.Loop(); i++ {
+		r.SeedStream(7, 3, uint64(i))
+		sink += r.s0
 	}
 	_ = sink
 }

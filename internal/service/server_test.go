@@ -423,15 +423,22 @@ func TestSubmitValidation(t *testing.T) {
 	if status != http.StatusBadRequest || !strings.Contains(raw, "k must be") {
 		t.Fatalf("invalid spec: status %d body %s", status, raw)
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		strings.NewReader(`{"n": 1000, "k": 4, "colour": "red"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "colour") {
-		t.Fatalf("unknown field: status %d body %s", resp.StatusCode, body)
+	// Unknown fields fail closed. "sampler" was a field once: a body that
+	// still asks for the removed batch mode must get a 400, never a run
+	// on the one remaining discipline.
+	for field, body := range map[string]string{
+		"colour":  `{"n": 1000, "k": 4, "colour": "red"}`,
+		"sampler": `{"n": 1000, "k": 4, "engine": "graph", "graph": "regular:4", "sampler": "batch"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), field) {
+			t.Fatalf("unknown field %q: status %d body %s", field, resp.StatusCode, raw)
+		}
 	}
 	status, _, raw = postJob(t, ts, smallSpec(), "?wait=perhaps")
 	if status != http.StatusBadRequest {

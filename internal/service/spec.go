@@ -96,12 +96,6 @@ type JobSpec struct {
 	Seed uint64 `json:"seed"`
 	// MaxRounds is the per-replicate round budget.
 	MaxRounds int `json:"max_rounds,omitempty"`
-	// Sampler selects the graph engine's rng draw discipline: "default"
-	// (the per-draw byte contract pinned by the golden traces) or "batch"
-	// (bulk Uint64-block generation — deterministic, certified by its own
-	// golden, but not draw-compatible with default). Only meaningful for
-	// Engine == "graph".
-	Sampler string `json:"sampler,omitempty"`
 	// Trace enables run-level telemetry capture: the first replicates of
 	// the job run with an obs.Recorder attached and their JSONL traces are
 	// served by GET /v1/jobs/{id}/trace. Tracing never influences the
@@ -136,9 +130,6 @@ func (s *JobSpec) Normalize() {
 	}
 	if s.MaxRounds == 0 {
 		s.MaxRounds = DefaultMaxRounds
-	}
-	if s.Sampler == "" {
-		s.Sampler = "default"
 	}
 }
 
@@ -287,15 +278,9 @@ func (s *JobSpec) check(capped bool) error {
 			errs = append(errs, err)
 		}
 	}
-	sampler, samplerErr := engine.ParseSampler(s.Sampler)
-	if samplerErr != nil {
-		errs = append(errs, samplerErr)
-	}
 	rule, eng, err := s.resolve(capped)
 	if err != nil {
 		errs = append(errs, err)
-	} else if samplerErr == nil && sampler == engine.SamplerBatch && eng != "graph" {
-		errs = append(errs, fmt.Errorf("sampler \"batch\" applies only to the graph engine, not %q", eng))
 	} else if capped {
 		maxN := int64(MaxNExact)
 		switch eng {
@@ -328,12 +313,6 @@ func (s *JobSpec) Name() string {
 		// The generator seed is part of the identity: the same spec with
 		// a different graph_seed runs on a different quenched topology.
 		name = fmt.Sprintf("%s/graph=%s/gseed=%d", name, s.Graph, s.GraphSeed)
-		// The relaxed sampler changes the per-replicate rng streams, so it
-		// is part of the identity too; the default is omitted to keep
-		// pre-existing job names (and resumable journals) stable.
-		if sampler, err := engine.ParseSampler(s.Sampler); err == nil && sampler == engine.SamplerBatch {
-			name += "/sampler=batch"
-		}
 	}
 	return name
 }
@@ -369,9 +348,9 @@ func (s *JobSpec) TraceHeader(rec mc.Record) obs.Header {
 // is colorcfg.Biased(N, K, BiasValue()); g is the quenched topology from
 // BuildGraph for the graph engine and nil otherwise; workers is the
 // agent-level engines' step parallelism (jobs and sweep cells pass 1:
-// their replicates already fan out across a pool); r is the replicate's
-// private generator, from which graph layouts and engine seeds draw, so
-// a replicate is a pure function of its seed and workers.
+// their replicates already fan out across a pool), and never changes the
+// run; r is the replicate's private generator, from which graph layouts
+// and engine seeds draw, so a replicate is a pure function of its seed.
 func (s *JobSpec) BuildEngine(init colorcfg.Config, g topo.NeighborSource, workers int, r *rng.Rand) engine.Engine {
 	rule, eng, err := s.resolve(false)
 	if err != nil {
@@ -389,13 +368,7 @@ func (s *JobSpec) BuildEngine(init colorcfg.Config, g topo.NeighborSource, worke
 	case "population":
 		return engine.NewPopulation(rule, init)
 	}
-	// The graph engine, the only one with a sampler choice.
-	sampler, err := engine.ParseSampler(s.Sampler)
-	if err != nil {
-		panic(fmt.Sprintf("service: BuildEngine on unchecked spec: %v", err))
-	}
-	return engine.NewGraphEngineOpts(rule, g, init, workers, r.Uint64(), r,
-		engine.GraphOpts{Sampler: sampler})
+	return engine.NewGraphEngine(rule, g, init, workers, r.Uint64(), r)
 }
 
 // BuildGraph builds the graph engine's quenched topology from GraphSeed

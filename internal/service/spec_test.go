@@ -21,7 +21,7 @@ func TestNormalizeDefaults(t *testing.T) {
 	var s JobSpec
 	s.Normalize()
 	want := JobSpec{Rule: "3majority", Engine: "auto", Graph: "complete",
-		Bias: "auto", Replicates: 1, MaxRounds: DefaultMaxRounds, Sampler: "default"}
+		Bias: "auto", Replicates: 1, MaxRounds: DefaultMaxRounds}
 	if s != want {
 		t.Fatalf("Normalize zero spec = %+v, want %+v", s, want)
 	}
@@ -52,8 +52,6 @@ func TestValidateAcceptsEveryEngine(t *testing.T) {
 		func(s *JobSpec) { s.Rule = "undecided" },
 		func(s *JobSpec) { s.Rule = "2choices-keepown" },
 		func(s *JobSpec) { s.Bias = "123" },
-		func(s *JobSpec) { s.Engine = "graph"; s.Graph = "regular:6"; s.Sampler = "batch" },
-		func(s *JobSpec) { s.Sampler = "default" },
 	}
 	for i, mutate := range cases {
 		s := validSpec()
@@ -106,11 +104,6 @@ func TestValidateRejects(t *testing.T) {
 		// A hostile torus n must be rejected in constant time, not by a
 		// √n-iteration side search or wrapping int64 arithmetic.
 		{func(s *JobSpec) { s.Engine = "graph"; s.Graph = "torus"; s.N = 1<<63 - 1 }, "graph engine needs n"},
-		{func(s *JobSpec) { s.Sampler = "turbo" }, "unknown sampler"},
-		// The relaxed sampler is a graph-engine notion; mean-field engines
-		// must refuse it rather than silently run the default discipline.
-		{func(s *JobSpec) { s.Sampler = "batch" }, "graph engine"},
-		{func(s *JobSpec) { s.Engine = "sampled"; s.Sampler = "batch" }, "graph engine"},
 	}
 	for i, tc := range cases {
 		s := validSpec()
@@ -196,9 +189,6 @@ func TestNameCoversDistinguishingFields(t *testing.T) {
 		// Same topology, different generator seed → different quenched
 		// graph → must be a different job identity.
 		func(s *JobSpec) { s.Engine = "graph"; s.Graph = "cycle"; s.GraphSeed = 99; s.Normalize() },
-		// The relaxed sampler changes the replicate streams, so it must be
-		// part of the job identity.
-		func(s *JobSpec) { s.Engine = "graph"; s.Graph = "cycle"; s.Sampler = "batch" },
 	}
 	seen := map[string]bool{base.Name(): true}
 	for i, mutate := range mutations {

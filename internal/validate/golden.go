@@ -46,11 +46,12 @@ func goldenGraph(name string) *topo.CSR {
 // GoldenSpec is one canonical seeded run whose full per-round count
 // trajectory is committed under testdata/golden/. The statistical tier
 // catches distributional drift; goldens catch *any* change to the
-// sampling sequence — a reordered draw, a different batch size on a
-// changed code path, an off-by-one in a worker shard — even when the
-// new law is statistically identical. Engine worker counts are part of
-// the spec (never derived from the host), so the bytes are reproducible
-// on any machine and independent of test parallelism.
+// sampling sequence — a reordered draw, a different block size on a
+// changed code path, a block seeded from the wrong key — even when the
+// new law is statistically identical. Engine worker counts are fixed by
+// each spec (never derived from the host), but do not enter the bytes:
+// the agent-level engines draw per block, not per worker, so the names
+// carry no worker count.
 type GoldenSpec struct {
 	// Name is the trace identity; the file is testdata/golden/<Name>.golden.
 	Name string
@@ -66,9 +67,9 @@ type GoldenSpec struct {
 
 // StandardGoldenSpecs covers every engine family and the rule zoo's
 // representative members: the closed-form multinomial engine, the
-// agent-sampling engine at one and two workers, the graph engine on the
-// clique fast path / literal path / a random-regular topology, the
-// Markov engine, and the undecided-state engines.
+// agent-sampling engine, the graph engine on the clique fast path /
+// literal path / a random-regular topology, the Markov engine, and the
+// undecided-state engines.
 func StandardGoldenSpecs() []GoldenSpec {
 	return []GoldenSpec{
 		{
@@ -86,21 +87,21 @@ func StandardGoldenSpecs() []GoldenSpec {
 			Initial: colorcfg.Biased(100, 5, 10), Rounds: 20, Seed: 1002,
 		},
 		{
-			Name: "sampled-w1-3majority-n80-k3",
+			Name: "sampled-3majority-n80-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				return engine.NewCliqueSampled(dynamics.ThreeMajority{}, init, 1, r.Uint64())
 			},
 			Initial: colorcfg.Biased(80, 3, 16), Rounds: 18, Seed: 1003,
 		},
 		{
-			Name: "sampled-w2-hplurality5-n60-k3",
+			Name: "sampled-hplurality5-n60-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				return engine.NewCliqueSampled(dynamics.NewHPlurality(5), init, 2, r.Uint64())
 			},
 			Initial: colorcfg.Biased(60, 3, 12), Rounds: 15, Seed: 1004,
 		},
 		{
-			Name: "graph-complete-w2-3majority-n64-k3",
+			Name: "graph-complete-3majority-n64-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				return engine.NewGraphEngine(dynamics.ThreeMajority{},
 					topo.NewComplete(init.N()), init, 2, r.Uint64(), nil)
@@ -108,7 +109,7 @@ func StandardGoldenSpecs() []GoldenSpec {
 			Initial: colorcfg.Biased(64, 3, 12), Rounds: 15, Seed: 1005,
 		},
 		{
-			Name: "graph-literal-w1-3majority-n48-k3",
+			Name: "graph-literal-3majority-n48-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				return engine.NewGraphEngine(dynamics.ThreeMajority{},
 					opaqueGraph{topo.NewComplete(init.N())}, init, 1, r.Uint64(), nil)
@@ -119,17 +120,17 @@ func StandardGoldenSpecs() []GoldenSpec {
 			// The random 8-regular graph is frozen in testdata (see
 			// goldenGraph). The draw that once seeded its generator is kept,
 			// so the engine seed drawn after it is unchanged.
-			Name: "graph-regular8-w2-3majority-n64-k4",
+			Name: "graph-regular8-3majority-n64-k4",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				layout := rng.New(r.Uint64())
 				r.Uint64() // graph seed
 				return engine.NewGraphEngine(dynamics.ThreeMajority{},
-					goldenGraph("graph-regular8-w2-3majority-n64-k4"), init, 2, r.Uint64(), layout)
+					goldenGraph("graph-regular8-3majority-n64-k4"), init, 2, r.Uint64(), layout)
 			},
 			Initial: colorcfg.Biased(64, 4, 16), Rounds: 15, Seed: 1007,
 		},
 		{
-			Name: "graph-smallworld-w2-3majority-n64-k3",
+			Name: "graph-smallworld-3majority-n64-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				g, err := topo.BuildSource("smallworld:6:0.2", init.N(), rng.New(r.Uint64()), topo.BuildOpts{})
 				if err != nil {
@@ -146,7 +147,7 @@ func StandardGoldenSpecs() []GoldenSpec {
 			// NeighborSource rng contract for the zero-memory path. The
 			// backend-identity certification (CheckGraphContract) proves the
 			// CSR and mmap backends reproduce these same bytes.
-			Name: "graph-torus-implicit-w2-3majority-n512-k3",
+			Name: "graph-torus-implicit-3majority-n512-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				g, err := topo.BuildSource("torus:3", init.N(), nil, topo.BuildOpts{Mode: topo.ModeImplicit})
 				if err != nil {
@@ -158,22 +159,19 @@ func StandardGoldenSpecs() []GoldenSpec {
 			Initial: colorcfg.Biased(512, 3, 96), Rounds: 15, Seed: 1012,
 		},
 		{
-			// The batch-sampler golden: pins the *relaxed* draw discipline
-			// (bulk block draws, no rejection sampling, draws completed per
-			// block before the rule applications consume the stream). The
-			// uniform-tie rule is deliberate — it draws from the same rng
-			// during Apply, so any change to block sizing or draw/apply
-			// interleaving moves these bytes even when the per-draw law is
-			// unchanged. Degree 6 is not a power of two, so the no-rejection
-			// fast draw is exercised rather than the shift identity. The
-			// graph is frozen like the 8-regular one above.
-			Name: "graph-regular6-w2-3majorityutie-batch-n64-k4",
+			// The rand-consuming golden: the uniform-tie rule draws from the
+			// block's rule stream during Apply, so any change to block
+			// sizing or to how a block's neighbor draws and rule draws are
+			// split between its two streams moves these bytes even when the
+			// per-draw law is unchanged. Degree 6 is not a power of two, so
+			// Lemire's rejection threshold is nonzero. The graph is frozen
+			// like the 8-regular one above.
+			Name: "graph-regular6-3majorityutie-n64-k4",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
 				layout := rng.New(r.Uint64())
 				r.Uint64() // graph seed
-				return engine.NewGraphEngineOpts(dynamics.ThreeMajority{UniformTie: true},
-					goldenGraph("graph-regular6-w2-3majorityutie-batch-n64-k4"), init, 2, r.Uint64(), layout,
-					engine.GraphOpts{Sampler: engine.SamplerBatch})
+				return engine.NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},
+					goldenGraph("graph-regular6-3majorityutie-n64-k4"), init, 2, r.Uint64(), layout)
 			},
 			Initial: colorcfg.Biased(64, 4, 16), Rounds: 15, Seed: 1013,
 		},

@@ -27,27 +27,20 @@ type GraphContractSpec struct {
 	Bias int64
 	// Rounds is the number of synchronous 3-majority rounds executed.
 	Rounds int
-	// Workers is the CSR engine's shard count.
-	Workers int
 	// Seed drives both the generator and the run.
 	Seed uint64
-	// Sampler selects the engine's rng draw discipline; the zero value is
-	// the default per-draw contract. Batch-sampler specs certify that the
-	// relaxed discipline is also representation-independent: every backend
-	// resolves draw i of vertex v to the same neighbor.
-	Sampler engine.Sampler
 }
+
+// contractWorkers are the engine worker counts CheckGraphContract gives
+// its backends, one each in backend order, so the byte-equality check
+// also certifies that a run does not depend on its worker count.
+var contractWorkers = []int{1, 2, 3, 5, 8}
 
 // StandardGraphSpecs covers the registry's generator families plus the
 // hypercube and the 3-torus, at sizes the quick tier affords.
 func StandardGraphSpecs() []GraphContractSpec {
 	mk := func(spec string, n int64) GraphContractSpec {
-		return GraphContractSpec{Spec: spec, N: n, K: 3, Bias: n / 6, Rounds: 8, Workers: 2, Seed: 7101}
-	}
-	mkBatch := func(spec string, n int64) GraphContractSpec {
-		s := mk(spec, n)
-		s.Sampler = engine.SamplerBatch
-		return s
+		return GraphContractSpec{Spec: spec, N: n, K: 3, Bias: n / 6, Rounds: 8, Seed: 7101}
 	}
 	return []GraphContractSpec{
 		mk("smallworld:6:0.1", 600),
@@ -58,13 +51,6 @@ func StandardGraphSpecs() []GraphContractSpec {
 		mk("barbell:4", 600),
 		mk("regular:8", 600),
 		mk("gnp:0.02", 600),
-		// Batch-sampler certification over the three structural classes the
-		// relaxed discipline dispatches on: a flat uniform-degree family
-		// (regular), an implicit uniform-degree family (torus), and a
-		// skewed-degree family (ba) that exercises the per-vertex paths.
-		mkBatch("regular:8", 600),
-		mkBatch("torus:3", 512),
-		mkBatch("ba:3", 600),
 	}
 }
 
@@ -76,20 +62,18 @@ func StandardGraphSpecs() []GraphContractSpec {
 // has one, and the mmap-backed CSR round-tripped through a real file —
 // yields byte-identical per-round configurations AND per-vertex colors
 // (the representation-independence contract: every backend consumes one
-// Int63n(degree) per sample). Conservation (Σc = n) is checked every
-// round.
+// Int63n(degree) per sample from its block's neighbor stream). Each
+// backend runs at its own worker count (contractWorkers), so the same
+// check certifies worker-count invariance. Conservation (Σc = n) is
+// checked every round.
 func CheckGraphContract(spec GraphContractSpec, opts Options) CheckResult {
 	opts = opts.withDefaults()
 	seed := opts.Seed
 	if seed == 0 {
 		seed = spec.Seed
 	}
-	name := fmt.Sprintf("graph-contract/%s/n=%d/w=%d", spec.Spec, spec.N, spec.Workers)
-	if spec.Sampler != engine.SamplerDefault {
-		name += "/sampler=" + spec.Sampler.String()
-	}
 	res := CheckResult{
-		Name: name,
+		Name: fmt.Sprintf("graph-contract/%s/n=%d", spec.Spec, spec.N),
 		Kind: "graph-contract",
 		Seed: seed,
 		Pass: true,
@@ -170,8 +154,8 @@ func CheckGraphContract(spec GraphContractSpec, opts Options) CheckResult {
 	init := colorcfg.Biased(spec.N, spec.K, spec.Bias)
 	engines := make([]*engine.GraphEngine, len(backends))
 	for i, b := range backends {
-		engines[i] = engine.NewGraphEngineOpts(dynamics.ThreeMajority{}, b.src, init, spec.Workers,
-			seed^0x9e3779b9, rng.New(seed+1), engine.GraphOpts{Sampler: spec.Sampler})
+		engines[i] = engine.NewGraphEngine(dynamics.ThreeMajority{}, b.src, init, contractWorkers[i],
+			seed^0x9e3779b9, rng.New(seed+1))
 		defer engines[i].Close()
 	}
 	for round := 1; round <= spec.Rounds; round++ {
@@ -184,12 +168,12 @@ func CheckGraphContract(spec GraphContractSpec, opts Options) CheckResult {
 		}
 		for i := 1; i < len(engines); i++ {
 			if c := engines[i].Config(); !ref.Equal(c) {
-				return fail("round %d: %s backend diverged from %s: %v vs %v",
-					round, backends[i].name, backends[0].name, c, ref)
+				return fail("round %d: %s backend (w=%d) diverged from %s (w=%d): %v vs %v",
+					round, backends[i].name, contractWorkers[i], backends[0].name, contractWorkers[0], c, ref)
 			}
 			if !slices.Equal(engines[0].Colors(), engines[i].Colors()) {
-				return fail("round %d: %s backend per-vertex colors diverged from %s",
-					round, backends[i].name, backends[0].name)
+				return fail("round %d: %s backend (w=%d) per-vertex colors diverged from %s (w=%d)",
+					round, backends[i].name, contractWorkers[i], backends[0].name, contractWorkers[0])
 			}
 		}
 	}
