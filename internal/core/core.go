@@ -5,6 +5,14 @@
 // closed-form theory (Lemma 1/2 drift, Theorem 1 / Corollary 1 thresholds,
 // lower-bound predictions) for the experiment harness.
 //
+// Run allocates O(1) per run, not per round: it reads the configuration
+// into one buffer it owns (engine.Engine.AppendConfig) and refills that
+// buffer after every round, so the round count never changes its
+// allocations (TestRunAllocsIndependentOfRounds). The corrupting
+// adversaries (Strongest, Spread, Random, Boost) still clone the
+// configuration inside Corrupt every round, so a run with one is outside
+// that contract.
+//
 // The typical entry point is Run:
 //
 //	init := colorcfg.Biased(n, k, s)
@@ -25,7 +33,10 @@ import (
 type Color = colorcfg.Color
 
 // StopFunc decides whether the process should stop in the given state.
-// round is the number of completed rounds.
+// round is the number of completed rounds. c is valid only during the call:
+// Run refills the same buffer after every round, so a StopFunc that keeps a
+// configuration must Clone it (obs.Observer's cfg carries the same rule).
+// Every StopFunc in this package only reads it.
 type StopFunc func(c colorcfg.Config, round int) bool
 
 // WhenMonochromatic stops when a single color holds all colored agents.
@@ -109,7 +120,8 @@ type Result struct {
 	Rounds int
 	// Stopped is true if the stop condition fired (false = MaxRounds hit).
 	Stopped bool
-	// Final is the final configuration (colored agents).
+	// Final is the final configuration (colored agents): the run's
+	// configuration buffer, which the caller owns once Run returns.
 	Final colorcfg.Config
 	// Winner is the plurality color of the final configuration.
 	Winner Color
@@ -142,10 +154,11 @@ func Run(e engine.Engine, opts Options) Result {
 		engine.Observe(e, opts.Observer)
 	}
 
-	initial := e.Config()
-	res := Result{InitialPlurality: initial.Plurality()}
+	// cur is the run's one configuration buffer: Stop reads it, every
+	// round refills it in place, and it becomes Result.Final.
+	cur := e.Config()
+	res := Result{InitialPlurality: cur.Plurality()}
 
-	cur := initial
 	for round := 0; ; round++ {
 		if stop(cur, round) {
 			res.Stopped = true
@@ -158,7 +171,7 @@ func Run(e engine.Engine, opts Options) Result {
 		}
 		e.Step(opts.Rand)
 		adv.Corrupt(e, opts.Rand)
-		cur = e.Config()
+		cur = e.AppendConfig(cur[:0])
 	}
 	res.Final = cur
 	res.Winner = cur.Plurality()

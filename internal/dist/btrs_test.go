@@ -151,3 +151,55 @@ func FuzzBinomialMatchesReference(f *testing.F) {
 		checkBTRSMatchesRef(t, rng.New(seed), rng.New(seed), n, p, 64)
 	})
 }
+
+// TestLogBoundedError pins logBoundedErr with an 8x margin: wherever
+// logBounded reports ok, it must lie within logBoundedErr/8 of math.Log.
+// It checks both edges and random interior points of every table cell at
+// exponents across the accepted range [2⁻¹⁰²², 2¹⁰⁰⁰), then random v over
+// that whole range, and requires every other v to fall back to math.Log.
+func TestLogBoundedError(t *testing.T) {
+	const tol = logBoundedErr / 8
+	worst := 0.0
+	check := func(v float64) {
+		t.Helper()
+		la, ok := logBounded(v)
+		if !ok {
+			t.Fatalf("logBounded(%g = %#x) fell back inside the accepted range", v, math.Float64bits(v))
+		}
+		err := math.Abs(la - math.Log(v))
+		if err > tol {
+			t.Fatalf("logBounded(%g = %#x) = %.17g, math.Log = %.17g: error %.3g > %.3g",
+				v, math.Float64bits(v), la, math.Log(v), err, tol)
+		}
+		worst = math.Max(worst, err)
+	}
+	r := rng.New(17)
+	const cellWidth = 1 << (52 - logCellBits) // mantissa values per cell
+	for _, e := range []int{-1022, -1021, -700, -64, -2, -1, 0, 1, 2, 64, 700, 998, 999} {
+		for j := uint64(0); j < 1<<logCellBits; j++ {
+			lowest := uint64(e+1023)<<52 | j*cellWidth
+			check(math.Float64frombits(lowest))
+			check(math.Float64frombits(lowest + cellWidth - 1))
+			for i := 0; i < 64; i++ {
+				check(math.Float64frombits(lowest + r.Uint64()%cellWidth))
+			}
+		}
+	}
+	for i := 0; i < 1_000_000; i++ {
+		e := int(r.Uint64()%(1022+1000)) - 1022
+		check(math.Ldexp(1+r.Float64(), e))
+	}
+	t.Logf("worst |logBounded - math.Log| = %.3g (bound %.3g)", worst, logBoundedErr)
+
+	for _, v := range []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, math.Float64frombits(1<<52 - 1), // subnormals
+		0x1p1000, math.Nextafter(0x1p1000, math.Inf(1)), math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		-1, -0x1p-1022,
+	} {
+		if la, ok := logBounded(v); ok {
+			t.Errorf("logBounded(%g) = %g, ok; want a fall back to math.Log", v, la)
+		}
+	}
+}

@@ -97,8 +97,10 @@ func binomialInversion(r *rng.Rand, n int64, p float64) int64 {
 // step-5.2 bracket on log f(k)/f(m) (Kachitvichyanukul & Schmeiser, CACM
 // 31(2), 1988), widened by a bound on the float error of the Lgamma test, so
 // it decides only where that test would decide the same way; inside the
-// widened bracket the Lgamma test itself decides. The draws and the rng
-// stream are therefore bit-identical to running the Lgamma test alone.
+// widened bracket the Lgamma test itself decides. The bracket first tries a
+// cheap log of v' (logBounded), widened by its error bound, and calls
+// math.Log only where that cannot decide. The draws and the rng stream are
+// therefore bit-identical to running the Lgamma test alone.
 func binomialBTRS(r *rng.Rand, n int64, p float64) int64 {
 	nf := float64(n)
 	q := 1 - p
@@ -140,17 +142,32 @@ func binomialBTRS(r *rng.Rand, n int64, p float64) int64 {
 			haveBracket = true
 		}
 		v = v * alpha / (a/(us*us) + b)
-		lv := math.Log(v)
+		// The bracket [lo, hi] on log v'; a proposal with d >= npq/2 - 1
+		// has none, and the Lgamma test decides it.
+		lo, hi := math.Inf(-1), math.Inf(1)
 		if d := math.Abs(kf - m); d < npq/2-1 {
 			// 2⁻⁴⁹ of |t|+rho covers the bracket's own rounding.
 			t, rho := btpeBracket(d, npq)
 			slack := slackLg + 0x1p-49*(rho-t)
-			if lv < t-rho-slack {
-				return int64(kf)
+			lo, hi = t-rho-slack, t+rho+slack
+			// la is within logBoundedErr of math.Log(v), so where it
+			// clears an end by more, math.Log(v) is on the same side and
+			// the bracket below would decide the same way.
+			if la, ok := logBounded(v); ok {
+				if la+logBoundedErr < lo {
+					return int64(kf)
+				}
+				if la-logBoundedErr > hi {
+					continue
+				}
 			}
-			if lv > t+rho+slack {
-				continue
-			}
+		}
+		lv := math.Log(v)
+		if lv < lo {
+			return int64(kf)
+		}
+		if lv > hi {
+			continue
 		}
 		if !haveExact {
 			lpq = math.Log(p / q)
@@ -161,6 +178,49 @@ func binomialBTRS(r *rng.Rand, n int64, p float64) int64 {
 			return int64(kf)
 		}
 	}
+}
+
+// logBoundedErr bounds |logBounded(v) - math.Log(v)| wherever logBounded
+// reports ok. The cubic's truncation error is at most r⁴/4·(1+|r|) < 9.1e-10
+// for |r| <= 1/129. The rounding of the sum, with or without fused
+// multiply-adds, is a few ulps of its terms (each below 2¹¹), so under
+// 10⁻¹²; math.Log's own error of at most 1 ulp of |log v| < 710 is about
+// 10⁻¹³. The margin of over 10x also absorbs the rounding of the
+// comparisons the bound enters. TestLogBoundedError pins the error below
+// logBoundedErr/8.
+const logBoundedErr = 1e-8
+
+// logCellBits is the number of leading mantissa bits that pick a cell of
+// logCells.
+const logCellBits = 6
+
+// logCells splits the mantissa range [1, 2) into 64 equal cells: inv is the
+// reciprocal of cell j's centre 1 + (j+0.5)/64, and base is -math.Log(inv)
+// less the exponent bias's 1023·ln 2, so for v = 2^(E-1023)·m with m in
+// cell j, log v = E·ln 2 + base + log1p(m·inv - 1).
+var logCells = func() (cells [1 << logCellBits]struct{ inv, base float64 }) {
+	for j := range cells {
+		inv := 1 / (1 + (float64(j)+0.5)/(1<<logCellBits))
+		cells[j].inv, cells[j].base = inv, -math.Log(inv)-1023*math.Ln2
+	}
+	return cells
+}()
+
+// logBounded returns an approximation la of math.Log(v), within
+// logBoundedErr of it, for v in [2⁻¹⁰²², 2¹⁰⁰⁰); ok is false for every
+// other v (0, subnormals, larger values, ±Inf, NaN and negatives), which
+// the caller must send to math.Log. It writes v = 2^e·m with m in [1, 2)
+// from the float bits, looks up m's cell, and adds a cubic for
+// log1p(r), r = m·inv - 1, with |r| <= 1/129.
+func logBounded(v float64) (la float64, ok bool) {
+	b := math.Float64bits(v)
+	e := b >> 52 // biased exponent; the sign bit lifts a negative v past 2047
+	if e-1 >= 1022+1000 {
+		return 0, false // e = 0 (0, subnormals) wraps around to the top
+	}
+	c := &logCells[b>>(52-logCellBits)&(1<<logCellBits-1)]
+	r := math.Float64frombits(b&(1<<52-1)|1023<<52)*c.inv - 1
+	return float64(e)*math.Ln2 + c.base + r*(1-r*(0.5-r*(1.0/3))), true
 }
 
 // btpeBracket returns the centre t and half-width rho of BTPE's step-5.2

@@ -51,8 +51,14 @@ type Engine interface {
 	K() int
 	// Round is the number of completed rounds.
 	Round() int
-	// Config returns a copy of the current configuration (O(k)).
+	// Config returns a copy of the current configuration (O(k)); every
+	// engine implements it as AppendConfig(nil).
 	Config() colorcfg.Config
+	// AppendConfig appends the current configuration's k counts to dst
+	// and returns the extended slice, so a caller that passes a buffer
+	// with cap(dst) >= k reads the configuration without allocating
+	// (core.Run refills one buffer per run this way).
+	AppendConfig(dst colorcfg.Config) colorcfg.Config
 	// Step advances the process one synchronous round using r.
 	Step(r *rng.Rand)
 	// Repaint changes the color of up to m agents currently holding color
@@ -119,7 +125,12 @@ func (e *CliqueMultinomial) K() int { return e.cfg.K() }
 func (e *CliqueMultinomial) Round() int { return e.round }
 
 // Config implements Engine.
-func (e *CliqueMultinomial) Config() colorcfg.Config { return e.cfg.Clone() }
+func (e *CliqueMultinomial) Config() colorcfg.Config { return e.AppendConfig(nil) }
+
+// AppendConfig implements Engine.
+func (e *CliqueMultinomial) AppendConfig(dst colorcfg.Config) colorcfg.Config {
+	return append(dst, e.cfg...)
+}
 
 // Step implements Engine: C(t+1) ~ Multinomial(n, p(C(t))).
 func (e *CliqueMultinomial) Step(r *rng.Rand) {
@@ -235,7 +246,12 @@ func (e *CliqueSampled) K() int { return e.cfg.K() }
 func (e *CliqueSampled) Round() int { return e.round }
 
 // Config implements Engine.
-func (e *CliqueSampled) Config() colorcfg.Config { return e.cfg.Clone() }
+func (e *CliqueSampled) Config() colorcfg.Config { return e.AppendConfig(nil) }
+
+// AppendConfig implements Engine.
+func (e *CliqueSampled) AppendConfig(dst colorcfg.Config) colorcfg.Config {
+	return append(dst, e.cfg...)
+}
 
 // Step implements Engine: every agent draws h colors from c/n and applies
 // the rule; the new counts are the sum of per-worker tallies. Steady-state

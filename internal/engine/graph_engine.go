@@ -217,7 +217,12 @@ func (e *GraphEngine) K() int { return e.cfg.K() }
 func (e *GraphEngine) Round() int { return e.round }
 
 // Config implements Engine.
-func (e *GraphEngine) Config() colorcfg.Config { return e.cfg.Clone() }
+func (e *GraphEngine) Config() colorcfg.Config { return e.AppendConfig(nil) }
+
+// AppendConfig implements Engine.
+func (e *GraphEngine) AppendConfig(dst colorcfg.Config) colorcfg.Config {
+	return append(dst, e.cfg...)
+}
 
 // Colors returns the engine's live per-vertex color slice — a view, not a
 // copy. The view is valid only until the next Step: the double-buffer swap

@@ -70,7 +70,12 @@ func (e *CliqueMarkov) K() int { return e.cfg.K() }
 func (e *CliqueMarkov) Round() int { return e.round }
 
 // Config implements Engine.
-func (e *CliqueMarkov) Config() colorcfg.Config { return e.cfg.Clone() }
+func (e *CliqueMarkov) Config() colorcfg.Config { return e.AppendConfig(nil) }
+
+// AppendConfig implements Engine.
+func (e *CliqueMarkov) AppendConfig(dst colorcfg.Config) colorcfg.Config {
+	return append(dst, e.cfg...)
+}
 
 // Step implements Engine.
 func (e *CliqueMarkov) Step(r *rng.Rand) {

@@ -58,7 +58,12 @@ func (e *Population) K() int { return e.cfg.K() }
 func (e *Population) Round() int { return e.round }
 
 // Config implements Engine.
-func (e *Population) Config() colorcfg.Config { return e.cfg.Clone() }
+func (e *Population) Config() colorcfg.Config { return e.AppendConfig(nil) }
+
+// AppendConfig implements Engine.
+func (e *Population) AppendConfig(dst colorcfg.Config) colorcfg.Config {
+	return append(dst, e.cfg...)
+}
 
 // Step implements Engine: n sequential micro-steps.
 func (e *Population) Step(r *rng.Rand) {

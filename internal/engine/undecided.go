@@ -71,7 +71,12 @@ func (e *UndecidedExact) Round() int { return e.round }
 
 // Config implements Engine: counts of colored agents only; the sum is
 // N() - Undecided().
-func (e *UndecidedExact) Config() colorcfg.Config { return e.cfg.Clone() }
+func (e *UndecidedExact) Config() colorcfg.Config { return e.AppendConfig(nil) }
+
+// AppendConfig implements Engine.
+func (e *UndecidedExact) AppendConfig(dst colorcfg.Config) colorcfg.Config {
+	return append(dst, e.cfg...)
+}
 
 // UndecidedCount returns the number of agents currently undecided.
 func (e *UndecidedExact) UndecidedCount() int64 { return e.undecided }
@@ -171,7 +176,12 @@ func (e *UndecidedPopulation) K() int { return e.cfg.K() }
 func (e *UndecidedPopulation) Round() int { return e.round }
 
 // Config implements Engine: colored counts only.
-func (e *UndecidedPopulation) Config() colorcfg.Config { return e.cfg.Clone() }
+func (e *UndecidedPopulation) Config() colorcfg.Config { return e.AppendConfig(nil) }
+
+// AppendConfig implements Engine.
+func (e *UndecidedPopulation) AppendConfig(dst colorcfg.Config) colorcfg.Config {
+	return append(dst, e.cfg...)
+}
 
 // UndecidedCount returns the number of undecided agents.
 func (e *UndecidedPopulation) UndecidedCount() int64 { return e.undecided }
