@@ -27,7 +27,10 @@
 // are reproducible in isolation, and an interrupted -format jsonl grid
 // resumes from its own output file: records already on disk are not
 // re-simulated, and the completed file is byte-identical to an
-// uninterrupted run.
+// uninterrupted run. -resume accepts only a file that is a prefix of
+// that run, with a torn trailing line at most. It rejects a repeated or
+// reordered line, like a record of another grid, before it writes
+// anything.
 //
 // Migration: before cells were JobSpecs, records were named
 // rule/g=…/n=…/k=…/c=… and cells ran on other seeds, so -resume rejects
@@ -110,9 +113,10 @@ func main() {
 	}
 }
 
-// run validates the config and every grid cell, wires the output file
-// and resume index, and hands off to sweep. Nothing is written, and no
-// output file is opened, until every cell has passed its check.
+// run validates the config and every grid cell, proves the -resume
+// file's prefix, wires the output file, and hands off to sweep. Nothing
+// is written, and no output file is opened, until every cell has passed
+// its check and a -resume file has passed mc.Prefix.
 func run(ctx context.Context, cfg config) error {
 	if cfg.format != "csv" && cfg.format != "jsonl" {
 		return fmt.Errorf("unknown -format %q (want csv or jsonl)", cfg.format)
@@ -131,20 +135,25 @@ func run(ctx context.Context, cfg config) error {
 			return err
 		}
 	}
-	var done map[string]map[int]mc.Record
+	var done [][]mc.Record
 	if cfg.resume {
 		if cfg.format != "jsonl" || cfg.out == "" {
 			return errors.New("-resume requires -format jsonl and -out FILE")
 		}
-		var (
-			valid int64
-			torn  bool
-		)
-		done, valid, torn, err = mc.ReadResumePrefix(cfg.out)
-		if err != nil {
+		data, err := os.ReadFile(cfg.out)
+		if err != nil && !os.IsNotExist(err) {
 			return err
 		}
-		if torn {
+		jobs := make([]mc.Job, len(cells))
+		for i, cl := range cells {
+			jobs[i] = cl.spec.MCJob()
+		}
+		var valid int64
+		done, valid, err = mc.Prefix(data, jobs)
+		if err != nil {
+			return fmt.Errorf("resume file %s: %w", cfg.out, err)
+		}
+		if valid < int64(len(data)) {
 			// A crash mid-write left a torn trailing line. Drop it before
 			// appending — the lost replicate is re-executed deterministically.
 			fmt.Fprintf(os.Stderr, "sweep: %s has a torn trailing write; truncating to %d bytes and re-running the lost replicate\n", cfg.out, valid)
@@ -184,8 +193,8 @@ type cell struct {
 // checks every cell's spec: a bad cell fails the whole grid before any
 // simulation. So do two cells with one job name (a repeated -ns value,
 // -cs values that round to one bias, two spellings of one -graphs spec):
-// -resume counts records by job name, so it would take the first cell's
-// records as the second's.
+// a record names its cell only by job name, so -resume could not tell
+// the two cells' records apart.
 func grid(cfg config) ([]cell, error) {
 	nVals, err := parseInts(cfg.ns)
 	if err != nil {
@@ -261,16 +270,12 @@ func newCell(cfg config, rule, g string, n int64, k int, c float64) (cell, error
 }
 
 // sweep drives the grid: one mc.Job per cell, replicates fanned out
-// across a persistent pool.
-func sweep(ctx context.Context, cfg config, cells []cell, w io.Writer, done map[string]map[int]mc.Record) error {
-	names := make([]string, len(cells))
-	for i, cl := range cells {
-		names[i] = cl.spec.Name()
+// across a persistent pool. done, when non-nil, holds each cell's
+// resumed replicate prefix.
+func sweep(ctx context.Context, cfg config, cells []cell, w io.Writer, done [][]mc.Record) error {
+	if done == nil {
+		done = make([][]mc.Record, len(cells))
 	}
-	if err := checkResumeJobs(done, names, cfg.reps); err != nil {
-		return err
-	}
-
 	pool := mc.NewPool(cfg.workers)
 	defer pool.Close()
 
@@ -279,57 +284,9 @@ func sweep(ctx context.Context, cfg config, cells []cell, w io.Writer, done map[
 			return err
 		}
 	}
-	for _, cl := range cells {
-		if err := runCell(ctx, cfg, pool, w, done, cl); err != nil {
+	for i, cl := range cells {
+		if err := runCell(ctx, cfg, pool, w, done[i], cl); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// checkResumeJobs rejects a resume file that is not a record prefix of
-// this grid run: jobs outside the grid, records past a cell boundary that
-// an uninterrupted run would not have reached yet, or non-contiguous
-// replicate indices. Appending to such a file would mix stale or
-// misordered records into the output, breaking the
-// byte-identical-to-uninterrupted guarantee.
-func checkResumeJobs(done map[string]map[int]mc.Record, cells []string, reps int) error {
-	if len(done) == 0 {
-		return nil
-	}
-	inGrid := map[string]bool{}
-	for _, cell := range cells {
-		inGrid[cell] = true
-	}
-	for job := range done {
-		if !inGrid[job] {
-			return fmt.Errorf("resume file contains job %q which is not in this grid (flags changed since the interrupted run?)", job)
-		}
-	}
-	// Records are written cell by cell in grid order and replicate by
-	// replicate within a cell, so a valid interrupted file is a complete
-	// run of leading cells, at most one partial cell with replicates
-	// 0..m-1, and nothing after it.
-	partialSeen := false
-	for _, cell := range cells {
-		byRep := done[cell]
-		if len(byRep) == 0 {
-			partialSeen = true
-			continue
-		}
-		if partialSeen {
-			return fmt.Errorf("resume file is not a prefix of this grid: cell %q has records after an incomplete cell (cell order changed since the interrupted run?)", cell)
-		}
-		if len(byRep) > reps {
-			return fmt.Errorf("resume file has %d replicates for cell %q, more than -reps %d", len(byRep), cell, reps)
-		}
-		for i := 0; i < len(byRep); i++ {
-			if _, ok := byRep[i]; !ok {
-				return fmt.Errorf("resume file records for cell %q are not a replicate prefix (rep %d missing)", cell, i)
-			}
-		}
-		if len(byRep) < reps {
-			partialSeen = true
 		}
 	}
 	return nil
@@ -337,7 +294,7 @@ func checkResumeJobs(done map[string]map[int]mc.Record, cells []string, reps int
 
 // runCell executes one grid cell's job and writes its output.
 func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
-	done map[string]map[int]mc.Record, cl cell) error {
+	done []mc.Record, cl cell) error {
 	spec := cl.spec
 	name := spec.Name()
 	gopts := topo.BuildOpts{Mode: topo.Mode(cfg.graphMode)}
@@ -365,7 +322,7 @@ func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 	if cfg.format == "jsonl" {
 		sink = func(rec mc.Record) error { return mc.AppendRecord(w, rec) }
 	}
-	recs, err := pool.Run(ctx, spec.MCJobWith(obsFor, gopts), mc.RunOpts{Done: done[name], Sink: sink, OnProgress: onProgress})
+	recs, err := pool.Run(ctx, spec.MCJobWith(obsFor, gopts), mc.RunOpts{Done: done, Sink: sink, OnProgress: onProgress})
 	if ct != nil {
 		if cerr := ct.f.Close(); err == nil {
 			err = ct.err

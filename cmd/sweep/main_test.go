@@ -36,7 +36,7 @@ func testCfg() config {
 	}
 }
 
-func runSweep(t *testing.T, cfg config, done map[string]map[int]mc.Record) string {
+func runSweep(t *testing.T, cfg config, done [][]mc.Record) string {
 	t.Helper()
 	cells, err := grid(cfg)
 	if err != nil {
@@ -47,6 +47,15 @@ func runSweep(t *testing.T, cfg config, done map[string]map[int]mc.Record) strin
 		t.Fatalf("sweep: %v", err)
 	}
 	return buf.String()
+}
+
+// groupByJob indexes records by job name, each job's in file order.
+func groupByJob(recs []mc.Record) map[string][]mc.Record {
+	out := map[string][]mc.Record{}
+	for _, rec := range recs {
+		out[rec.Job] = append(out[rec.Job], rec)
+	}
+	return out
 }
 
 func TestSweepCSVShape(t *testing.T) {
@@ -250,7 +259,7 @@ func TestSweepJSONLRecords(t *testing.T) {
 	if len(recs) != wantCells*cfg.reps {
 		t.Fatalf("got %d records, want %d", len(recs), wantCells*cfg.reps)
 	}
-	byJob := mc.GroupByJob(recs)
+	byJob := groupByJob(recs)
 	if len(byJob) != wantCells {
 		t.Fatalf("got %d jobs, want %d", len(byJob), wantCells)
 	}
@@ -351,6 +360,16 @@ func TestSweepResumeRejectsForeignGrid(t *testing.T) {
 	if err := run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "not in this grid") {
 		t.Fatalf("resume of a /sampler=batch file: err = %v, want a foreign-grid error", err)
 	}
+
+	// A missing file is no foreign grid but the empty prefix of any:
+	// -resume runs the whole grid into it.
+	cfg.out = filepath.Join(dir, "absent.jsonl")
+	if err := run(context.Background(), cfg); err != nil {
+		t.Fatalf("resume into a missing file: %v", err)
+	}
+	if got, err := os.ReadFile(cfg.out); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("resume into a missing file wrote %d bytes (%v), want the %d of an uninterrupted run", len(got), err, len(raw))
+	}
 }
 
 func TestSweepResumeRejectsReorderedGrid(t *testing.T) {
@@ -376,6 +395,30 @@ func TestSweepResumeRejectsReorderedGrid(t *testing.T) {
 	cfg.rules = "2choices,3majority"
 	if err := run(context.Background(), cfg); err == nil {
 		t.Fatal("resume with reordered cells must fail, not append a misordered file")
+	}
+
+	// A repeated line or two swapped replicates of one cell are no prefix
+	// of the grid either, though every record belongs to it: resuming
+	// must fail and leave the file as it was.
+	cfg.rules = testCfg().rules
+	lines = bytes.SplitAfter(raw, []byte("\n"))
+	for _, tc := range []struct {
+		name  string
+		lines [][]byte
+	}{
+		{"repeated first line", append([][]byte{lines[0]}, lines...)},
+		{"swapped replicates", append([][]byte{lines[0], lines[2], lines[1]}, lines[3:]...)},
+	} {
+		bad := bytes.Join(tc.lines, nil)
+		if err := os.WriteFile(cfg.out, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(context.Background(), cfg); err == nil {
+			t.Errorf("%s: resume accepted a file that is not a prefix of the grid", tc.name)
+		}
+		if got, _ := os.ReadFile(cfg.out); !bytes.Equal(got, bad) {
+			t.Errorf("%s: rejected resume changed the file from %d to %d bytes", tc.name, len(bad), len(got))
+		}
 	}
 }
 
@@ -465,7 +508,7 @@ func TestSweepTraceDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byJob := mc.GroupByJob(recs)
+	byJob := groupByJob(recs)
 	files, err := filepath.Glob(filepath.Join(cfg.traceDir, "*.jsonl"))
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 )
 
 // AppendRecord writes one record as a single JSON line. Records written
@@ -24,8 +24,8 @@ func AppendRecord(w io.Writer, rec Record) error {
 
 // ReadRecords parses a JSONL record stream. Blank lines are skipped; a
 // malformed line is an error. Callers that need to survive a crash
-// mid-write (a torn trailing line) use ScanRecords / ReadResumePrefix
-// instead, which recover the valid prefix.
+// mid-write (a torn trailing line) use Prefix instead, which recovers
+// the valid prefix.
 func ReadRecords(r io.Reader) ([]Record, error) {
 	var out []Record
 	sc := bufio.NewScanner(r)
@@ -49,102 +49,102 @@ func ReadRecords(r io.Reader) ([]Record, error) {
 	return out, nil
 }
 
-// GroupByJob indexes records by (job name, replicate) for RunOpts.Done.
-// A duplicate (job, rep) pair keeps the first record seen.
-func GroupByJob(recs []Record) map[string]map[int]Record {
-	out := map[string]map[int]Record{}
-	for _, rec := range recs {
-		byRep, ok := out[rec.Job]
-		if !ok {
-			byRep = map[int]Record{}
-			out[rec.Job] = byRep
+// ScanLines parses the longest run of JSON lines at the head of data as
+// values of type T. A line counts only when it is complete
+// (newline-terminated) and unmarshals; whitespace-only lines are skipped
+// but stay part of the run. Scanning stops at the first line that fails
+// either test — the shape a crash mid-write leaves behind — without
+// error. ends[i] is the byte offset just past vals[i]'s line, so a caller
+// can truncate a damaged file to any value boundary.
+func ScanLines[T any](data []byte) (vals []T, ends []int64) {
+	var off int64
+	for {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			return vals, ends // no line left, or a torn trailing write
 		}
-		if _, dup := byRep[rec.Rep]; !dup {
-			byRep[rec.Rep] = rec
+		line := data[off : off+int64(nl)]
+		off += int64(nl) + 1
+		if len(bytes.TrimSpace(line)) == 0 {
+			continue
 		}
+		var v T
+		if json.Unmarshal(line, &v) != nil {
+			return vals, ends
+		}
+		vals = append(vals, v)
+		ends = append(ends, off)
 	}
-	return out
 }
 
-// ScanRecords parses the longest valid prefix of a JSONL record buffer.
-// A line counts only when it is complete (newline-terminated) and
-// unmarshals as a Record; blank lines are skipped but stay part of the
-// prefix. Scanning stops at the first line that fails either test — the
-// shape a crash mid-write leaves behind — without error. ends[i] is the
-// byte offset just past record i's line, so a caller can truncate a
-// damaged file to any record boundary; the valid prefix length is
-// ends[len(ends)-1] (or 0 with no records, modulo leading blank lines).
-func ScanRecords(data []byte) (recs []Record, ends []int64) {
-	var off int64
-	for int(off) < len(data) {
-		rest := data[off:]
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			break // incomplete final line: a torn trailing write
+// Prefix returns the longest prefix of data that an uninterrupted
+// Pool.Run of jobs, in order, writes through its sink: job i's records
+// carry jobs[i].Name, replicate indexes 0, 1, … and the seeds
+// RepSeeds(jobs[i].Seed, jobs[i].Replicates). done[i] is job i's part of
+// the prefix, ready for RunOpts.Done, and valid is the prefix's byte
+// length, the offset to truncate the file to before appending.
+//
+// err is non-nil exactly when a well-formed record follows the prefix: a
+// job of another grid, a repeated or reordered replicate, records after a
+// partial job, or interior corruption. Appending to such a file would
+// bury that record mid-stream. A torn or unparsable tail alone is not an
+// error. done and valid are returned with the error too.
+func Prefix(data []byte, jobs []Job) (done [][]Record, valid int64, err error) {
+	recs, ends := ScanLines[Record](data)
+	done = make([][]Record, len(jobs))
+	j := 0 // the job the next record belongs to
+	var seeds []uint64
+	for i, rec := range recs {
+		for j < len(jobs) && len(done[j]) >= jobs[j].Replicates {
+			j, seeds = j+1, nil
 		}
-		line := rest[:nl]
-		if len(bytes.TrimSpace(line)) > 0 {
-			var rec Record
-			if err := json.Unmarshal(line, &rec); err != nil {
-				break
+		if j == len(jobs) {
+			break
+		}
+		if seeds == nil {
+			seeds = RepSeeds(jobs[j].Seed, jobs[j].Replicates)
+		}
+		rep := len(done[j])
+		if rec.Job != jobs[j].Name || rec.Rep != rep || rec.Seed != seeds[rep] {
+			break
+		}
+		done[j] = append(done[j], rec)
+		valid = ends[i]
+	}
+	stray := int64(-1) // the first non-blank line past the prefix
+	for off := valid; ; {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			return done, valid, nil
+		}
+		line := data[off : off+int64(nl)]
+		var rec Record
+		switch {
+		case len(bytes.TrimSpace(line)) == 0:
+		case json.Unmarshal(line, &rec) == nil && rec != (Record{}):
+			if stray >= 0 {
+				return done, valid, fmt.Errorf("mc: corrupt line at byte %d is followed by a well-formed record at byte %d", stray, off)
 			}
-			recs = append(recs, rec)
-			ends = append(ends, off+int64(nl)+1)
+			return done, valid, misfit(rec, off, jobs, done)
+		case stray < 0:
+			stray = off
 		}
 		off += int64(nl) + 1
 	}
-	return recs, ends
 }
 
-// ValidPrefix reports the byte length of the valid record prefix found
-// by ScanRecords (0 when the buffer holds no complete record).
-func ValidPrefix(ends []int64) int64 {
-	if len(ends) == 0 {
-		return 0
+// misfit describes a well-formed record at byte off that does not
+// continue the prefix done of jobs.
+func misfit(rec Record, off int64, jobs []Job, done [][]Record) error {
+	got := fmt.Sprintf("mc: record at byte %d (job %q, rep %d, seed %d)", off, rec.Job, rec.Rep, rec.Seed)
+	if !slices.ContainsFunc(jobs, func(job Job) bool { return job.Name == rec.Job }) {
+		return fmt.Errorf("%s is of a job that is not in this grid", got)
 	}
-	return ends[len(ends)-1]
-}
-
-// ReadResumePrefix loads a JSONL file written by a previous (interrupted)
-// grid run, tolerating a torn trailing write: the records of the valid
-// prefix are grouped for RunOpts.Done, valid is the prefix's byte length
-// (the offset to truncate the file to before appending), and torn
-// reports whether a damaged tail was skipped. A missing file yields an
-// empty index. A damaged line *followed by further well-formed records*
-// is not a torn write but genuine corruption, and is an error: silently
-// dropping interior replicates could split a grid across two files.
-func ReadResumePrefix(path string) (done map[string]map[int]Record, valid int64, torn bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return map[string]map[int]Record{}, 0, false, nil
-		}
-		return nil, 0, false, err
-	}
-	recs, ends := ScanRecords(data)
-	valid = ValidPrefix(ends)
-	if int(valid) < len(data) {
-		torn = true
-		for _, line := range bytes.Split(data[valid:], []byte("\n")) {
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			var rec Record
-			if json.Unmarshal(line, &rec) == nil && rec != (Record{}) {
-				return nil, 0, false, fmt.Errorf("mc: resume file %s: corrupt record at byte %d followed by well-formed records; repair the file before resuming", path, valid)
-			}
+	for j, job := range jobs {
+		if rep := len(done[j]); rep < job.Replicates {
+			return fmt.Errorf("%s is out of order: an uninterrupted run writes job %q, rep %d, seed %d there",
+				got, job.Name, rep, RepSeeds(job.Seed, job.Replicates)[rep])
 		}
 	}
-	return GroupByJob(recs), valid, torn, nil
-}
-
-// ReadResumeFile loads a JSONL file written by a previous (interrupted)
-// grid run and groups it for RunOpts.Done. A missing file is not an
-// error: it returns an empty index, so "-resume" also starts fresh
-// grids. A torn trailing line (crash mid-write) is skipped — the lost
-// replicate is simply re-executed; use ReadResumePrefix to also learn
-// the truncation offset.
-func ReadResumeFile(path string) (map[string]map[int]Record, error) {
-	done, _, _, err := ReadResumePrefix(path)
-	return done, err
+	return fmt.Errorf("%s follows the last replicate of the last job", got)
 }

@@ -2,9 +2,12 @@ package mc
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -28,12 +31,12 @@ func sampleRecords(n int) []Record {
 	return recs
 }
 
-func TestScanRecordsCleanFile(t *testing.T) {
+func TestScanLinesCleanFile(t *testing.T) {
 	recs := sampleRecords(4)
 	data := writeRecords(t, recs)
-	got, ends := ScanRecords(data)
-	if len(got) != 4 || ValidPrefix(ends) != int64(len(data)) {
-		t.Fatalf("clean file: %d records, valid %d, want 4 and %d", len(got), ValidPrefix(ends), len(data))
+	got, ends := ScanLines[Record](data)
+	if len(got) != 4 || ends[3] != int64(len(data)) {
+		t.Fatalf("clean file: %d records, ends %v, want 4 ending at %d", len(got), ends, len(data))
 	}
 	for i, rec := range got {
 		if rec != recs[i] {
@@ -48,96 +51,100 @@ func TestScanRecordsCleanFile(t *testing.T) {
 	}
 }
 
-// TestScanRecordsTruncationEveryOffset is the torn-write exhaustiveness
+// TestScanLinesTruncationEveryOffset is the torn-write exhaustiveness
 // proof: truncating the file at *every* byte offset of the last record
-// must yield exactly the first m-1 records and a valid prefix that ends
-// where record m-1's line does, so a resumed run re-executes only the
+// must yield exactly the first m-1 records, the last of them ending where
+// record m-1's line does, so a resumed run re-executes only the
 // replicate whose write was torn.
-func TestScanRecordsTruncationEveryOffset(t *testing.T) {
+func TestScanLinesTruncationEveryOffset(t *testing.T) {
 	recs := sampleRecords(5)
 	data := writeRecords(t, recs)
-	_, fullEnds := ScanRecords(data)
+	_, fullEnds := ScanLines[Record](data)
 	lastStart := fullEnds[len(fullEnds)-2] // byte where the last record's line begins
 	for cut := lastStart; cut < int64(len(data)); cut++ {
-		got, ends := ScanRecords(data[:cut])
+		got, ends := ScanLines[Record](data[:cut])
 		if len(got) != len(recs)-1 {
 			t.Fatalf("cut at byte %d: %d records, want %d", cut, len(got), len(recs)-1)
 		}
-		if ValidPrefix(ends) != lastStart {
-			t.Fatalf("cut at byte %d: valid prefix %d, want %d", cut, ValidPrefix(ends), lastStart)
+		if ends[len(ends)-1] != lastStart {
+			t.Fatalf("cut at byte %d: valid prefix %d, want %d", cut, ends[len(ends)-1], lastStart)
 		}
 	}
 }
 
-func TestScanRecordsStopsAtGarbage(t *testing.T) {
+func TestScanLinesStopsAtGarbage(t *testing.T) {
 	data := writeRecords(t, sampleRecords(3))
 	valid := int64(len(data))
 	data = append(data, []byte("{\"rep\": 3, \"seed\"")...) // torn mid-key
-	got, ends := ScanRecords(data)
-	if len(got) != 3 || ValidPrefix(ends) != valid {
-		t.Fatalf("torn tail: %d records, valid %d, want 3 and %d", len(got), ValidPrefix(ends), valid)
+	got, ends := ScanLines[Record](data)
+	if len(got) != 3 || ends[2] != valid {
+		t.Fatalf("torn tail: %d records, ends %v, want 3 ending at %d", len(got), ends, valid)
 	}
 	// A complete but malformed line stops the scan too.
 	data = append(writeRecords(t, sampleRecords(2)), []byte("not json\n")...)
 	data = append(data, writeRecords(t, sampleRecords(1))...)
-	got, ends = ScanRecords(data)
-	if len(got) != 2 {
+	if got, _ := ScanLines[Record](data); len(got) != 2 {
 		t.Fatalf("garbage line: scanned %d records, want 2", len(got))
 	}
-	_ = ends
 }
 
-func TestReadResumePrefixTornTail(t *testing.T) {
-	dir := t.TempDir()
-	recs := sampleRecords(4)
-	data := writeRecords(t, recs)
-	full := int64(len(data))
-	path := filepath.Join(dir, "grid.jsonl")
+// prefixJobs is a two-job run, a:3 replicates then b:2, and its
+// uninterrupted output: the records Pool.Run would sink, line by line.
+func prefixJobs(t testing.TB) ([]Job, [][]byte) {
+	jobs := []Job{{Name: "a", Seed: 1, Replicates: 3}, {Name: "b", Seed: 2, Replicates: 2}}
+	var lines [][]byte
+	for _, job := range jobs {
+		for rep, seed := range RepSeeds(job.Seed, job.Replicates) {
+			b, err := json.Marshal(Record{Job: job.Name, Rep: rep, Seed: seed, Rounds: 10 + rep, Success: rep%2 == 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, append(b, '\n'))
+		}
+	}
+	return jobs, lines
+}
 
-	// Clean file: everything indexed, nothing torn.
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+// TestPrefix pins the prefix proof shared by sweep -resume and journal
+// replay: the longest prefix of an uninterrupted run, cut before a torn
+// or unparsable tail without error, and an error exactly when a
+// well-formed record follows the prefix.
+func TestPrefix(t *testing.T) {
+	jobs, l := prefixJobs(t)
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	full := cat(l...)
+	cases := []struct {
+		name  string
+		data  []byte
+		keep  []int  // records proven per job
+		valid int    // lines of l in the prefix
+		err   string // "" for no error
+	}{
+		{"clean", full, []int{3, 2}, 5, ""},
+		{"empty", nil, []int{0, 0}, 0, ""},
+		{"partial job", cat(l[:2]...), []int{2, 0}, 2, ""},
+		{"torn tail", cat(cat(l[:4]...), l[4][:9]), []int{3, 1}, 4, ""},
+		{"unparsable tail", cat(cat(l[:2]...), []byte("garbage\n\n")), []int{2, 0}, 2, ""},
+		{"interior corruption", cat(l[0], []byte("garbage\n"), l[1]), []int{1, 0}, 1, "corrupt line"},
+		{"repeated line", cat(l[0], l[0], l[1]), []int{1, 0}, 1, "out of order"},
+		{"swapped lines", cat(l[0], l[2], l[1]), []int{1, 0}, 1, "out of order"},
+		{"after a partial job", cat(l[0], l[1], l[3]), []int{2, 0}, 2, "out of order"},
+		{"past the last job", cat(full, l[4]), []int{3, 2}, 5, "follows the last replicate"},
+		{"foreign job", cat(l[0], bytes.Replace(l[1], []byte(`"job":"a"`), []byte(`"job":"c"`), 1)), []int{1, 0}, 1, "not in this grid"},
 	}
-	done, valid, torn, err := ReadResumePrefix(path)
-	if err != nil || torn || valid != full || len(done["grid/a"]) != 4 {
-		t.Fatalf("clean: done=%d valid=%d torn=%v err=%v", len(done["grid/a"]), valid, torn, err)
-	}
-
-	// Torn tail: last record half-written.
-	_, ends := ScanRecords(data)
-	cut := ends[2] + 7
-	if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	done, valid, torn, err = ReadResumePrefix(path)
-	if err != nil {
-		t.Fatalf("torn tail errored: %v", err)
-	}
-	if !torn || valid != ends[2] || len(done["grid/a"]) != 3 {
-		t.Fatalf("torn: done=%d valid=%d torn=%v", len(done["grid/a"]), valid, torn)
-	}
-
-	// ReadResumeFile shares the tolerance.
-	if done, err := ReadResumeFile(path); err != nil || len(done["grid/a"]) != 3 {
-		t.Fatalf("ReadResumeFile on torn file: done=%d err=%v", len(done["grid/a"]), err)
-	}
-
-	// Interior corruption followed by well-formed records is NOT a torn
-	// write and must still refuse to resume.
-	bad := append([]byte{}, data[:ends[1]]...)
-	bad = append(bad, []byte("garbage line\n")...)
-	bad = append(bad, data[ends[1]:]...)
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ReadResumePrefix(path); err == nil {
-		t.Fatal("interior corruption did not error")
-	}
-
-	// Missing file: empty index, no error.
-	done, valid, torn, err = ReadResumePrefix(filepath.Join(dir, "absent.jsonl"))
-	if err != nil || torn || valid != 0 || len(done) != 0 {
-		t.Fatalf("missing file: done=%d valid=%d torn=%v err=%v", len(done), valid, torn, err)
+	for _, tc := range cases {
+		done, valid, err := Prefix(tc.data, jobs)
+		if want := int64(len(cat(l[:tc.valid]...))); valid != want {
+			t.Errorf("%s: valid %d, want %d", tc.name, valid, want)
+		}
+		for j := range jobs {
+			if len(done[j]) != tc.keep[j] {
+				t.Errorf("%s: job %s kept %d records, want %d", tc.name, jobs[j].Name, len(done[j]), tc.keep[j])
+			}
+		}
+		if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.err)
+		}
 	}
 }
 
@@ -158,14 +165,15 @@ func TestResumeAfterTornWriteReExecutesOnlyMissing(t *testing.T) {
 	}
 
 	// Tear the file inside record 4: records 0..3 survive.
-	_, ends := ScanRecords(want.Bytes())
+	_, ends := ScanLines[Record](want.Bytes())
 	path := filepath.Join(t.TempDir(), "grid.jsonl")
-	if err := os.WriteFile(path, want.Bytes()[:ends[4]-3], 0o644); err != nil {
+	torn := want.Bytes()[:ends[4]-3]
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	done, valid, torn, err := ReadResumePrefix(path)
-	if err != nil || !torn {
-		t.Fatalf("prefix: torn=%v err=%v", torn, err)
+	done, valid, err := Prefix(torn, []Job{job})
+	if err != nil || valid != ends[3] {
+		t.Fatalf("prefix: valid=%d err=%v, want %d", valid, err, ends[3])
 	}
 	if err := os.Truncate(path, valid); err != nil {
 		t.Fatal(err)
@@ -176,7 +184,7 @@ func TestResumeAfterTornWriteReExecutesOnlyMissing(t *testing.T) {
 	}
 	ran := 0
 	_, err = pool.Run(t.Context(), job, RunOpts{
-		Done: done[job.Name],
+		Done: done[0],
 		Sink: func(r Record) error { ran++; return AppendRecord(f, r) },
 	})
 	if err != nil {
@@ -197,11 +205,57 @@ func TestResumeAfterTornWriteReExecutesOnlyMissing(t *testing.T) {
 	}
 }
 
-func TestScanRecordsSkipsBlankLines(t *testing.T) {
-	data := []byte(fmt.Sprintf("\n%s\n\n%s\n",
+func TestScanLinesSkipsBlankLines(t *testing.T) {
+	data := []byte(fmt.Sprintf("\n%s\n \n%s\n",
 		`{"job":"g","rep":0,"seed":1,"rounds":2}`, `{"job":"g","rep":1,"seed":2,"rounds":3}`))
-	recs, ends := ScanRecords(data)
-	if len(recs) != 2 || ValidPrefix(ends) != int64(len(data)) {
-		t.Fatalf("blank lines: %d records, valid %d of %d", len(recs), ValidPrefix(ends), len(data))
+	recs, ends := ScanLines[Record](data)
+	if len(recs) != 2 || ends[1] != int64(len(data)) {
+		t.Fatalf("blank lines: %d records, ends %v of %d bytes", len(recs), ends, len(data))
 	}
+}
+
+// FuzzPrefix holds the prefix proof to its contract on arbitrary bytes:
+// it never panics, every record it returns re-checks against its job,
+// the prefix it finds is a fixed point (Prefix of data[:valid] proves
+// the same records, all of it, without error), and a nil error means no
+// complete line past the prefix is a well-formed record.
+func FuzzPrefix(f *testing.F) {
+	jobs, l := prefixJobs(f)
+	full := bytes.Join(l, nil)
+	f.Add(full)
+	f.Add(full[:len(full)-7])
+	f.Add(bytes.Join([][]byte{l[0], l[0], l[1]}, nil))
+	f.Add(bytes.Join([][]byte{l[0], []byte("garbage\n"), l[1]}, nil))
+	f.Add([]byte("\n \n{}\nnull\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		done, valid, err := Prefix(data, jobs)
+		if len(done) != len(jobs) || valid < 0 || valid > int64(len(data)) || valid > 0 && data[valid-1] != '\n' {
+			t.Fatalf("prefix shape: %d jobs, valid %d of %d bytes", len(done), valid, len(data))
+		}
+		for j, recs := range done {
+			if j > 0 && len(recs) > 0 && len(done[j-1]) != jobs[j-1].Replicates {
+				t.Fatalf("job %d has records after the partial job %d", j, j-1)
+			}
+			seeds := RepSeeds(jobs[j].Seed, jobs[j].Replicates)
+			for rep, rec := range recs {
+				if rep >= len(seeds) || rec.Job != jobs[j].Name || rec.Rep != rep || rec.Seed != seeds[rep] {
+					t.Fatalf("job %d record %d fails its check: %+v", j, rep, rec)
+				}
+			}
+		}
+		again, whole, err2 := Prefix(data[:valid], jobs)
+		if err2 != nil || whole != valid || !reflect.DeepEqual(again, done) {
+			t.Fatalf("prefix is not a fixed point: valid %d→%d, err %v", valid, whole, err2)
+		}
+		if err != nil {
+			return
+		}
+		lines := bytes.Split(data[valid:], []byte("\n"))
+		for _, line := range lines[:len(lines)-1] { // the last piece has no newline
+			var rec Record
+			if json.Unmarshal(line, &rec) == nil && rec != (Record{}) {
+				t.Fatalf("nil error, but a well-formed record %q follows the prefix", line)
+			}
+		}
+	})
 }

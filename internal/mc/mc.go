@@ -14,8 +14,10 @@
 //   - a Job streams one Record per replicate, in replicate order, to an
 //     optional sink (typically a JSONL writer; see AppendRecord), and
 //     returns the full record slice for in-memory aggregation (Aggregate);
-//   - interrupted grids resume from their JSONL output: records already
-//     on disk are passed back via RunOpts.Done and are not re-executed.
+//   - interrupted grids resume from their JSONL output: Prefix proves
+//     which records on disk an uninterrupted run would have written, and
+//     that replicate prefix goes back through RunOpts.Done and is not
+//     re-executed.
 //
 // The typical flow:
 //
@@ -82,11 +84,12 @@ type Job struct {
 
 // RunOpts tunes one Pool.Run call.
 type RunOpts struct {
-	// Done maps replicate index to an already-computed Record (typically
-	// read back from a JSONL file). Those replicates are not re-executed
-	// and not re-emitted to Sink; their records are validated against the
-	// job's derived seeds and included in the returned slice.
-	Done map[int]Record
+	// Done is the job's already-computed replicate prefix: the records of
+	// replicates 0, 1, …, len(Done)-1, typically proven by Prefix from a
+	// JSONL file. Those replicates are not re-executed and not re-emitted
+	// to Sink; each record's rep and seed are checked against the job's
+	// and the records are included in the returned slice.
+	Done []Record
 	// Sink, if non-nil, receives each newly computed Record in replicate
 	// order. A Sink error aborts the run after in-flight replicates drain.
 	Sink func(Record) error
@@ -154,46 +157,43 @@ func (p *Pool) Run(ctx context.Context, job Job, opts RunOpts) ([]Record, error)
 		return nil, fmt.Errorf("mc: job %q has a nil factory", job.Name)
 	}
 	seeds := RepSeeds(job.Seed, n)
+	lo := len(opts.Done)
+	if lo > n {
+		return nil, fmt.Errorf("mc: job %q resume prefix has %d records, more than its %d replicates", job.Name, lo, n)
+	}
 	recs := make([]Record, n)
-	have := make([]bool, n) // provided via opts.Done
 	comp := make([]bool, n) // computed this run
 	for i, rec := range opts.Done {
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("mc: job %q resume record rep %d out of range [0,%d)", job.Name, i, n)
+		if rec.Rep != i || rec.Seed != seeds[i] {
+			return nil, fmt.Errorf("mc: job %q resume record %d is rep %d with seed %d, want rep %d with seed %d (file from a different base seed?)",
+				job.Name, i, rec.Rep, rec.Seed, i, seeds[i])
 		}
-		if rec.Seed != seeds[i] {
-			return nil, fmt.Errorf("mc: job %q resume record rep %d has seed %d, want %d (file from a different base seed?)",
-				job.Name, i, rec.Seed, seeds[i])
-		}
-		rec.Job, rec.Rep = job.Name, i
+		rec.Job = job.Name
 		recs[i] = rec
-		have[i] = true
 	}
 	if opts.OnStart != nil {
 		opts.OnStart()
 	}
-	// flush emits computed records to the sink in replicate order, skipping
-	// Done records (they are already wherever the sink writes). A sink
-	// error latches: the failed record is never retried (the sink may have
-	// partially written it) and no further records are emitted while the
-	// in-flight replicates drain.
-	flush := 0
+	// flush emits computed records to the sink in replicate order, from
+	// the end of the Done prefix (those records are already wherever the
+	// sink writes). A sink error latches: the failed record is never
+	// retried (the sink may have partially written it) and no further
+	// records are emitted while the in-flight replicates drain.
+	flush := lo
 	sinkFailed := false
 	advance := func() error {
 		if sinkFailed {
 			return nil
 		}
-		for flush < n && (have[flush] || comp[flush]) {
-			if !have[flush] {
-				if opts.Sink != nil {
-					if err := opts.Sink(recs[flush]); err != nil {
-						sinkFailed = true
-						return err
-					}
+		for flush < n && comp[flush] {
+			if opts.Sink != nil {
+				if err := opts.Sink(recs[flush]); err != nil {
+					sinkFailed = true
+					return err
 				}
-				if opts.OnProgress != nil {
-					opts.OnProgress(recs[flush], flush+1, n)
-				}
+			}
+			if opts.OnProgress != nil {
+				opts.OnProgress(recs[flush], flush+1, n)
 			}
 			flush++
 		}
@@ -205,8 +205,7 @@ func (p *Pool) Run(ctx context.Context, job Job, opts RunOpts) ([]Record, error)
 		timings = make([]RepTiming, n)
 		jobStart = time.Now()
 	}
-	err := p.dispatch(ctx, n,
-		func(i int) bool { return have[i] },
+	err := p.dispatch(ctx, lo, n,
 		func(i, w int) {
 			var start time.Time
 			if timings != nil {

@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -124,13 +122,9 @@ func TestRunResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := map[int]Record{}
-	for _, rec := range full[:5] {
-		done[rec.Rep] = rec
-	}
 	var sunk []Record
 	resumed, err := p.Run(context.Background(), job, RunOpts{
-		Done: done,
+		Done: full[:5],
 		Sink: func(rec Record) error { sunk = append(sunk, rec); return nil },
 	})
 	if err != nil {
@@ -148,11 +142,16 @@ func TestRunResumeRejectsForeignSeeds(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()
 	job := testJob("cell", 4)
-	_, err := p.Run(context.Background(), job, RunOpts{
-		Done: map[int]Record{2: {Job: "cell", Rep: 2, Seed: 12345}},
-	})
-	if err == nil {
-		t.Fatal("Run accepted a resume record with a mismatched seed")
+	seeds := RepSeeds(job.Seed, job.Replicates)
+	for _, done := range [][]Record{
+		{{Job: "cell", Rep: 0, Seed: 12345}},                              // foreign seed
+		{{Job: "cell", Rep: 1, Seed: seeds[1]}},                           // not rep 0
+		make([]Record, job.Replicates+1),                                  // longer than the job
+		{{Job: "cell", Rep: 0, Seed: seeds[0]}, {Rep: 2, Seed: seeds[2]}}, // a gap
+	} {
+		if _, err := p.Run(context.Background(), job, RunOpts{Done: done}); err == nil {
+			t.Fatalf("Run accepted the resume prefix %+v", done)
+		}
 	}
 }
 
@@ -232,32 +231,12 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, recs) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", back, recs)
 	}
-	byJob := GroupByJob(back)
-	if len(byJob) != 2 || len(byJob["a"]) != 2 || byJob["b"][0].Rounds != 9 {
-		t.Fatalf("GroupByJob = %+v", byJob)
-	}
 }
 
 func TestReadRecordsRejectsGarbage(t *testing.T) {
 	_, err := ReadRecords(bytes.NewReader([]byte("{\"rep\":0}\nnot json\n")))
 	if err == nil {
 		t.Fatal("ReadRecords accepted a malformed line")
-	}
-}
-
-func TestReadResumeFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "grid.jsonl")
-	got, err := ReadResumeFile(path)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("missing file: got %v, %v", got, err)
-	}
-	if err := os.WriteFile(path, []byte("{\"job\":\"a\",\"rep\":0,\"seed\":1,\"rounds\":3,\"success\":true}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err = ReadResumeFile(path)
-	if err != nil || got["a"][0].Rounds != 3 {
-		t.Fatalf("ReadResumeFile = %v, %v", got, err)
 	}
 }
 

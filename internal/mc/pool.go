@@ -107,22 +107,15 @@ func Shared(workers int) *Pool {
 	return p
 }
 
-// dispatch runs task(i, worker) on the pool for every i in [0, n) with
-// skip(i) false, calling after(i) on the coordinating goroutine as each
-// task completes. Submission stops on context cancellation or an after
-// error; in-flight tasks always drain before dispatch returns. skip and
-// after may be nil.
-func (p *Pool) dispatch(ctx context.Context, n int, skip func(int) bool, task func(i, worker int), after func(int) error) error {
-	todo := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if skip == nil || !skip(i) {
-			todo = append(todo, i)
-		}
-	}
-	if len(todo) == 0 {
+// dispatch runs task(i, worker) on the pool for every i in [lo, hi),
+// calling after(i) on the coordinating goroutine as each task completes.
+// Submission stops on context cancellation or an after error; in-flight
+// tasks always drain before dispatch returns. after may be nil.
+func (p *Pool) dispatch(ctx context.Context, lo, hi int, task func(i, worker int), after func(int) error) error {
+	if lo >= hi {
 		return nil
 	}
-	done := make(chan int, len(todo))
+	done := make(chan int, hi-lo)
 	recv := func(i int) error {
 		if after != nil {
 			return after(i)
@@ -130,14 +123,14 @@ func (p *Pool) dispatch(ctx context.Context, n int, skip func(int) bool, task fu
 		return nil
 	}
 	var firstErr error
-	sub, rcv := 0, 0
-	for rcv < len(todo) {
-		canSubmit := firstErr == nil && sub < len(todo)
+	sub, rcv := lo, lo
+	for rcv < hi {
+		canSubmit := firstErr == nil && sub < hi
 		if !canSubmit && sub == rcv {
 			break // aborted with nothing in flight
 		}
 		if canSubmit {
-			i := todo[sub]
+			i := sub
 			t := func(w int) { task(i, w); done <- i }
 			select {
 			case p.tasks <- t:
@@ -173,7 +166,7 @@ func Map[T any](ctx context.Context, p *Pool, reps int, seed uint64, f func(rep 
 		return out, nil
 	}
 	seeds := RepSeeds(seed, reps)
-	err := p.dispatch(ctx, reps, nil, func(i, _ int) {
+	err := p.dispatch(ctx, 0, reps, func(i, _ int) {
 		out[i] = f(i, rng.New(seeds[i]))
 	}, nil)
 	return out, err

@@ -112,26 +112,31 @@ func (s *Server) restore(rs *replayState) {
 		ctx, cancel := context.WithCancel(s.baseCtx)
 		j := s.store.restore(rj.id, rj.spec, cancel)
 		j.adopt(rj.records, "", "")
-		done := make(map[int]mc.Record, len(rj.records))
-		for _, rec := range rj.records {
-			done[rec.Rep] = rec
-		}
-		// buildMCJob re-attaches tracing for traced jobs: the adopted prefix
-		// keeps no traces (they are in-memory only), but the re-executed
-		// suffix is traced like any fresh run.
-		job, onProgress := s.buildMCJob(j)
-		admitted := s.queue.TryEnqueue(ctx, job, mc.RunOpts{
-			Done:       done,
-			Sink:       s.jobSink(j),
-			OnStart:    func() { j.setRunning(); s.journalRunning(j); s.publishJob(j) },
-			OnProgress: onProgress,
-		}, func(_ []mc.Record, err error) {
-			s.finishJob(j, err)
-			cancel()
-		})
-		if !admitted {
+		if !s.enqueue(ctx, j, rj.records) {
 			s.finishJob(j, fmt.Errorf("service: could not re-admit replayed job %s: backlog full (%d executors, %d queued); restart with a larger -backlog", rj.id, s.opts.Executors, s.opts.Backlog))
 			cancel()
 		}
 	}
+}
+
+// enqueue offers a job to the queue, with its replicate prefix done (nil
+// for a new job) adopted rather than re-executed, and reports whether
+// the queue admitted it. The job journals and publishes its start,
+// streams its records through jobSink, and settles through finishJob.
+// buildMCJob attaches tracing for traced jobs; a resumed job's adopted
+// prefix keeps no traces (they are in-memory only), but its re-executed
+// suffix is traced like any fresh run.
+func (s *Server) enqueue(ctx context.Context, j *jobState, done []mc.Record) bool {
+	job, onProgress := s.buildMCJob(j)
+	return s.queue.TryEnqueue(ctx, job, mc.RunOpts{
+		Done:       done,
+		Sink:       s.jobSink(j),
+		OnStart:    func() { j.setRunning(); s.journalRunning(j); s.publishJob(j) },
+		OnProgress: onProgress,
+	}, func(_ []mc.Record, err error) {
+		s.finishJob(j, err)
+		// Release the context registration on baseCtx; without this every
+		// finished job would stay reachable until server shutdown.
+		j.cancel()
+	})
 }

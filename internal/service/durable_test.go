@@ -280,6 +280,64 @@ func TestPermanentWriteFailureLatchesFailed(t *testing.T) {
 	waitJob(t, ts, info2.ID, "done", func(i service.JobInfo) bool { return i.State == service.StateDone })
 }
 
+// TestTransientSyncFailureRetried fails one fsync, of a records file
+// and of the meta journal: the write and its fsync are retried as one
+// unit, after the file is cut back to its last good line and reopened,
+// so the job ends done with no line journaled twice.
+func TestTransientSyncFailureRetried(t *testing.T) {
+	spec := resumableSpec()
+	want := baseline(t, spec)
+	for _, tc := range []struct{ name, path string }{
+		{"records", "records/"},
+		{"meta", "journal.jsonl"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := faultfs.New()
+			fs.FailSyncs(tc.path, 1, 1)
+			s, ts := boot(t, durableOpts(fs))
+			defer func() { ts.Close(); s.Close() }()
+			status, info, _ := submit(t, ts, spec, "?wait=0")
+			if status != http.StatusAccepted {
+				t.Fatalf("submit status %d", status)
+			}
+			waitJob(t, ts, info.ID, "done", func(i service.JobInfo) bool { return i.State == service.StateDone })
+			if got := recordBytes(t, ts, info.ID); !bytes.Equal(got, want) {
+				t.Fatal("records differ after a retried fsync")
+			}
+			if got := fs.Bytes(dataDir + "/records/" + info.ID + ".jsonl"); !bytes.Equal(got, want) {
+				t.Fatal("journaled records file differs after a retried fsync")
+			}
+			if n := bytes.Count(fs.Bytes(dataDir+"/journal.jsonl"), []byte(`"type":"submit"`)); n != 1 {
+				t.Fatalf("meta journal holds %d submit entries, want 1", n)
+			}
+		})
+	}
+}
+
+// TestPermanentSyncFailureLatchesFailed makes every fsync of the records
+// file fail: the job lands on failed with the journal error visible, and
+// once the disk heals the next job runs to done.
+func TestPermanentSyncFailureLatchesFailed(t *testing.T) {
+	fs := faultfs.New()
+	fs.FailSyncs("records/", 1, 1<<30)
+	s, ts := boot(t, durableOpts(fs))
+	defer func() { ts.Close(); s.Close() }()
+	status, info, _ := submit(t, ts, resumableSpec(), "?wait=0")
+	if status != http.StatusAccepted {
+		t.Fatalf("submit status %d", status)
+	}
+	failed := waitJob(t, ts, info.ID, "failed", func(i service.JobInfo) bool { return i.State.Terminal() })
+	if failed.State != service.StateFailed || !strings.Contains(failed.Error, "journal") {
+		t.Fatalf("unsyncable job: state %s error %q, want failed with a journal error", failed.State, failed.Error)
+	}
+	fs.ClearFaults()
+	status, info2, raw := submit(t, ts, resumableSpec(), "?wait=0")
+	if status != http.StatusAccepted {
+		t.Fatalf("post-failure submit: status %d (%s)", status, raw)
+	}
+	waitJob(t, ts, info2.ID, "done", func(i service.JobInfo) bool { return i.State == service.StateDone })
+}
+
 // TestSubmitJournalFailure500 breaks the meta journal: a submission
 // that cannot be made durable must be refused (500) and leave no job
 // behind — the acknowledged-implies-durable half of the contract.

@@ -72,7 +72,7 @@ func TestFollowClientDisconnectNoLeak(t *testing.T) {
 	// disconnects, and a fresh snapshot is well-formed, contiguous JSONL.
 	after := waitJob(t, ts, info.ID, "more records", func(i service.JobInfo) bool { return i.Records >= 4 })
 	rawRecs := recordBytes(t, ts, info.ID)
-	recs, _ := mc.ScanRecords(rawRecs)
+	recs, _ := mc.ScanLines[mc.Record](rawRecs)
 	if len(recs) < 4 {
 		t.Fatalf("snapshot has %d records, want >= 4 (job reported %d)", len(recs), after.Records)
 	}

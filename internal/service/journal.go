@@ -21,8 +21,9 @@ import (
 //	                              submission, state transition, delete,
 //	                              and clean-shutdown marker
 //	<data-dir>/records/<id>.jsonl the job's per-replicate records, in
-//	                              the exact mc JSONL format — so the mc
-//	                              resume machinery is the replay reader
+//	                              the exact mc JSONL format — so replay
+//	                              proves them with mc.Prefix, the check
+//	                              sweep -resume runs
 //
 // Durability contract (see DESIGN.md §9):
 //
@@ -37,11 +38,12 @@ import (
 //     valid line on replay; the lost suffix is re-executed
 //     deterministically, so the final record stream is byte-identical
 //     to a crash-free run.
-//   - Transient write failures are retried with exponential backoff;
-//     each retry first repairs the file (truncate to the last known
-//     good offset, reopen) so a partial write never leaves interior
-//     garbage. Only after the whole retry budget is spent does the
-//     error surface — latching the job to failed.
+//   - Transient write and fsync failures are retried with exponential
+//     backoff, the write and its fsync as one unit; each retry first
+//     repairs the file (truncate to the last known good offset, reopen)
+//     so a partial write never leaves interior garbage. Only after the
+//     whole retry budget is spent does the error surface — latching the
+//     job to failed.
 
 // File is one append-only journal file: the write/sync/close surface a
 // fault-injection layer (internal/service/faultfs) can interpose on.
@@ -127,31 +129,41 @@ func (p retryPolicy) do(op func() error, repair func()) error {
 	return err
 }
 
-// recAppender is one job's open records file.
-type recAppender struct {
+// appendFile is one append-only journal file: the meta journal or one
+// job's records file. Its lock serializes the file's appends.
+type appendFile struct {
 	mu      sync.Mutex
-	f       File
 	path    string
-	valid   int64 // bytes of complete, well-formed lines known to be on disk
-	pending int   // appends since the last Sync
-	// broken marks a failed repair (f is closed, the file may carry a
-	// torn tail); the next append must re-repair before writing.
+	f       File  // nil until the first append, after close and while broken
+	valid   int64 // bytes of complete lines known to be in the file
+	pending int   // appends since the last fsync
+	// broken marks a failed attempt: f is closed and the file may hold a
+	// partial line past valid, which the next open cuts first.
 	broken bool
 }
 
-// repair truncates the records file to its last known-good offset and
-// reopens the append handle. The caller holds ra.mu and has already
-// closed the old handle.
-func (ra *recAppender) repair(fs FS) error {
-	if err := fs.Truncate(ra.path, ra.valid); err != nil {
-		return err
+// open opens the file for appending, first cutting a broken file back to
+// its valid offset.
+func (af *appendFile) open(fs FS) error {
+	if af.broken {
+		if err := fs.Truncate(af.path, af.valid); err != nil {
+			return err
+		}
 	}
-	f, err := fs.OpenAppend(ra.path)
+	f, err := fs.OpenAppend(af.path)
 	if err != nil {
 		return err
 	}
-	ra.f = f
+	af.f, af.broken = f, false
 	return nil
+}
+
+// close releases the handle, if open.
+func (af *appendFile) close() {
+	if af.f != nil {
+		af.f.Close()
+		af.f = nil
+	}
 }
 
 // journal is the daemon's durable job store.
@@ -166,14 +178,11 @@ type journal struct {
 
 	closed atomic.Bool
 
-	mu        sync.Mutex // guards meta file state and the appender map
-	meta      File
-	metaValid int64
-	// metaBroken marks a failed meta repair (meta is closed, the file
-	// may carry a torn tail); the next append must re-repair first.
-	metaBroken bool
-	recs       map[string]*recAppender
-	recValid   map[string]int64 // valid byte length of records files found at replay
+	meta *appendFile
+	mu   sync.Mutex // guards recs
+	// recs holds the records files of jobs that may still append: each
+	// replayed non-terminal job's and each job that appended this run.
+	recs map[string]*appendFile
 }
 
 func (jr *journal) metaPath() string   { return filepath.Join(jr.dir, "journal.jsonl") }
@@ -217,8 +226,7 @@ func openJournal(fs FS, dir string, syncEvery int, retry retryPolicy) (*journal,
 		dir:       dir,
 		syncEvery: syncEvery,
 		retry:     retry,
-		recs:      map[string]*recAppender{},
-		recValid:  map[string]int64{},
+		recs:      map[string]*appendFile{},
 	}
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("service: journal dir: %w", err)
@@ -226,22 +234,30 @@ func openJournal(fs FS, dir string, syncEvery int, retry retryPolicy) (*journal,
 	if err := fs.MkdirAll(jr.recordsDir()); err != nil {
 		return nil, nil, fmt.Errorf("service: records dir: %w", err)
 	}
-	rs, metaValid, err := jr.replayMeta()
+	rs, valid, err := jr.replayMeta()
 	if err != nil {
 		return nil, nil, err
 	}
-	jr.metaValid = metaValid
+	jr.meta = &appendFile{path: jr.metaPath(), valid: valid}
 	for _, rj := range rs.jobs {
 		if err := jr.loadRecords(rj, rs); err != nil {
 			return nil, nil, err
 		}
 	}
-	meta, err := fs.OpenAppend(jr.metaPath())
-	if err != nil {
+	if err := jr.meta.open(fs); err != nil {
 		return nil, nil, fmt.Errorf("service: open journal: %w", err)
 	}
-	jr.meta = meta
 	return jr, rs, nil
+}
+
+// cut truncates a replayed file of size bytes to its valid prefix, so
+// appends extend a clean line boundary, and counts the bytes cut.
+func (jr *journal) cut(rs *replayState, path string, size int, valid int64) error {
+	rs.truncated += int64(size) - valid
+	if valid < int64(size) {
+		return jr.fs.Truncate(path, valid)
+	}
+	return nil
 }
 
 // replayMeta parses the meta journal: the longest prefix of complete,
@@ -257,36 +273,18 @@ func (jr *journal) replayMeta() (*replayState, int64, error) {
 		}
 		return nil, 0, fmt.Errorf("service: read journal: %w", err)
 	}
+	entries, ends := mc.ScanLines[journalEntry](data)
 	byID := map[string]*replayedJob{}
 	deleted := map[string]bool{}
-	var valid int64
-	for int(valid) < len(data) {
-		rest := data[valid:]
-		nl := -1
-		for i, b := range rest {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			break // torn trailing write
-		}
-		line := rest[:nl]
-		if len(line) > 0 {
-			var e journalEntry
-			if err := json.Unmarshal(line, &e); err != nil {
-				break // corrupt line: discard it and everything after
-			}
-			rs.applyEntry(e, byID, deleted)
-		}
-		valid += int64(nl) + 1
+	for _, e := range entries {
+		rs.applyEntry(e, byID, deleted)
 	}
-	rs.truncated += int64(len(data)) - valid
-	if int(valid) < len(data) {
-		if err := jr.fs.Truncate(jr.metaPath(), valid); err != nil {
-			return nil, 0, fmt.Errorf("service: truncate torn journal tail: %w", err)
-		}
+	var valid int64
+	if len(ends) > 0 {
+		valid = ends[len(ends)-1]
+	}
+	if err := jr.cut(rs, jr.metaPath(), len(data), valid); err != nil {
+		return nil, 0, fmt.Errorf("service: truncate torn journal tail: %w", err)
 	}
 	// Drop deleted jobs from the replay set, preserving order.
 	kept := rs.jobs[:0]
@@ -353,10 +351,11 @@ func (rs *replayState) applyEntry(e journalEntry, byID map[string]*replayedJob, 
 }
 
 // loadRecords reads a replayed job's records file, keeps the longest
-// prefix that is well-formed, contiguous (rep i on line i), stamped with
-// the job's canonical name, and carries the job's derived seeds — and
-// truncates the file to that prefix so appends resume cleanly. Anything
-// cut is re-executed; nothing wrong is ever trusted.
+// prefix that mc.Prefix proves for the job — well-formed, contiguous (rep
+// i on line i), stamped with the job's canonical name, and carrying the
+// job's derived seeds — and truncates the file to that prefix so appends
+// resume cleanly. Anything cut is re-executed; nothing wrong is ever
+// trusted.
 func (jr *journal) loadRecords(rj *replayedJob, rs *replayState) error {
 	path := jr.recordsPath(rj.id)
 	data, err := jr.fs.ReadFile(path)
@@ -366,93 +365,77 @@ func (jr *journal) loadRecords(rj *replayedJob, rs *replayState) error {
 		}
 		return fmt.Errorf("service: read records of %s: %w", rj.id, err)
 	}
-	recs, ends := mc.ScanRecords(data)
-	seeds := mc.RepSeeds(rj.spec.Seed, rj.spec.Replicates)
-	name := rj.spec.Name()
-	keep := 0
-	for keep < len(recs) && keep < len(seeds) &&
-		recs[keep].Rep == keep && recs[keep].Seed == seeds[keep] && recs[keep].Job == name {
-		keep++
+	// The journal owns this file and cuts whatever it cannot prove, so a
+	// record past the prefix is no error here.
+	done, valid, _ := mc.Prefix(data, []mc.Job{rj.spec.MCJob()})
+	if err := jr.cut(rs, path, len(data), valid); err != nil {
+		return fmt.Errorf("service: truncate records of %s: %w", rj.id, err)
 	}
-	valid := int64(0)
-	if keep > 0 {
-		valid = ends[keep-1]
+	rj.records = done[0]
+	if !rj.state.Terminal() {
+		jr.recs[rj.id] = &appendFile{path: path, valid: valid}
 	}
-	rs.truncated += int64(len(data)) - valid
-	if valid < int64(len(data)) {
-		if err := jr.fs.Truncate(path, valid); err != nil {
-			return fmt.Errorf("service: truncate records of %s: %w", rj.id, err)
-		}
-	}
-	rj.records = recs[:keep]
-	jr.mu.Lock()
-	jr.recValid[rj.id] = valid
-	jr.mu.Unlock()
 	return nil
 }
 
-// repairMeta truncates the meta journal to its last known-good offset
-// and reopens the append handle. The caller holds jr.mu and has already
-// closed the old handle.
-func (jr *journal) repairMeta() error {
-	if err := jr.fs.Truncate(jr.metaPath(), jr.metaValid); err != nil {
-		return err
+// append writes line to af and, with sync set, fsyncs it; an empty line
+// only fsyncs. The write and the fsync are retried as one unit; after
+// each failed attempt the file is truncated back to its valid offset and
+// reopened, so a partial write never leaves interior garbage. The caller
+// holds af.mu.
+func (jr *journal) append(af *appendFile, line []byte, sync bool) error {
+	if jr.closed.Load() {
+		return errJournalClosed
 	}
-	f, err := jr.fs.OpenAppend(jr.metaPath())
+	err := jr.retry.do(func() error {
+		if af.f == nil {
+			// A previous repair failed (or this is the first append):
+			// finish it so the real truncate/open error surfaces.
+			if err := af.open(jr.fs); err != nil {
+				return err
+			}
+		}
+		if len(line) > 0 {
+			if _, err := af.f.Write(line); err != nil {
+				return err
+			}
+		}
+		if sync {
+			return af.f.Sync()
+		}
+		return nil
+	}, func() {
+		jr.met.journalRepair()
+		if af.f != nil {
+			af.close()
+			af.broken = true
+		}
+		_ = af.open(jr.fs) // on failure the next attempt retries the repair
+	})
 	if err != nil {
 		return err
 	}
-	jr.meta = f
+	af.valid += int64(len(line))
+	jr.met.journalWrote(len(line))
+	if sync {
+		af.pending = 0
+		jr.met.journalFsync()
+	} else {
+		af.pending++
+	}
 	return nil
 }
 
-// appendMeta journals one entry, retrying transient failures with the
-// file repaired (truncated to the last good offset and reopened) between
-// attempts. sync forces an fsync after the append.
+// appendMeta journals one entry; sync forces an fsync after the append.
 func (jr *journal) appendMeta(e journalEntry, sync bool) error {
 	b, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	jr.mu.Lock()
-	defer jr.mu.Unlock()
-	if jr.closed.Load() {
-		return errJournalClosed
-	}
-	op := func() error {
-		if jr.metaBroken {
-			// A previous repair failed and the handle is closed; finish the
-			// repair before writing so the real truncate/open error
-			// surfaces instead of "file already closed".
-			if err := jr.repairMeta(); err != nil {
-				return err
-			}
-			jr.metaBroken = false
-		}
-		if _, err := jr.meta.Write(b); err != nil {
-			return err
-		}
-		if sync {
-			return jr.meta.Sync()
-		}
-		return nil
-	}
-	repair := func() {
-		if jr.closed.Load() {
-			return
-		}
-		jr.met.journalRepair()
-		jr.meta.Close()
-		jr.metaBroken = jr.repairMeta() != nil
-	}
-	if err := jr.retry.do(op, repair); err != nil {
+	jr.meta.mu.Lock()
+	defer jr.meta.mu.Unlock()
+	if err := jr.append(jr.meta, append(b, '\n'), sync); err != nil {
 		return fmt.Errorf("service: journal append: %w", err)
-	}
-	jr.metaValid += int64(len(b))
-	jr.met.journalWrote(len(b))
-	if sync {
-		jr.met.journalFsync()
 	}
 	return nil
 }
@@ -469,79 +452,36 @@ func (jr *journal) state(id string, st State, errmsg string) error {
 	return jr.appendMeta(journalEntry{Type: "state", ID: id, State: st, Error: errmsg}, st.Terminal())
 }
 
-// appender returns the job's records appender, opening the file lazily.
-func (jr *journal) appender(id string) (*recAppender, error) {
+// records returns the job's records file, registering it on first use.
+func (jr *journal) records(id string) (*appendFile, error) {
 	jr.mu.Lock()
 	defer jr.mu.Unlock()
 	if jr.closed.Load() {
 		return nil, errJournalClosed
 	}
-	ra := jr.recs[id]
-	if ra == nil {
-		path := jr.recordsPath(id)
-		f, err := jr.fs.OpenAppend(path)
-		if err != nil {
-			return nil, err
-		}
-		ra = &recAppender{f: f, path: path, valid: jr.recValid[id]}
-		jr.recs[id] = ra
+	af := jr.recs[id]
+	if af == nil {
+		af = &appendFile{path: jr.recordsPath(id)}
+		jr.recs[id] = af
 	}
-	return ra, nil
+	return af, nil
 }
 
 // appendRecord appends one replicate record to the job's records file,
-// fsync-batched every syncEvery appends. Transient failures are retried
-// with the file truncated back to its last good line between attempts,
-// so a partial append can never leave interior garbage.
+// fsynced on every syncEvery-th unsynced append.
 func (jr *journal) appendRecord(id string, rec mc.Record) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	ra, err := jr.appender(id)
+	af, err := jr.records(id)
 	if err != nil {
 		return err
 	}
-	ra.mu.Lock()
-	defer ra.mu.Unlock()
-	op := func() error {
-		if jr.closed.Load() {
-			return errJournalClosed
-		}
-		if ra.broken {
-			// Same as appendMeta: finish the failed repair first so the
-			// real error surfaces, not "file already closed".
-			if err := ra.repair(jr.fs); err != nil {
-				return err
-			}
-			ra.broken = false
-		}
-		if _, err := ra.f.Write(b); err != nil {
-			return err
-		}
-		return nil
-	}
-	repair := func() {
-		if jr.closed.Load() {
-			return
-		}
-		jr.met.journalRepair()
-		ra.f.Close()
-		ra.broken = ra.repair(jr.fs) != nil
-	}
-	if err := jr.retry.do(op, repair); err != nil {
+	af.mu.Lock()
+	defer af.mu.Unlock()
+	if err := jr.append(af, append(b, '\n'), af.pending+1 >= jr.syncEvery); err != nil {
 		return fmt.Errorf("service: journal records of %s: %w", id, err)
-	}
-	ra.valid += int64(len(b))
-	jr.met.journalWrote(len(b))
-	ra.pending++
-	if ra.pending >= jr.syncEvery {
-		if err := jr.retry.do(func() error { return ra.f.Sync() }, nil); err != nil {
-			return fmt.Errorf("service: journal records sync of %s: %w", id, err)
-		}
-		ra.pending = 0
-		jr.met.journalFsync()
 	}
 	return nil
 }
@@ -551,21 +491,17 @@ func (jr *journal) appendRecord(id string, rec mc.Record) error {
 // so a journaled terminal state implies every record is durable.
 func (jr *journal) jobTerminal(id string, st State, errmsg string) error {
 	jr.mu.Lock()
-	ra := jr.recs[id]
+	af := jr.recs[id]
 	delete(jr.recs, id)
-	if ra != nil {
-		jr.recValid[id] = ra.valid
-	}
 	jr.mu.Unlock()
-	if ra != nil {
-		ra.mu.Lock()
-		err := jr.retry.do(func() error { return ra.f.Sync() }, nil)
-		ra.f.Close()
-		ra.mu.Unlock()
+	if af != nil {
+		af.mu.Lock()
+		err := jr.append(af, nil, true)
+		af.close()
+		af.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("service: journal records sync of %s: %w", id, err)
 		}
-		jr.met.journalFsync()
 	}
 	return jr.state(id, st, errmsg)
 }
@@ -583,14 +519,13 @@ func (jr *journal) readRecords(id string) ([]byte, error) {
 // deleteJob journals a delete entry and removes the records file.
 func (jr *journal) deleteJob(id string) error {
 	jr.mu.Lock()
-	ra := jr.recs[id]
+	af := jr.recs[id]
 	delete(jr.recs, id)
-	delete(jr.recValid, id)
 	jr.mu.Unlock()
-	if ra != nil {
-		ra.mu.Lock()
-		ra.f.Close()
-		ra.mu.Unlock()
+	if af != nil {
+		af.mu.Lock()
+		af.close()
+		af.mu.Unlock()
 	}
 	if err := jr.appendMeta(journalEntry{Type: "delete", ID: id}, true); err != nil {
 		return err
@@ -619,21 +554,18 @@ func (jr *journal) close(clean bool) {
 		jr.mu.Unlock()
 		return
 	}
-	ras := make([]*recAppender, 0, len(jr.recs))
-	for _, ra := range jr.recs {
-		ras = append(ras, ra)
+	files := make([]*appendFile, 0, len(jr.recs)+1)
+	for _, af := range jr.recs {
+		files = append(files, af)
 	}
-	jr.recs = map[string]*recAppender{}
-	meta := jr.meta
+	jr.recs = map[string]*appendFile{}
 	jr.mu.Unlock()
-	for _, ra := range ras {
-		ra.mu.Lock()
-		_ = ra.f.Sync()
-		_ = ra.f.Close()
-		ra.mu.Unlock()
-	}
-	if meta != nil {
-		_ = meta.Sync()
-		_ = meta.Close()
+	for _, af := range append(files, jr.meta) {
+		af.mu.Lock()
+		if af.f != nil {
+			_ = af.f.Sync()
+		}
+		af.close()
+		af.mu.Unlock()
 	}
 }

@@ -229,9 +229,9 @@ func TestJournalRecordsPrefixValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			kept, ends := mc.ScanRecords(data)
-			if len(kept) != tc.keep || mc.ValidPrefix(ends) != int64(len(data)) {
-				t.Fatalf("on-disk records: %d entries, %d of %d bytes valid", len(kept), mc.ValidPrefix(ends), len(data))
+			kept, valid, err := mc.Prefix(data, []mc.Job{spec.MCJob()})
+			if err != nil || len(kept[0]) != tc.keep || valid != int64(len(data)) {
+				t.Fatalf("on-disk records: %d entries, %d of %d bytes valid (%v)", len(kept[0]), valid, len(data), err)
 			}
 		})
 	}

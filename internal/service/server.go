@@ -385,18 +385,7 @@ func (s *Server) submitAsync(w http.ResponseWriter, spec JobSpec) {
 		writeError(w, http.StatusInternalServerError, "could not journal the submission: %v", err)
 		return
 	}
-	job, onProgress := s.buildMCJob(j)
-	admitted := s.queue.TryEnqueue(ctx, job, mc.RunOpts{
-		Sink:       s.jobSink(j),
-		OnStart:    func() { j.setRunning(); s.journalRunning(j); s.publishJob(j) },
-		OnProgress: onProgress,
-	}, func(_ []mc.Record, err error) {
-		s.finishJob(j, err)
-		// Release the context registration on baseCtx; without this every
-		// finished job would stay reachable until server shutdown.
-		cancel()
-	})
-	if !admitted {
+	if !s.enqueue(ctx, j, nil) {
 		cancel()
 		s.store.remove(j.id)
 		s.journalDelete(j.id)
