@@ -18,6 +18,9 @@
 // and the run is replicate 0 of that spec's one-replicate job: the spec's
 // builder makes the engine, on the job's graph (drawn from
 // rng.New(seed)), and the run draws from rng.New(mc.RepSeeds(seed, 1)[0]).
+// A -trace file carries that replicate's header (JobSpec.TraceHeader: the
+// job name, rep 0 and the replicate's seed), as sweep -trace-dir files
+// and traced pluralityd jobs do.
 // -workers never changes a run, so at any -workers and without
 // -adversary or -m-plurality, a run reports the rounds and outcome that
 // replicate 0 of the pluralityd job with the same spec records. The
@@ -113,8 +116,14 @@ func build(cfg config) (service.JobSpec, engine.Engine, *rng.Rand, error) {
 		}
 	}
 	bias, _ := spec.BiasValue() // Check accepted it
-	r := rng.New(mc.RepSeeds(spec.Seed, 1)[0])
+	r := rng.New(rep0(spec).Seed)
 	return spec, spec.BuildEngine(colorcfg.Biased(spec.N, spec.K, bias), g, cfg.workers, r), r, nil
+}
+
+// rep0 is the record identity of a checked spec's run: replicate 0 of its
+// one-replicate job, with that replicate's seed.
+func rep0(spec service.JobSpec) mc.Record {
+	return mc.Record{Job: spec.Name(), Seed: mc.RepSeeds(spec.Seed, 1)[0]}
 }
 
 // run executes the flags' run, reports it on w and returns its result.
@@ -180,9 +189,7 @@ func run(w io.Writer, cfg config) (core.Result, error) {
 		if err != nil {
 			return res, fmt.Errorf("write trace: %w", err)
 		}
-		werr := rec.WriteTrace(f, obs.Header{
-			Engine: eng.Name(), Rule: spec.Rule, N: n, K: k, Seed: spec.Seed,
-		})
+		werr := rec.WriteTrace(f, spec.TraceHeader(rep0(spec)))
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}

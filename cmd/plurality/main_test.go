@@ -341,9 +341,14 @@ func TestRunTraceFile(t *testing.T) {
 	if len(traces) != 1 {
 		t.Fatalf("got %d trace runs, want 1", len(traces))
 	}
+	// The header is replicate 0's, as a sweep -trace-dir file or a traced
+	// pluralityd job heads it: the job name, rep 0, the replicate's seed
+	// (not -seed) and the spec's engine label.
 	tr := traces[0]
-	if tr.Header.Rule != "3majority" || tr.Header.N != 2000 || tr.Header.K != 3 || tr.Header.Seed != 1 {
-		t.Fatalf("trace header %+v does not describe the run", tr.Header)
+	job := "3majority/multinomial/n=2000/k=3/bias=auto/rounds=10000/seed=1"
+	if h := tr.Header; h.Rule != "3majority" || h.N != 2000 || h.K != 3 ||
+		h.Job != job || h.Rep != 0 || h.Seed != mc.RepSeeds(1, 1)[0] || h.Engine != "multinomial" {
+		t.Fatalf("trace header %+v does not describe replicate 0 of %s", tr.Header, job)
 	}
 	if tr.Summary == nil || tr.Summary.Rounds != res.Rounds || len(tr.Rounds) != tr.Summary.Retained {
 		t.Fatalf("trace summary inconsistent: %+v with %d round lines for %d rounds", tr.Summary, len(tr.Rounds), res.Rounds)

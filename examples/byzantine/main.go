@@ -48,10 +48,13 @@ func main() {
 			// residue must stay bounded (Corollary 4's poly(n)-length phase,
 			// sampled here for 200 rounds).
 			worst = 0
+			c := res.Final
 			for i := 0; i < 200; i++ {
 				eng.Step(r)
-				adv.Corrupt(eng, r)
-				first, _ := eng.Config().TopTwo()
+				c = eng.AppendConfig(c[:0])
+				adv.Corrupt(eng, c, r)
+				c = eng.AppendConfig(c[:0])
+				first, _ := c.TopTwo()
 				if mass := n - first; mass > worst {
 					worst = mass
 				}

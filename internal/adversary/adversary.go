@@ -5,7 +5,10 @@
 // O(s/λ)-plurality consensus whenever F = o(s/λ).
 //
 // Adversaries act through the engine's Repaint primitive, so the same
-// strategies run against every engine (count-level and agent-level).
+// strategies run against every engine (count-level and agent-level). They
+// read the configuration the caller hands them rather than cloning the
+// engine's, so a corrupted round allocates nothing (core.Run passes its
+// own configuration buffer).
 package adversary
 
 import (
@@ -22,8 +25,11 @@ type Adversary interface {
 	Name() string
 	// Budget is the per-round corruption bound F.
 	Budget() int64
-	// Corrupt recolors up to Budget() agents of e.
-	Corrupt(e engine.Engine, r *rng.Rand)
+	// Corrupt recolors up to Budget() agents of e. c must hold e's
+	// current configuration (e.AppendConfig fills it); Corrupt reads it
+	// in place of a copy of its own and may overwrite it, so after the
+	// call c no longer need match e.
+	Corrupt(e engine.Engine, c colorcfg.Config, r *rng.Rand)
 }
 
 // None is the absent adversary (F = 0).
@@ -36,7 +42,7 @@ func (None) Name() string { return "none" }
 func (None) Budget() int64 { return 0 }
 
 // Corrupt implements Adversary (no-op).
-func (None) Corrupt(engine.Engine, *rng.Rand) {}
+func (None) Corrupt(engine.Engine, colorcfg.Config, *rng.Rand) {}
 
 // Strongest moves F agents per round from the current plurality color to
 // the strongest rival — the greedy bias-erasing strategy, which is the
@@ -52,11 +58,10 @@ func (a Strongest) Name() string { return fmt.Sprintf("strongest(F=%d)", a.F) }
 func (a Strongest) Budget() int64 { return a.F }
 
 // Corrupt implements Adversary.
-func (a Strongest) Corrupt(e engine.Engine, _ *rng.Rand) {
+func (a Strongest) Corrupt(e engine.Engine, c colorcfg.Config, _ *rng.Rand) {
 	if a.F <= 0 {
 		return
 	}
-	c := e.Config()
 	top := c.Plurality()
 	rival := rivalOf(c, top)
 	if rival < 0 {
@@ -79,11 +84,10 @@ func (a Spread) Name() string { return fmt.Sprintf("spread(F=%d)", a.F) }
 func (a Spread) Budget() int64 { return a.F }
 
 // Corrupt implements Adversary.
-func (a Spread) Corrupt(e engine.Engine, _ *rng.Rand) {
+func (a Spread) Corrupt(e engine.Engine, c colorcfg.Config, _ *rng.Rand) {
 	if a.F <= 0 {
 		return
 	}
-	c := e.Config()
 	top := c.Plurality()
 	k := int64(c.K())
 	if k < 2 {
@@ -119,7 +123,7 @@ func (a Random) Name() string { return fmt.Sprintf("random(F=%d)", a.F) }
 func (a Random) Budget() int64 { return a.F }
 
 // Corrupt implements Adversary.
-func (a Random) Corrupt(e engine.Engine, r *rng.Rand) {
+func (a Random) Corrupt(e engine.Engine, c colorcfg.Config, r *rng.Rand) {
 	k := e.K()
 	if k < 2 {
 		return
@@ -131,12 +135,12 @@ func (a Random) Corrupt(e engine.Engine, r *rng.Rand) {
 		if from == to {
 			continue
 		}
-		moved := e.Repaint(from, to, min64(remaining, 1+remaining/4))
+		moved := e.Repaint(from, to, min(remaining, 1+remaining/4))
 		if moved == 0 {
 			// Source color may be empty; try once more with a fresh pair.
 			// To guarantee termination, fall back to scanning for any
-			// non-empty color.
-			c := e.Config()
+			// non-empty color of the configuration as it now stands.
+			c = e.AppendConfig(c[:0])
 			found := false
 			for j, v := range c {
 				if v > 0 && colorcfg.Color(j) != to {
@@ -168,11 +172,10 @@ func (a Boost) Name() string { return fmt.Sprintf("boost(F=%d)", a.F) }
 func (a Boost) Budget() int64 { return a.F }
 
 // Corrupt implements Adversary.
-func (a Boost) Corrupt(e engine.Engine, _ *rng.Rand) {
+func (a Boost) Corrupt(e engine.Engine, c colorcfg.Config, _ *rng.Rand) {
 	if a.F <= 0 {
 		return
 	}
-	c := e.Config()
 	top := c.Plurality()
 	rival := rivalOf(c, top)
 	if rival < 0 {
@@ -196,11 +199,4 @@ func rivalOf(c colorcfg.Config, top colorcfg.Color) colorcfg.Color {
 		}
 	}
 	return rival
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

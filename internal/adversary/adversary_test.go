@@ -16,7 +16,7 @@ func newEngine(counts ...int64) engine.Engine {
 func TestNone(t *testing.T) {
 	e := newEngine(60, 40)
 	a := None{}
-	a.Corrupt(e, rng.New(1))
+	a.Corrupt(e, e.Config(), rng.New(1))
 	if c := e.Config(); c[0] != 60 || c[1] != 40 {
 		t.Fatalf("None mutated the configuration: %v", c)
 	}
@@ -28,7 +28,7 @@ func TestNone(t *testing.T) {
 func TestStrongest(t *testing.T) {
 	e := newEngine(60, 40, 10)
 	a := Strongest{F: 5}
-	a.Corrupt(e, rng.New(1))
+	a.Corrupt(e, e.Config(), rng.New(1))
 	c := e.Config()
 	// Moves 5 from plurality (0) to strongest rival (1).
 	if c[0] != 55 || c[1] != 45 || c[2] != 10 {
@@ -41,7 +41,7 @@ func TestStrongest(t *testing.T) {
 
 func TestStrongestBudgetCap(t *testing.T) {
 	e := newEngine(3, 2)
-	Strongest{F: 100}.Corrupt(e, rng.New(1))
+	Strongest{F: 100}.Corrupt(e, e.Config(), rng.New(1))
 	c := e.Config()
 	if c[0] != 0 || c[1] != 5 {
 		t.Fatalf("over-budget corruption: %v", c)
@@ -53,7 +53,7 @@ func TestStrongestBudgetCap(t *testing.T) {
 
 func TestStrongestSingleColorNoop(t *testing.T) {
 	e := newEngine(10)
-	Strongest{F: 5}.Corrupt(e, rng.New(1))
+	Strongest{F: 5}.Corrupt(e, e.Config(), rng.New(1))
 	if c := e.Config(); c[0] != 10 {
 		t.Fatalf("k=1 corruption changed config: %v", c)
 	}
@@ -61,7 +61,7 @@ func TestStrongestSingleColorNoop(t *testing.T) {
 
 func TestSpread(t *testing.T) {
 	e := newEngine(90, 5, 5)
-	Spread{F: 10}.Corrupt(e, rng.New(1))
+	Spread{F: 10}.Corrupt(e, e.Config(), rng.New(1))
 	c := e.Config()
 	if c[0] != 80 || c[1] != 10 || c[2] != 10 {
 		t.Fatalf("Spread: %v", c)
@@ -73,7 +73,7 @@ func TestSpread(t *testing.T) {
 
 func TestSpreadUnevenRemainder(t *testing.T) {
 	e := newEngine(90, 4, 3, 3)
-	Spread{F: 7}.Corrupt(e, rng.New(1))
+	Spread{F: 7}.Corrupt(e, e.Config(), rng.New(1))
 	c := e.Config()
 	if c[0] != 83 {
 		t.Fatalf("Spread moved %d, want 7: %v", 90-c[0], c)
@@ -86,7 +86,7 @@ func TestSpreadUnevenRemainder(t *testing.T) {
 func TestRandomConservesTotal(t *testing.T) {
 	r := rng.New(2)
 	e := newEngine(50, 30, 20)
-	Random{F: 15}.Corrupt(e, r)
+	Random{F: 15}.Corrupt(e, e.Config(), r)
 	if err := e.Config().Validate(100); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestRandomConservesTotal(t *testing.T) {
 func TestRandomSingleColorTerminates(t *testing.T) {
 	r := rng.New(3)
 	e := newEngine(100)
-	Random{F: 10}.Corrupt(e, r) // must not hang
+	Random{F: 10}.Corrupt(e, e.Config(), r) // must not hang
 	if c := e.Config(); c[0] != 100 {
 		t.Fatalf("k=1 random corruption changed config: %v", c)
 	}
@@ -103,7 +103,7 @@ func TestRandomSingleColorTerminates(t *testing.T) {
 
 func TestBoost(t *testing.T) {
 	e := newEngine(60, 40)
-	Boost{F: 10}.Corrupt(e, rng.New(4))
+	Boost{F: 10}.Corrupt(e, e.Config(), rng.New(4))
 	c := e.Config()
 	if c[0] != 70 || c[1] != 30 {
 		t.Fatalf("Boost: %v", c)
@@ -130,7 +130,7 @@ func TestStrongestDelaysButDoesNotPreventConsensus(t *testing.T) {
 	reached := false
 	for round := 0; round < 2000; round++ {
 		e.Step(r)
-		a.Corrupt(e, r)
+		a.Corrupt(e, e.Config(), r)
 		first, _ := e.Config().TopTwo()
 		if n-first <= 10*a.F {
 			reached = true

@@ -36,7 +36,7 @@ func TestCorruptionNeverExceedsBudget(t *testing.T) {
 		for round := 0; round < 50; round++ {
 			tr.moved = 0
 			e.Step(r)
-			adv.Corrupt(tr, r)
+			adv.Corrupt(tr, tr.Config(), r)
 			if tr.moved > adv.Budget() {
 				t.Fatalf("%s: round %d moved %d > budget %d", adv.Name(), round, tr.moved, adv.Budget())
 			}
@@ -56,7 +56,7 @@ func TestGreedyStrategiesSpendExactBudget(t *testing.T) {
 	for _, adv := range []Adversary{Strongest{F: 23}, Spread{F: 23}, Boost{F: 23}} {
 		e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, colorcfg.FromCounts(400, 300, 200, 100))
 		tr := &budgetTracker{Engine: e}
-		adv.Corrupt(tr, rng.New(1))
+		adv.Corrupt(tr, tr.Config(), rng.New(1))
 		if tr.moved != 23 {
 			t.Errorf("%s moved %d agents, want exactly 23", adv.Name(), tr.moved)
 		}
@@ -71,7 +71,7 @@ func TestBudgetExactlyDrainsSource(t *testing.T) {
 	e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, colorcfg.FromCounts(50, 30, 20))
 	defer e.Close()
 	tr := &budgetTracker{Engine: e}
-	Strongest{F: 50}.Corrupt(tr, rng.New(1))
+	Strongest{F: 50}.Corrupt(tr, tr.Config(), rng.New(1))
 	if tr.moved != 50 {
 		t.Fatalf("moved %d, want the full 50", tr.moved)
 	}
@@ -94,7 +94,7 @@ func TestToleratedBudgetStillConverges(t *testing.T) {
 	adv := Strongest{F: 200} // s/λ ≈ 8000/8 = 1000; F well below
 	for round := 0; round < 3000; round++ {
 		e.Step(r)
-		adv.Corrupt(e, r)
+		adv.Corrupt(e, e.Config(), r)
 		first, _ := e.Config().TopTwo()
 		if n-first <= 10*adv.F {
 			if e.Config().Plurality() != 0 {
@@ -120,7 +120,7 @@ func TestOverwhelmingBudgetStalls(t *testing.T) {
 	adv := Strongest{F: n / 10} // 1000 ≫ sqrt(n) fluctuations near balance
 	for round := 0; round < 500; round++ {
 		e.Step(r)
-		adv.Corrupt(e, r)
+		adv.Corrupt(e, e.Config(), r)
 		if e.Config().IsMonochromatic() {
 			t.Fatalf("round %d: consensus reached despite overwhelming adversary: %v", round, e.Config())
 		}

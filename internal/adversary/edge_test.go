@@ -8,12 +8,12 @@ import (
 
 func TestStrongestZeroBudgetNoop(t *testing.T) {
 	e := newEngine(10, 5)
-	Strongest{F: 0}.Corrupt(e, rng.New(1))
+	Strongest{F: 0}.Corrupt(e, e.Config(), rng.New(1))
 	if c := e.Config(); c[0] != 10 || c[1] != 5 {
 		t.Fatalf("zero-budget corruption changed config: %v", c)
 	}
-	Spread{F: 0}.Corrupt(e, rng.New(1))
-	Boost{F: 0}.Corrupt(e, rng.New(1))
+	Spread{F: 0}.Corrupt(e, e.Config(), rng.New(1))
+	Boost{F: 0}.Corrupt(e, e.Config(), rng.New(1))
 	if c := e.Config(); c[0] != 10 || c[1] != 5 {
 		t.Fatalf("zero-budget corruption changed config: %v", c)
 	}
@@ -21,7 +21,7 @@ func TestStrongestZeroBudgetNoop(t *testing.T) {
 
 func TestSpreadSingleColorNoop(t *testing.T) {
 	e := newEngine(10)
-	Spread{F: 5}.Corrupt(e, rng.New(2))
+	Spread{F: 5}.Corrupt(e, e.Config(), rng.New(2))
 	if c := e.Config(); c[0] != 10 {
 		t.Fatalf("k=1 spread changed config: %v", c)
 	}
@@ -29,7 +29,7 @@ func TestSpreadSingleColorNoop(t *testing.T) {
 
 func TestBoostSingleColorNoop(t *testing.T) {
 	e := newEngine(10)
-	Boost{F: 5}.Corrupt(e, rng.New(3))
+	Boost{F: 5}.Corrupt(e, e.Config(), rng.New(3))
 	if c := e.Config(); c[0] != 10 {
 		t.Fatalf("k=1 boost changed config: %v", c)
 	}
@@ -37,7 +37,7 @@ func TestBoostSingleColorNoop(t *testing.T) {
 
 func TestRandomZeroBudget(t *testing.T) {
 	e := newEngine(6, 4)
-	Random{F: 0}.Corrupt(e, rng.New(4))
+	Random{F: 0}.Corrupt(e, e.Config(), rng.New(4))
 	if c := e.Config(); c[0] != 6 || c[1] != 4 {
 		t.Fatalf("zero-budget random changed config: %v", c)
 	}
@@ -48,7 +48,7 @@ func TestRandomWithEmptyColors(t *testing.T) {
 	// exactly F agents and terminate.
 	r := rng.New(5)
 	e := newEngine(100, 0, 0)
-	Random{F: 10}.Corrupt(e, r)
+	Random{F: 10}.Corrupt(e, e.Config(), r)
 	if err := e.Config().Validate(100); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRandomManyRounds(t *testing.T) {
 	r := rng.New(6)
 	e := newEngine(40, 30, 20, 10)
 	for i := 0; i < 200; i++ {
-		Random{F: 7}.Corrupt(e, r)
+		Random{F: 7}.Corrupt(e, e.Config(), r)
 		if err := e.Config().Validate(100); err != nil {
 			t.Fatalf("round %d: %v", i, err)
 		}

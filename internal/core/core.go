@@ -8,10 +8,8 @@
 // Run allocates O(1) per run, not per round: it reads the configuration
 // into one buffer it owns (engine.Engine.AppendConfig) and refills that
 // buffer after every round, so the round count never changes its
-// allocations (TestRunAllocsIndependentOfRounds). The corrupting
-// adversaries (Strongest, Spread, Random, Boost) still clone the
-// configuration inside Corrupt every round, so a run with one is outside
-// that contract.
+// allocations (TestRunAllocsIndependentOfRounds). An adversary reads the
+// same buffer, refilled after the Step, instead of a clone of its own.
 //
 // The typical entry point is Run:
 //
@@ -146,10 +144,6 @@ func Run(e engine.Engine, opts Options) Result {
 	if stop == nil {
 		stop = WhenMonochromatic()
 	}
-	var adv adversary.Adversary = adversary.None{}
-	if opts.Adversary != nil {
-		adv = opts.Adversary
-	}
 	if opts.Observer != nil {
 		engine.Observe(e, opts.Observer)
 	}
@@ -170,7 +164,10 @@ func Run(e engine.Engine, opts Options) Result {
 			break
 		}
 		e.Step(opts.Rand)
-		adv.Corrupt(e, opts.Rand)
+		if opts.Adversary != nil {
+			cur = e.AppendConfig(cur[:0])
+			opts.Adversary.Corrupt(e, cur, opts.Rand)
+		}
 		cur = e.AppendConfig(cur[:0])
 	}
 	res.Final = cur

@@ -1,7 +1,7 @@
 // Package engine provides the simulation engines that advance a color
 // configuration one synchronous round at a time.
 //
-// Three engines cover the paper's model (the clique) and its extensions:
+// Seven engines cover the paper's model (the clique) and its extensions:
 //
 //   - CliqueMultinomial — exact configuration-level engine. On the clique
 //     every sample is an i.i.d. draw from the color distribution c/n and an
@@ -9,6 +9,9 @@
 //     is exactly Multinomial(n, p(c)) where p is the rule's closed-form
 //     adoption-probability vector (Lemma 1 for 3-majority). O(k) per round;
 //     scales to n = 10^9.
+//   - CliqueMarkov — exact configuration-level engine for stateful rules,
+//     whose update depends on the agent's own color: a sum of k
+//     multinomials, O(k²) per round (markov.go).
 //   - CliqueSampled — exact agent-level sampling on the clique for any Rule
 //     (needed for h-plurality and the Theorem 3 rule zoo, which have no
 //     closed form). Each of the n agents draws h i.i.d. colors from an
@@ -17,12 +20,19 @@
 //     block with its own rng streams.
 //   - GraphEngine — literal agent-array engine on an arbitrary topology
 //     (a topo.NeighborSource), double-buffered; used to cross-validate the
-//     clique engines and for the beyond-clique extension experiments.
+//     clique engines and for the beyond-clique extension experiments
+//     (graph_engine.go).
+//   - Population — any stateless rule in the sequential population model
+//     on the clique, n micro-steps per round (population.go).
+//   - UndecidedExact and UndecidedPopulation — the undecided-state
+//     dynamics, exactly at count level and in the sequential population
+//     model (undecided.go).
 //
-// The stateful undecided-state dynamics and the sequential population model
-// have their own engines in undecided.go and population.go.
-//
-// All engines implement Engine, expose an O(k) Config snapshot, and support
+// Every engine embeds one shared core (counts.go): the count
+// configuration, n, the round counter and the round observer, with the
+// Engine methods that only read or repaint them and the bracket every
+// Step runs inside. Each engine adds its Name, its Step and its
+// constructor. All engines expose an O(k) Config snapshot and support
 // Repaint, the primitive the F-bounded dynamic adversary of Corollary 4
 // uses to corrupt agents between rounds.
 package engine
@@ -33,7 +43,6 @@ import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/dist"
 	"plurality/internal/dynamics"
-	"plurality/internal/obs"
 	"plurality/internal/rng"
 )
 
@@ -78,14 +87,11 @@ type Engine interface {
 // CliqueMultinomial is the exact O(k)-per-round clique engine for rules
 // with closed-form adoption probabilities (dynamics.ProbModel).
 type CliqueMultinomial struct {
+	counts
 	rule  dynamics.Rule
 	model dynamics.ProbModel
-	cfg   colorcfg.Config
-	n     int64
-	round int
 	probs []float64
 	next  []int64
-	obs   obs.Observer
 }
 
 // NewCliqueMultinomial builds the exact engine from an initial
@@ -96,17 +102,12 @@ func NewCliqueMultinomial(rule dynamics.Rule, initial colorcfg.Config) *CliqueMu
 	if !ok {
 		panic(fmt.Sprintf("engine: rule %q has no closed-form adoption probabilities; use CliqueSampled", rule.Name()))
 	}
-	n := initial.N()
-	if n <= 0 {
-		panic("engine: empty initial configuration")
-	}
 	return &CliqueMultinomial{
-		rule:  rule,
-		model: model,
-		cfg:   initial.Clone(),
-		n:     n,
-		probs: make([]float64, initial.K()),
-		next:  make([]int64, initial.K()),
+		counts: newCounts(initial),
+		rule:   rule,
+		model:  model,
+		probs:  make([]float64, initial.K()),
+		next:   make([]int64, initial.K()),
 	}
 }
 
@@ -115,39 +116,13 @@ func (e *CliqueMultinomial) Name() string {
 	return fmt.Sprintf("clique-multinomial[%s]", e.rule.Name())
 }
 
-// N implements Engine.
-func (e *CliqueMultinomial) N() int64 { return e.n }
-
-// K implements Engine.
-func (e *CliqueMultinomial) K() int { return e.cfg.K() }
-
-// Round implements Engine.
-func (e *CliqueMultinomial) Round() int { return e.round }
-
-// Config implements Engine.
-func (e *CliqueMultinomial) Config() colorcfg.Config { return e.AppendConfig(nil) }
-
-// AppendConfig implements Engine.
-func (e *CliqueMultinomial) AppendConfig(dst colorcfg.Config) colorcfg.Config {
-	return append(dst, e.cfg...)
-}
-
 // Step implements Engine: C(t+1) ~ Multinomial(n, p(C(t))).
 func (e *CliqueMultinomial) Step(r *rng.Rand) {
-	began := obs.Began(e.obs)
+	began := e.begin()
 	e.model.AdoptionProbs(e.cfg, e.probs)
 	dist.Multinomial(r, e.n, e.probs, e.next)
 	copy(e.cfg, e.next)
-	e.round++
-	observeEnd(e.obs, began, e.round, e.n, e.cfg)
-}
-
-// SetObserver implements Observable.
-func (e *CliqueMultinomial) SetObserver(o obs.Observer) { e.obs = o }
-
-// Repaint implements Engine.
-func (e *CliqueMultinomial) Repaint(from, to Color, m int64) int64 {
-	return repaintCounts(e.cfg, from, to, m)
+	e.end(began)
 }
 
 // SetConfig replaces the current configuration (counts are copied). n and k
@@ -159,30 +134,6 @@ func (e *CliqueMultinomial) SetConfig(c colorcfg.Config) {
 		panic("engine: SetConfig dimension mismatch")
 	}
 	copy(e.cfg, c)
-}
-
-// Close implements Engine (no worker goroutines; no-op).
-func (e *CliqueMultinomial) Close() {}
-
-// repaintCounts moves up to m agents between colors at count level.
-func repaintCounts(c colorcfg.Config, from, to Color, m int64) int64 {
-	if m <= 0 || from == to {
-		return 0
-	}
-	if int(from) >= len(c) || int(to) >= len(c) || from < 0 || to < 0 {
-		panic("engine: Repaint color out of range")
-	}
-	moved := min64(m, c[from])
-	c[from] -= moved
-	c[to] += moved
-	return moved
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ----- CliqueSampled -----
@@ -198,12 +149,9 @@ func min64(a, b int64) int64 {
 // when discarding a multi-worker engine early, or let the garbage collector
 // reap the workers via the attached cleanup.
 type CliqueSampled struct {
-	rule  dynamics.Rule
-	cfg   colorcfg.Config
-	n     int64
-	round int
-	crew  // GraphEngine's clique row, without an agent array
-	obs   obs.Observer
+	counts
+	crew // GraphEngine's clique row, without an agent array
+	rule dynamics.Rule
 }
 
 // NewCliqueSampled builds the sampled engine. workers <= 1 runs
@@ -212,16 +160,12 @@ type CliqueSampled struct {
 // sampling but kept for interface parity — pass the same generator you
 // seed elsewhere for clarity).
 func NewCliqueSampled(rule dynamics.Rule, initial colorcfg.Config, workers int, seed uint64) *CliqueSampled {
-	n := initial.N()
-	if n <= 0 {
-		panic("engine: empty initial configuration")
-	}
+	e := &CliqueSampled{counts: newCounts(initial), rule: rule}
 	h := rule.SampleSize()
 	if h < 1 {
 		panic("engine: rule sample size must be >= 1")
 	}
-	e := &CliqueSampled{rule: rule, cfg: initial.Clone(), n: n}
-	lp := &graphLoop{seed: seed, n: n, rule: rule, alias: dist.NewAliasCounts(initial), h: h}
+	lp := &graphLoop{seed: seed, n: e.n, rule: rule, alias: dist.NewAliasCounts(initial), h: h}
 	e.crew = newCrew(e, lp, workers, initial.K())
 	return e
 }
@@ -236,37 +180,11 @@ func (e *CliqueSampled) Name() string {
 	return fmt.Sprintf("clique-sampled[%s]", e.rule.Name())
 }
 
-// N implements Engine.
-func (e *CliqueSampled) N() int64 { return e.n }
-
-// K implements Engine.
-func (e *CliqueSampled) K() int { return e.cfg.K() }
-
-// Round implements Engine.
-func (e *CliqueSampled) Round() int { return e.round }
-
-// Config implements Engine.
-func (e *CliqueSampled) Config() colorcfg.Config { return e.AppendConfig(nil) }
-
-// AppendConfig implements Engine.
-func (e *CliqueSampled) AppendConfig(dst colorcfg.Config) colorcfg.Config {
-	return append(dst, e.cfg...)
-}
-
 // Step implements Engine: every agent draws h colors from c/n and applies
 // the rule; the new counts are the sum of per-worker tallies. Steady-state
 // cost is O(n·h) alias draws and zero allocations.
 func (e *CliqueSampled) Step(_ *rng.Rand) {
-	began := obs.Began(e.obs)
+	began := e.begin()
 	e.crew.step(e.round, e.cfg)
-	e.round++
-	observeEnd(e.obs, began, e.round, e.n, e.cfg)
-}
-
-// SetObserver implements Observable.
-func (e *CliqueSampled) SetObserver(o obs.Observer) { e.obs = o }
-
-// Repaint implements Engine.
-func (e *CliqueSampled) Repaint(from, to Color, m int64) int64 {
-	return repaintCounts(e.cfg, from, to, m)
+	e.end(began)
 }

@@ -7,6 +7,7 @@ import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/dynamics"
 	"plurality/internal/rng"
+	"plurality/internal/topo"
 )
 
 // runToMono advances an engine until monochromatic or maxRounds.
@@ -184,14 +185,39 @@ func TestRepaintCounts(t *testing.T) {
 	}
 }
 
+// allEngines builds one engine of each of the seven types from init.
+func allEngines(init colorcfg.Config) []Engine {
+	return []Engine{
+		NewCliqueMultinomial(dynamics.ThreeMajority{}, init),
+		NewCliqueMarkov(dynamics.ThreeMajorityKeepOwn{}, init),
+		NewCliqueSampled(dynamics.ThreeMajority{}, init, 2, 1),
+		NewGraphEngine(dynamics.ThreeMajority{}, topo.NewComplete(init.N()), init, 2, 1, nil),
+		NewPopulation(dynamics.ThreeMajority{}, init),
+		NewUndecidedExact(init),
+		NewUndecidedPopulation(init),
+	}
+}
+
+// TestRepaintPanicsOutOfRange pins both Repaint bodies, the count-level
+// one and the agent-array one, to reject a color outside [0, k) on
+// either side, the Undecided sentinel included, on every engine.
 func TestRepaintPanicsOutOfRange(t *testing.T) {
-	e := NewCliqueMultinomial(dynamics.ThreeMajority{}, colorcfg.FromCounts(5, 5))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+	for _, e := range allEngines(colorcfg.FromCounts(5, 5)) {
+		for _, p := range [][2]Color{{0, 7}, {7, 0}, {0, Undecided}, {Undecided, 0}} {
+			func() {
+				defer func() {
+					if r := recover(); r != "engine: Repaint color out of range" {
+						t.Errorf("%s: Repaint(%d, %d, 1) panicked with %v, want the range check", e.Name(), p[0], p[1], r)
+					}
+				}()
+				e.Repaint(p[0], p[1], 1)
+			}()
 		}
-	}()
-	e.Repaint(0, 7, 1)
+		if c := e.Config(); c[0] != 5 || c[1] != 5 {
+			t.Errorf("%s: rejected repaints changed the configuration to %v", e.Name(), c)
+		}
+		e.Close()
+	}
 }
 
 func TestMonochromaticIsAbsorbing(t *testing.T) {
@@ -241,19 +267,13 @@ func TestPopulationRepaint(t *testing.T) {
 }
 
 func TestEngineNames(t *testing.T) {
-	init := colorcfg.Biased(100, 2, 10)
-	for _, e := range []Engine{
-		NewCliqueMultinomial(dynamics.ThreeMajority{}, init),
-		NewCliqueSampled(dynamics.ThreeMajority{}, init, 2, 1),
-		NewPopulation(dynamics.ThreeMajority{}, init),
-		NewUndecidedExact(init),
-		NewUndecidedPopulation(init),
-	} {
+	for _, e := range allEngines(colorcfg.Biased(100, 2, 10)) {
 		if e.Name() == "" {
 			t.Errorf("%T has empty name", e)
 		}
 		if e.N() != 100 || e.K() != 2 {
 			t.Errorf("%s: N=%d K=%d", e.Name(), e.N(), e.K())
 		}
+		e.Close()
 	}
 }

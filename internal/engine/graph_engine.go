@@ -8,7 +8,6 @@ import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/dist"
 	"plurality/internal/dynamics"
-	"plurality/internal/obs"
 	"plurality/internal/rng"
 	"plurality/internal/topo"
 )
@@ -47,14 +46,15 @@ import (
 // Every other topology runs one of the two-pass loops described at
 // graphLoop: draw a block of neighbor ids, then gather their colors and
 // apply the rule.
+//
+// Repaint recolors the first m vertices (in vertex order) that hold
+// `from`.
 type GraphEngine struct {
-	rule  dynamics.Rule
-	src   topo.NeighborSource
-	bufs  *graphBuffers
-	cfg   colorcfg.Config
-	round int
+	counts
 	crew
-	obs obs.Observer
+	rule dynamics.Rule
+	src  topo.NeighborSource
+	bufs *graphBuffers
 }
 
 // graphBuffers holds the double-buffered vertex color arrays. They live in
@@ -142,13 +142,13 @@ func NewGraphEngine(rule dynamics.Rule, src topo.NeighborSource, initial colorcf
 		panic("engine: rule sample size must be >= 1")
 	}
 	e := &GraphEngine{
-		rule: rule,
-		src:  src,
+		counts: newCounts(initial),
+		rule:   rule,
+		src:    src,
 		bufs: &graphBuffers{
 			colors: initial.ToAgents(nil),
 			next:   make([]Color, n),
 		},
-		cfg: initial.Clone(),
 	}
 	if layoutRng != nil {
 		layoutRng.Shuffle(len(e.bufs.colors), func(i, j int) {
@@ -207,23 +207,6 @@ func (e *GraphEngine) Name() string {
 	return fmt.Sprintf("graph[%s,%s]", e.src.Name(), e.rule.Name())
 }
 
-// N implements Engine.
-func (e *GraphEngine) N() int64 { return e.src.N() }
-
-// K implements Engine.
-func (e *GraphEngine) K() int { return e.cfg.K() }
-
-// Round implements Engine.
-func (e *GraphEngine) Round() int { return e.round }
-
-// Config implements Engine.
-func (e *GraphEngine) Config() colorcfg.Config { return e.AppendConfig(nil) }
-
-// AppendConfig implements Engine.
-func (e *GraphEngine) AppendConfig(dst colorcfg.Config) colorcfg.Config {
-	return append(dst, e.cfg...)
-}
-
 // Colors returns the engine's live per-vertex color slice — a view, not a
 // copy. The view is valid only until the next Step: the double-buffer swap
 // turns the returned array into the following round's scratch target, so a
@@ -241,15 +224,11 @@ func (e *GraphEngine) AppendColors(dst []Color) []Color {
 
 // Step implements Engine.
 func (e *GraphEngine) Step(_ *rng.Rand) {
-	began := obs.Began(e.obs)
+	began := e.begin()
 	e.crew.step(e.round, e.cfg)
 	e.bufs.colors, e.bufs.next = e.bufs.next, e.bufs.colors
-	e.round++
-	observeEnd(e.obs, began, e.round, e.src.N(), e.cfg)
+	e.end(began)
 }
-
-// SetObserver implements Observable.
-func (e *GraphEngine) SetObserver(o obs.Observer) { e.obs = o }
 
 // run claims blocks until the round has none left, seeds the block's two
 // streams, and runs the row the engine's plan selects (see graphLoop).
@@ -423,27 +402,7 @@ func (w *graphWorker) applyBlock(lp *graphLoop, buf []Color, next []Color, v0, m
 	}
 }
 
-// Repaint implements Engine: scans the vertex array and recolors the first
-// m vertices holding `from`.
+// Repaint implements Engine.
 func (e *GraphEngine) Repaint(from, to Color, m int64) int64 {
-	if m <= 0 || from == to {
-		return 0
-	}
-	if int(from) >= e.K() || int(to) >= e.K() || from < 0 || to < 0 {
-		panic("engine: Repaint color out of range")
-	}
-	colors := e.bufs.colors
-	var moved int64
-	for i := range colors {
-		if moved == m {
-			break
-		}
-		if colors[i] == from {
-			colors[i] = to
-			moved++
-		}
-	}
-	e.cfg[from] -= moved
-	e.cfg[to] += moved
-	return moved
+	return e.repaintAgents(e.bufs.colors, from, to, m)
 }

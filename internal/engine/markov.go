@@ -6,7 +6,6 @@ import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/dist"
 	"plurality/internal/dynamics"
-	"plurality/internal/obs"
 	"plurality/internal/rng"
 )
 
@@ -21,15 +20,12 @@ import (
 // It cross-validates against CliqueMultinomial when the rule ignores its
 // own color (dynamics.ThreeMajorityKeepOwn).
 type CliqueMarkov struct {
+	counts
 	rule  dynamics.StatefulRule
 	model dynamics.TransitionModel
-	cfg   colorcfg.Config
-	n     int64
-	round int
 	row   []float64
 	draw  []int64
 	next  []int64
-	obs   obs.Observer
 }
 
 // NewCliqueMarkov builds the engine; the rule must implement
@@ -39,19 +35,14 @@ func NewCliqueMarkov(rule dynamics.StatefulRule, initial colorcfg.Config) *Cliqu
 	if !ok {
 		panic(fmt.Sprintf("engine: stateful rule %q has no TransitionModel", rule.Name()))
 	}
-	n := initial.N()
-	if n <= 0 {
-		panic("engine: empty initial configuration")
-	}
 	k := initial.K()
 	return &CliqueMarkov{
-		rule:  rule,
-		model: model,
-		cfg:   initial.Clone(),
-		n:     n,
-		row:   make([]float64, k),
-		draw:  make([]int64, k),
-		next:  make([]int64, k),
+		counts: newCounts(initial),
+		rule:   rule,
+		model:  model,
+		row:    make([]float64, k),
+		draw:   make([]int64, k),
+		next:   make([]int64, k),
 	}
 }
 
@@ -60,26 +51,9 @@ func (e *CliqueMarkov) Name() string {
 	return fmt.Sprintf("clique-markov[%s]", e.rule.Name())
 }
 
-// N implements Engine.
-func (e *CliqueMarkov) N() int64 { return e.n }
-
-// K implements Engine.
-func (e *CliqueMarkov) K() int { return e.cfg.K() }
-
-// Round implements Engine.
-func (e *CliqueMarkov) Round() int { return e.round }
-
-// Config implements Engine.
-func (e *CliqueMarkov) Config() colorcfg.Config { return e.AppendConfig(nil) }
-
-// AppendConfig implements Engine.
-func (e *CliqueMarkov) AppendConfig(dst colorcfg.Config) colorcfg.Config {
-	return append(dst, e.cfg...)
-}
-
 // Step implements Engine.
 func (e *CliqueMarkov) Step(r *rng.Rand) {
-	began := obs.Began(e.obs)
+	began := e.begin()
 	clear(e.next)
 	for j, cj := range e.cfg {
 		if cj == 0 {
@@ -92,17 +66,5 @@ func (e *CliqueMarkov) Step(r *rng.Rand) {
 		}
 	}
 	copy(e.cfg, e.next)
-	e.round++
-	observeEnd(e.obs, began, e.round, e.n, e.cfg)
+	e.end(began)
 }
-
-// SetObserver implements Observable.
-func (e *CliqueMarkov) SetObserver(o obs.Observer) { e.obs = o }
-
-// Repaint implements Engine.
-func (e *CliqueMarkov) Repaint(from, to Color, m int64) int64 {
-	return repaintCounts(e.cfg, from, to, m)
-}
-
-// Close implements Engine (no worker goroutines; no-op).
-func (e *CliqueMarkov) Close() {}

@@ -1,20 +1,16 @@
 package engine
 
-import (
-	"time"
-
-	"plurality/internal/colorcfg"
-	"plurality/internal/obs"
-)
+import "plurality/internal/obs"
 
 // Observer support. Every concrete engine in this package carries an
-// optional obs.Observer and reports each completed Step to it: round
-// number, agent count, wall-clock nanoseconds, and the post-round count
+// optional obs.Observer in its shared core (counts) and reports each
+// completed Step to it from the core's begin/end bracket: round number,
+// agent count, wall-clock nanoseconds, and the post-round count
 // configuration. The zero-cost-when-off contract (DESIGN.md §13):
 //
-//   - Detached (the default), the entire cost is one nil check per Step.
-//     No clock read, no allocation. TestStepZeroAllocs and the sparse
-//     ns/agent budget run in this state.
+//   - Detached (the default), the entire cost is a nil check at each end
+//     of Step. No clock read, no allocation. TestStepZeroAllocs and the
+//     sparse ns/agent budget run in this state.
 //   - Attached, the engine reads the clock twice per round and makes one
 //     interface call — all outside the per-agent loops, so worker
 //     dispatch and the inner sampling plans are untouched.
@@ -42,14 +38,4 @@ func Observe(e Engine, o obs.Observer) bool {
 		oe.SetObserver(o)
 	}
 	return ok
-}
-
-// observeEnd reports a completed round to o; no-op when detached. The
-// cfg slice is the engine's live count array — obs.Observer documents
-// that implementations must not retain it.
-func observeEnd(o obs.Observer, began time.Time, round int, n int64, cfg colorcfg.Config) {
-	if o == nil {
-		return
-	}
-	o.ObserveRound(round, n, time.Since(began).Nanoseconds(), cfg)
 }

@@ -67,7 +67,9 @@ func TestStepZeroAllocs(t *testing.T) {
 			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init, 4, 11, nil),
 		"graph-implicit-utie-w4": NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},
 			torus, initTorus, 4, 11, nil),
-		"undecided-exact": NewUndecidedExact(init),
+		"undecided-exact":      NewUndecidedExact(init),
+		"population":           NewPopulation(dynamics.ThreeMajority{}, init),
+		"undecided-population": NewUndecidedPopulation(init),
 	}
 	for name, e := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 
 	"plurality/internal/colorcfg"
 	"plurality/internal/dynamics"
-	"plurality/internal/obs"
 	"plurality/internal/rng"
 )
 
@@ -21,25 +20,17 @@ import (
 // the updating agent's current color is drawn from c/n and the sampled
 // colors likewise.
 type Population struct {
-	rule  dynamics.Rule
-	cfg   colorcfg.Config
-	n     int64
-	round int
-	buf   []Color
-	obs   obs.Observer
+	counts
+	rule dynamics.Rule
+	buf  []Color
 }
 
 // NewPopulation builds the sequential engine.
 func NewPopulation(rule dynamics.Rule, initial colorcfg.Config) *Population {
-	n := initial.N()
-	if n <= 0 {
-		panic("engine: empty initial configuration")
-	}
 	return &Population{
-		rule: rule,
-		cfg:  initial.Clone(),
-		n:    n,
-		buf:  make([]Color, rule.SampleSize()),
+		counts: newCounts(initial),
+		rule:   rule,
+		buf:    make([]Color, rule.SampleSize()),
 	}
 }
 
@@ -48,35 +39,14 @@ func (e *Population) Name() string {
 	return fmt.Sprintf("population[%s]", e.rule.Name())
 }
 
-// N implements Engine.
-func (e *Population) N() int64 { return e.n }
-
-// K implements Engine.
-func (e *Population) K() int { return e.cfg.K() }
-
-// Round implements Engine.
-func (e *Population) Round() int { return e.round }
-
-// Config implements Engine.
-func (e *Population) Config() colorcfg.Config { return e.AppendConfig(nil) }
-
-// AppendConfig implements Engine.
-func (e *Population) AppendConfig(dst colorcfg.Config) colorcfg.Config {
-	return append(dst, e.cfg...)
-}
-
 // Step implements Engine: n sequential micro-steps.
 func (e *Population) Step(r *rng.Rand) {
-	began := obs.Began(e.obs)
+	began := e.begin()
 	for i := int64(0); i < e.n; i++ {
 		e.MicroStep(r)
 	}
-	e.round++
-	observeEnd(e.obs, began, e.round, e.n, e.cfg)
+	e.end(began)
 }
-
-// SetObserver implements Observable.
-func (e *Population) SetObserver(o obs.Observer) { e.obs = o }
 
 // MicroStep updates a single uniform agent.
 func (e *Population) MicroStep(r *rng.Rand) {
@@ -104,12 +74,4 @@ func (e *Population) sampleColor(r *rng.Rand) Color {
 		t -= cj
 	}
 	panic("engine: color sampling overran configuration (count invariant broken)")
-}
-
-// Close implements Engine (no worker goroutines; no-op).
-func (e *Population) Close() {}
-
-// Repaint implements Engine.
-func (e *Population) Repaint(from, to Color, m int64) int64 {
-	return repaintCounts(e.cfg, from, to, m)
 }

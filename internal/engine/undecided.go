@@ -3,7 +3,6 @@ package engine
 import (
 	"plurality/internal/colorcfg"
 	"plurality/internal/dist"
-	"plurality/internal/obs"
 	"plurality/internal/rng"
 )
 
@@ -30,28 +29,24 @@ const Undecided Color = -1
 // The SODA'15 analysis shows convergence time Θ(md(c) · log n) w.h.p.
 // (md = monochromatic distance) and that for k = ω(sqrt n) the plurality
 // color can die in one round — both reproduced in experiment E11.
+//
+// N counts all agents, colored and undecided, while Config counts the
+// colored agents only: its sum is N() - UndecidedCount(). Repaint moves
+// colored agents between colors.
 type UndecidedExact struct {
-	cfg       colorcfg.Config
+	counts
 	undecided int64
-	n         int64
-	round     int
 	// scratch
 	recruitProbs []float64
 	recruits     []int64
-	obs          obs.Observer
 }
 
 // NewUndecidedExact starts the dynamics from a fully-colored configuration
 // (no undecided agents, matching the protocol's standard initialization).
 func NewUndecidedExact(initial colorcfg.Config) *UndecidedExact {
-	n := initial.N()
-	if n <= 0 {
-		panic("engine: empty initial configuration")
-	}
 	k := initial.K()
 	return &UndecidedExact{
-		cfg:          initial.Clone(),
-		n:            n,
+		counts:       newCounts(initial),
 		recruitProbs: make([]float64, k+1),
 		recruits:     make([]int64, k+1),
 	}
@@ -60,31 +55,13 @@ func NewUndecidedExact(initial colorcfg.Config) *UndecidedExact {
 // Name implements Engine.
 func (e *UndecidedExact) Name() string { return "undecided-exact" }
 
-// N implements Engine: total agents, colored plus undecided.
-func (e *UndecidedExact) N() int64 { return e.n }
-
-// K implements Engine.
-func (e *UndecidedExact) K() int { return e.cfg.K() }
-
-// Round implements Engine.
-func (e *UndecidedExact) Round() int { return e.round }
-
-// Config implements Engine: counts of colored agents only; the sum is
-// N() - Undecided().
-func (e *UndecidedExact) Config() colorcfg.Config { return e.AppendConfig(nil) }
-
-// AppendConfig implements Engine.
-func (e *UndecidedExact) AppendConfig(dst colorcfg.Config) colorcfg.Config {
-	return append(dst, e.cfg...)
-}
-
 // UndecidedCount returns the number of agents currently undecided.
 func (e *UndecidedExact) UndecidedCount() int64 { return e.undecided }
 
 // Step implements Engine. All probabilities are computed from the
 // start-of-round state before any count is mutated.
 func (e *UndecidedExact) Step(r *rng.Rand) {
-	began := obs.Began(e.obs)
+	began := e.begin()
 	n := float64(e.n)
 	q := e.undecided
 	k := e.cfg.K()
@@ -119,20 +96,8 @@ func (e *UndecidedExact) Step(r *rng.Rand) {
 		e.cfg[j] += e.recruits[j]
 	}
 	e.undecided = becameUndecided + e.recruits[k]
-	e.round++
-	observeEnd(e.obs, began, e.round, e.n, e.cfg)
+	e.end(began)
 }
-
-// SetObserver implements Observable.
-func (e *UndecidedExact) SetObserver(o obs.Observer) { e.obs = o }
-
-// Repaint implements Engine (corruption among colored agents only).
-func (e *UndecidedExact) Repaint(from, to Color, m int64) int64 {
-	return repaintCounts(e.cfg, from, to, m)
-}
-
-// Close implements Engine (no worker goroutines; no-op).
-func (e *UndecidedExact) Close() {}
 
 // ----- agent-level population variant -----
 
@@ -141,63 +106,37 @@ func (e *UndecidedExact) Close() {}
 // initiator u observes a uniform responder v ≠ u and applies the same
 // update rule as UndecidedExact. One Step() performs n micro-steps (one
 // "parallel round equivalent"), so Round() is comparable across engines.
+// It needs n ≥ 2 agents. As in UndecidedExact, Config counts the colored
+// agents only and N all of them; Repaint recolors the first m agents of
+// color `from` in the agent array.
 type UndecidedPopulation struct {
+	counts
 	agents    []Color
-	cfg       colorcfg.Config
 	undecided int64
-	n         int64
-	round     int
-	obs       obs.Observer
 }
 
 // NewUndecidedPopulation starts from a fully-colored configuration.
 func NewUndecidedPopulation(initial colorcfg.Config) *UndecidedPopulation {
-	n := initial.N()
-	if n < 2 {
+	if initial.N() < 2 {
 		panic("engine: population model needs at least 2 agents")
 	}
-	return &UndecidedPopulation{
-		agents: initial.ToAgents(nil),
-		cfg:    initial.Clone(),
-		n:      n,
-	}
+	return &UndecidedPopulation{counts: newCounts(initial), agents: initial.ToAgents(nil)}
 }
 
 // Name implements Engine.
 func (e *UndecidedPopulation) Name() string { return "undecided-population" }
-
-// N implements Engine.
-func (e *UndecidedPopulation) N() int64 { return e.n }
-
-// K implements Engine.
-func (e *UndecidedPopulation) K() int { return e.cfg.K() }
-
-// Round implements Engine (completed blocks of n micro-steps).
-func (e *UndecidedPopulation) Round() int { return e.round }
-
-// Config implements Engine: colored counts only.
-func (e *UndecidedPopulation) Config() colorcfg.Config { return e.AppendConfig(nil) }
-
-// AppendConfig implements Engine.
-func (e *UndecidedPopulation) AppendConfig(dst colorcfg.Config) colorcfg.Config {
-	return append(dst, e.cfg...)
-}
 
 // UndecidedCount returns the number of undecided agents.
 func (e *UndecidedPopulation) UndecidedCount() int64 { return e.undecided }
 
 // Step implements Engine: n sequential pairwise interactions.
 func (e *UndecidedPopulation) Step(r *rng.Rand) {
-	began := obs.Began(e.obs)
+	began := e.begin()
 	for i := int64(0); i < e.n; i++ {
 		e.MicroStep(r)
 	}
-	e.round++
-	observeEnd(e.obs, began, e.round, e.n, e.cfg)
+	e.end(began)
 }
-
-// SetObserver implements Observable.
-func (e *UndecidedPopulation) SetObserver(o obs.Observer) { e.obs = o }
 
 // MicroStep performs a single pairwise interaction.
 func (e *UndecidedPopulation) MicroStep(r *rng.Rand) {
@@ -219,28 +158,7 @@ func (e *UndecidedPopulation) MicroStep(r *rng.Rand) {
 	}
 }
 
-// Close implements Engine (no worker goroutines; no-op).
-func (e *UndecidedPopulation) Close() {}
-
 // Repaint implements Engine.
 func (e *UndecidedPopulation) Repaint(from, to Color, m int64) int64 {
-	if m <= 0 || from == to {
-		return 0
-	}
-	if int(from) >= e.K() || int(to) >= e.K() || from < 0 || to < 0 {
-		panic("engine: Repaint color out of range")
-	}
-	var moved int64
-	for i := range e.agents {
-		if moved == m {
-			break
-		}
-		if e.agents[i] == from {
-			e.agents[i] = to
-			moved++
-		}
-	}
-	e.cfg[from] -= moved
-	e.cfg[to] += moved
-	return moved
+	return e.repaintAgents(e.agents, from, to, m)
 }

@@ -67,16 +67,20 @@ func runE8(p Profile, seed uint64) []*Table {
 			}
 			// Stability window: keep the adversary running and record the
 			// worst minority mass (Corollary 4's "almost-stability" phase).
+			// The run's final configuration is the window's buffer, refilled
+			// for the adversary after each Step and again after it.
+			c := res.Final
 			for i := 0; i < window; i++ {
 				e.Step(r)
-				adv.Corrupt(e, r)
-				c := e.Config()
+				c = e.AppendConfig(c[:0])
+				adv.Corrupt(e, c, r)
+				c = e.AppendConfig(c[:0])
 				first, _ := c.TopTwo()
 				if mass := n - first; mass > o.worstMass {
 					o.worstMass = mass
 				}
 			}
-			o.survived = e.Config().Plurality() == 0
+			o.survived = c.Plurality() == 0
 			return o
 		})
 		reached := 0

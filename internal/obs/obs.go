@@ -5,8 +5,8 @@
 //
 // The contract has three clauses, all load-bearing:
 //
-//  1. Detached is free. An engine with no observer pays exactly one
-//     nil-check branch per Step — no time.Now, no allocation, no
+//  1. Detached is free. An engine with no observer pays a nil-check
+//     branch at each end of Step — no time.Now, no allocation, no
 //     indirect call. The engine hot-path budget (TestStepZeroAllocs,
 //     the <50 ns/agent sparse target) is written against this state.
 //  2. The observer sits outside the per-agent loop. ObserveRound fires

@@ -282,11 +282,6 @@ func TestEventsSlowConsumerDropped(t *testing.T) {
 	defer healthyCancel()
 	healthy := sseConnect(t, healthyCtx, ts)
 	nextFrame(t, healthy, "healthy hello")
-	go func() {
-		// Keep the healthy client draining so only the stalled one backs up.
-		for range healthy {
-		}
-	}()
 
 	// The stalled client: a raw socket with a tiny receive buffer that
 	// sends the request and then never reads, so the server-side write
@@ -307,6 +302,11 @@ func TestEventsSlowConsumerDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Each job publishes 67 events (3 job snapshots, 64 progress events).
+	// The healthy client reads its stream up to each job's done snapshot
+	// before the next submit, so it never lags by more than one job, well
+	// inside EventBuffer: only the hub's slow-consumer rule could remove
+	// it, and only the stalled client overflows.
 	spec := service.JobSpec{N: 100_000, K: 8, Seed: 9, Replicates: 64, MaxRounds: 2000}
 	deadline := time.Now().Add(30 * time.Second)
 	dropped := false
@@ -318,6 +318,18 @@ func TestEventsSlowConsumerDropped(t *testing.T) {
 		}
 		if d := time.Since(start); d > 10*time.Second {
 			t.Fatalf("job %d took %s with a stalled subscriber attached", i, d)
+		}
+		for {
+			f, ok := nextFrame(t, healthy, "the healthy client's done snapshot")
+			if !ok {
+				t.Fatalf("job %d: the healthy client's stream ended", i)
+			}
+			if f.event == "job" && f.ev.Job != nil && f.ev.Job.ID == info.ID && f.ev.Job.State == service.StateDone {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d: no done snapshot on the healthy stream by the deadline", i)
+			}
 		}
 		fams := scrapeMetrics(t, ts)
 		dropped = famValue(t, fams, "pluralityd_sse_dropped_total", nil) >= 1
