@@ -157,21 +157,24 @@ func (a *Alias) Sample(r *rng.Rand) int {
 	return int(s.alias)
 }
 
-// SampleMany fills dst with independent draws. One tight loop over the flat
-// slot array amortizes call overhead and keeps the table hot in cache; the
-// agent-sampling engines use it to draw whole batches of agent samples at
-// once. dst is an int32 slice so engines can pass their []Color buffers
-// directly (Color = int32).
+// SampleMany fills dst with independent draws, byte-identical to len(dst)
+// Sample calls. One tight loop over the flat slot array amortizes call
+// overhead and keeps the table hot in cache; the agent-sampling engines
+// use it to draw whole batches of agent samples at once. The slot-or-alias
+// choice is a conditional move rather than a branch: on a mid-run table
+// the threshold compare goes either way at random, and a mispredicted
+// branch per draw cost more than the draw itself. dst is an int32 slice so
+// engines can pass their []Color buffers directly (Color = int32).
 func (a *Alias) SampleMany(r *rng.Rand, dst []int32) {
 	slots := a.slots
 	k := uint64(len(slots))
 	for i := range dst {
 		hi, lo := bits.Mul64(r.Uint64(), k)
 		s := slots[hi]
+		c := s.alias
 		if lo < s.thresh {
-			dst[i] = int32(hi)
-		} else {
-			dst[i] = s.alias
+			c = int32(hi)
 		}
+		dst[i] = c
 	}
 }

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math/bits"
 	"testing"
 
 	"plurality/internal/rng"
@@ -39,17 +40,56 @@ func TestAliasMatchesCounts(t *testing.T) {
 }
 
 // TestAliasSampleManyMatchesSample: the batched sampler must consume the
-// rng stream identically to repeated single draws.
+// rng stream identically to repeated single draws, on every table shape
+// the engines build: draws equal one for one, and both generators end in
+// the same state. The multi-category tables have slots whose threshold
+// compare goes both ways, and the test requires that the draws took both
+// outcomes, so the branch-free select is checked on each.
 func TestAliasSampleManyMatchesSample(t *testing.T) {
-	counts := []int64{5, 1, 9, 4, 11, 3}
-	a := NewAliasCounts(counts)
-	r1, r2 := rng.New(9), rng.New(9)
-	batch := make([]int32, 1000)
-	a.SampleMany(r1, batch)
-	for i, got := range batch {
-		if want := int32(a.Sample(r2)); got != want {
-			t.Fatalf("draw %d: SampleMany %d != Sample %d", i, got, want)
-		}
+	linear64 := make([]int64, 64)
+	for j := range linear64 {
+		linear64[j] = int64(j + 1)
+	}
+	for _, tc := range []struct {
+		name   string
+		counts []int64
+	}{
+		{"small", []int64{5, 1, 9, 4, 11, 3}},
+		// colorcfg.Biased(2^18, 8, core.Corollary1Bias(2^18, 8, 1)): the
+		// graph-grid benchmark's start.
+		{"k8-start", []int64{39098, 31864, 31864, 31864, 31864, 31864, 31863, 31863}},
+		{"k8-plurality60", []int64{157286, 14980, 14980, 14980, 14980, 14980, 14979, 14979}},
+		{"zero-counts", []int64{0, 7, 0, 3, 12, 0, 1, 0}},
+		{"single", []int64{5}},
+		{"k64-linear", linear64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewAliasCounts(tc.counts)
+			r1, r2, r3 := rng.New(9), rng.New(9), rng.New(9)
+			batch := make([]int32, 4093)
+			a.SampleMany(r1, batch)
+			var slot, alias int
+			for i, got := range batch {
+				if want := int32(a.Sample(r2)); got != want {
+					t.Fatalf("draw %d: SampleMany %d != Sample %d", i, got, want)
+				}
+				hi, lo := bits.Mul64(r3.Uint64(), uint64(a.K()))
+				if s := a.slots[hi]; lo < s.thresh {
+					slot++
+				} else if s.alias != int32(hi) {
+					alias++
+				}
+				if tc.counts[got] == 0 {
+					t.Fatalf("draw %d: zero-count category %d", i, got)
+				}
+			}
+			if r1.Uint64() != r2.Uint64() {
+				t.Error("generator state diverged from sequential Sample")
+			}
+			if a.K() > 1 && (slot == 0 || alias == 0) {
+				t.Errorf("draws took the slot %d times and the alias %d times; want both", slot, alias)
+			}
+		})
 	}
 }
 

@@ -129,3 +129,65 @@ func TestGraphColorsSnapshot(t *testing.T) {
 		t.Error("AppendColors does not append to dst")
 	}
 }
+
+// applyOnly forwards to a rule through the bare interface, so the engine
+// cannot recognize ThreeMajority and keeps fast3 off.
+type applyOnly struct{ dynamics.Rule }
+
+// TestFused3MatchesApply pins the fast3 passes against the interface
+// path on every row: CliqueSampled and the graph engine on the complete
+// graph (applyMajority3), on a regular CSR (flat row) and on the implicit
+// torus (generic row, applyFused3), stepped from one seed with
+// ThreeMajority and with a wrapper that forwards to it, go through equal
+// configurations and per-vertex colors every round. n = 70² leaves a
+// partial last block.
+func TestFused3MatchesApply(t *testing.T) {
+	const n, rounds = 4900, 15
+	init := colorcfg.Biased(n, 6, n/10)
+	regular := topo.RandomRegular("regular:6", n, 6, rng.New(31))
+	torus := topo.NewTorusD(n, 2)
+	for _, workers := range []int{1, 3} {
+		build := func(rule dynamics.Rule) []Engine {
+			return []Engine{
+				NewCliqueSampled(rule, init, workers, 91),
+				NewGraphEngine(rule, topo.NewComplete(n), init, workers, 91, rng.New(5)),
+				NewGraphEngine(rule, regular, init, workers, 91, rng.New(5)),
+				NewGraphEngine(rule, torus, init, workers, 91, rng.New(5)),
+			}
+		}
+		fused, called := build(dynamics.ThreeMajority{}), build(applyOnly{dynamics.ThreeMajority{}})
+		for i := range fused {
+			if lp, wrapped := loopOf(fused[i]), loopOf(called[i]); !lp.fast3 || wrapped.fast3 {
+				t.Fatalf("%s: fast3 %v, wrapper fast3 %v", fused[i].Name(), lp.fast3, wrapped.fast3)
+			}
+		}
+		for round := 1; round <= rounds; round++ {
+			for i := range fused {
+				f, c := fused[i], called[i]
+				f.Step(nil)
+				c.Step(nil)
+				if !f.Config().Equal(c.Config()) {
+					t.Fatalf("w=%d %s round %d: fused config %v, Apply %v", workers, f.Name(), round, f.Config(), c.Config())
+				}
+				if g, ok := f.(*GraphEngine); ok && !slices.Equal(g.Colors(), c.(*GraphEngine).Colors()) {
+					t.Fatalf("w=%d %s round %d: per-vertex colors differ", workers, f.Name(), round)
+				}
+			}
+		}
+		for i := range fused {
+			fused[i].Close()
+			called[i].Close()
+		}
+	}
+}
+
+// loopOf returns an agent-level engine's loop plan.
+func loopOf(e Engine) *graphLoop {
+	switch e := e.(type) {
+	case *CliqueSampled:
+		return e.lp
+	case *GraphEngine:
+		return e.lp
+	}
+	panic("not an agent-level engine: " + e.Name())
+}

@@ -45,7 +45,12 @@ import (
 //
 // Every other topology runs one of the two-pass loops described at
 // graphLoop: draw a block of neighbor ids, then gather their colors and
-// apply the rule.
+// apply the rule. On a uniform-degree source (a regular in-RAM CSR, or a
+// topo.UniformDegree source such as the implicit torus, cycle and
+// hypercube or an mmap CSR) the block's draws come from one
+// dist.FillUniform call, byte-identical to the per-sample draws. With
+// first-sample 3-majority, every row applies the rule in one inlined pass
+// instead of a rule.Apply call per agent.
 //
 // Repaint recolors the first m vertices (in vertex order) that hold
 // `from`.
@@ -86,7 +91,13 @@ type graphBuffers struct {
 //	                 gather colors and apply the rule, so the random
 //	                 color reads pipeline instead of serializing behind
 //	                 the rule
-//	otherwise      → generic row: the same two passes over SampleNeighbor
+//	otherwise      → generic row: the same two passes through the source,
+//	                 one FillUniform and one topo.BlockResolver call per
+//	                 block when the degree is uniform (resolve != nil),
+//	                 else one SampleNeighbor call per sample
+//
+// On every row, fast3 replaces the rule's Apply calls with one inlined
+// 3-majority pass over the block.
 type graphLoop struct {
 	claimed  atomic.Int64 // blocks claimed so far this round
 	round    uint64       // the round being computed (0-based)
@@ -108,13 +119,20 @@ type graphLoop struct {
 	h         int
 	// unifDeg, when positive, promises every vertex has exactly this
 	// degree (from the topo.UniformDegree hint or a one-time offsets
-	// scan); the flat loop then hoists the degree load, the zero-degree
-	// branch, and the rejection threshold out of the rng loop.
+	// scan); the flat and generic rows then draw the whole block with one
+	// dist.FillUniform, hoisting the degree load, the zero-degree branch
+	// and the rejection threshold out of the rng loop.
 	unifDeg int64
+	// resolve is non-nil only on the generic row of a uniform-degree
+	// source: it turns the block's draws into neighbor ids in one call
+	// (topo.Resolver).
+	resolve topo.BlockResolver
 	// fast3 replaces rule.Apply with the inlined first-sample 3-majority
-	// ("if s1 == s2 adopt s1, else adopt s0" — a conditional move, no
-	// data-dependent branch). Set only for dynamics.ThreeMajority without
-	// UniformTie off the clique row, whose Apply it replicates exactly.
+	// ("if s1 == s2 adopt s1, else adopt s0", with no interface call) on
+	// every row: applyMajority3 on the clique row, applyFused3 on the
+	// others. Set only for dynamics.ThreeMajority without UniformTie,
+	// whose Apply it replicates exactly and which never draws from the
+	// rule stream.
 	fast3 bool
 }
 
@@ -167,8 +185,8 @@ func NewGraphEngine(rule dynamics.Rule, src topo.NeighborSource, initial colorcf
 		} else if lp.offsets != nil {
 			lp.unifDeg = uniformFlatDegree(lp.offsets)
 		}
-		if tm, ok := rule.(dynamics.ThreeMajority); ok && !tm.UniformTie {
-			lp.fast3 = true
+		if lp.offsets == nil && lp.unifDeg > 0 {
+			lp.resolve = topo.Resolver(src)
 		}
 	}
 	e.crew = newCrew(e, lp, workers, initial.K())
@@ -263,6 +281,10 @@ func (w *graphWorker) runClique(lp *graphLoop, v0, m int64) {
 	if lp.bufs != nil {
 		next = lp.bufs.next
 	}
+	if lp.fast3 {
+		w.applyMajority3(buf, next, v0, m)
+		return
+	}
 	w.applyBlock(lp, buf, next, v0, m)
 }
 
@@ -333,16 +355,25 @@ func (w *graphWorker) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
 
 // runGeneric is the two-pass loop for non-flat sources (implicit
 // families, mmap CSRs, opaque graphs): pass 1 fills the index buffer with
-// sampled neighbor ids through SampleNeighbor, pass 2 gathers colors and
-// applies the rule.
+// sampled neighbor ids, pass 2 gathers colors and applies the rule. On a
+// uniform-degree source pass 1 is one FillUniform over the block, which
+// consumes the rng exactly as the SampleNeighbor calls would (one
+// Int63n(degree) per sample), and one ResolveBlock call; otherwise it is
+// one SampleNeighbor call per sample.
 func (w *graphWorker) runGeneric(lp *graphLoop, v0, m int64) {
-	h, src, r := lp.h, lp.src, &w.draw
+	h := lp.h
 	idx := w.idx[:m*int64(h)]
-	p := 0
-	for v := v0; v < v0+m; v++ {
-		for s := 0; s < h; s++ {
-			idx[p] = src.SampleNeighbor(v, r)
-			p++
+	if lp.resolve != nil {
+		dist.FillUniform(&w.draw, lp.unifDeg, idx)
+		lp.resolve.ResolveBlock(v0, h, idx)
+	} else {
+		src, r := lp.src, &w.draw
+		p := 0
+		for v := v0; v < v0+m; v++ {
+			for s := 0; s < h; s++ {
+				idx[p] = src.SampleNeighbor(v, r)
+				p++
+			}
 		}
 	}
 	w.gatherApply(lp, idx, v0, m)
@@ -366,10 +397,11 @@ func (w *graphWorker) gatherApply(lp *graphLoop, idx []int64, v0, m int64) {
 // applyFused3 gathers a block's colors and applies first-sample 3-majority
 // in one pass. The rule reduces to "if s1 == s2 adopt s1, else adopt s0"
 // (when s0 matches either other sample both branches return the same
-// color), which compiles to a conditional move — no data-dependent branch
-// to mispredict while the three gather loads per vertex pipeline. (A
-// split gather-then-apply variant was measured slower: the extra buffer
-// pass costs more than the denser load window buys.)
+// color). The compiler keeps that test as a branch, since its result
+// indexes the tally; a masked select, as in applyMajority3, measured no
+// faster here on the gather-bound 8-regular row at n = 10⁶. (A split
+// gather-then-apply variant was measured slower: the extra buffer pass
+// costs more than the denser load window buys.)
 func (w *graphWorker) applyFused3(colors, next []Color, idx []int64, v0, m int64) {
 	tally := w.tally
 	p := 0
@@ -382,6 +414,27 @@ func (w *graphWorker) applyFused3(colors, next []Color, idx []int64, v0, m int64
 			x = y
 		}
 		next[v0+i] = x
+		tally[x]++
+	}
+}
+
+// applyMajority3 is the clique row's fast3 pass: first-sample 3-majority
+// (see applyFused3) over each sample triple of buf, one pass that writes
+// next[v0:v0+m] when next is non-nil (the graph engine's agent array) and
+// tallies. It picks the color ThreeMajority.Apply picks for every triple.
+// The alias block holds no gather to wait for, so it selects with a mask
+// rather than the branch the compiler would keep: on a mid-run block
+// y == z goes either way at random. eq is all ones exactly when y^z is 0,
+// for any two int32 colors.
+func (w *graphWorker) applyMajority3(buf, next []Color, v0, m int64) {
+	tally := w.tally
+	for i := int64(0); i < m; i++ {
+		x, y, z := buf[3*i], buf[3*i+1], buf[3*i+2]
+		eq := Color((int64(uint32(y^z)) - 1) >> 63)
+		x ^= (x ^ y) & eq
+		if next != nil {
+			next[v0+i] = x
+		}
 		tally[x]++
 	}
 }

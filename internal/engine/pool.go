@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"plurality/internal/colorcfg"
+	"plurality/internal/dynamics"
 )
 
 // workerPool runs a fixed set of closures on persistent goroutines, one per
@@ -101,10 +102,13 @@ type crew struct {
 // newCrew lays out the workers of an agent-level engine over lp's n
 // agents: workers is clamped to [1, number of blocks], and each worker
 // gets a padded k-color tally and a one-block sample buffer (plus an
-// index buffer for the non-clique rows). Multi-worker crews run on a
-// persistent pool tied to owner's lifetime (attachPool).
+// index buffer for the non-clique rows). It also sets lp.fast3, on every
+// row, from the rule. Multi-worker crews run on a persistent pool tied to
+// owner's lifetime (attachPool).
 func newCrew[E any](owner *E, lp *graphLoop, workers, k int) crew {
 	lp.blockLen = max(1, sampleBatchDraws/int64(lp.h))
+	tm, ok := lp.rule.(dynamics.ThreeMajority)
+	lp.fast3 = ok && !tm.UniformTie
 	blocks := (lp.n + lp.blockLen - 1) / lp.blockLen
 	workers = int(max(1, min(int64(workers), blocks)))
 	bufLen := int(min(lp.blockLen, lp.n)) * lp.h

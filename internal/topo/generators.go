@@ -715,3 +715,66 @@ func (g TorusD) SampleNeighbor(v int64, r *rng.Rand) int64 {
 // UniformDegree implements the degree-class hint: every vertex has degree
 // 2·Dims (Side >= 3 keeps all 2·Dims neighbors distinct).
 func (g TorusD) UniformDegree() int64 { return int64(2 * g.Dims) }
+
+// maxTorusDims is the widest torus NewTorusD accepts: side >= 3 and
+// 3³⁹ < 2⁶³ <= 3⁴⁰. ResolveBlock keeps its digits and deltas in arrays of
+// this size on the stack.
+const maxTorusDims = 39
+
+// ResolveBlock implements BlockResolver without a division per sample. It
+// takes v0's base-Side digits once, keeps the 2·Dims wrap-aware neighbor
+// offsets of the current vertex in a table, and steps to the next vertex
+// by a carry increment that refreshes only the digits it moved. Each draw
+// i then resolves to v + delta[i], a bounds-checked table read.
+func (g TorusD) ResolveBlock(v0 int64, h int, draws []int64) {
+	dims, side := g.Dims, g.Side
+	if dims > maxTorusDims {
+		eachNeighbor{g}.ResolveBlock(v0, h, draws)
+		return
+	}
+	var digit [maxTorusDims]int64
+	var table [2 * maxTorusDims]int64
+	rest, stride := v0, int64(1)
+	for j := 0; j < dims; j++ {
+		digit[j] = rest % side
+		rest /= side
+		table[2*j], table[2*j+1] = torusSteps(digit[j], side, stride)
+		stride *= side
+	}
+	delta := table[:2*dims]
+	v := v0
+	for p := 0; p < len(draws); p += h {
+		blk := draws[p : p+h]
+		for s, i := range blk {
+			blk[s] = v + delta[i]
+		}
+		v++
+		stride = 1
+		for j := 0; j < dims; j++ {
+			wrapped := digit[j] == side-1
+			digit[j]++
+			if wrapped {
+				digit[j] = 0
+			}
+			delta[2*j], delta[2*j+1] = torusSteps(digit[j], side, stride)
+			if !wrapped {
+				break
+			}
+			stride *= side
+		}
+	}
+}
+
+// torusSteps returns the offsets from a vertex to its +1 and -1 neighbors
+// along a dimension whose digit is digit and whose place value is stride,
+// wrapping at the torus's edges.
+func torusSteps(digit, side, stride int64) (up, down int64) {
+	up, down = stride, -stride
+	if digit == side-1 {
+		up = stride - side*stride
+	}
+	if digit == 0 {
+		down = side*stride - stride
+	}
+	return up, down
+}

@@ -162,3 +162,69 @@ func TestConstructorPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestResolveBlockMatchesNeighbor pins the BlockResolver contract: for
+// every vertex of a block and every draw in [0, degree), the resolver
+// equals per-sample Neighbor, and it allocates nothing. TorusD resolves
+// with its own division-free method, at dims 1, 2, 3 and the widest torus
+// NewTorusD accepts (side 3, dims 39, n = 3³⁹, implicit, so it costs no
+// memory); the cycle and the hypercube take Resolver's per-draw fallback.
+// Blocks start at 0, start mid-row, end at n-1 and straddle a long carry,
+// so they cross every wrap.
+func TestResolveBlockMatchesNeighbor(t *testing.T) {
+	const blockLen = 200
+	widest := NewTorusD(satPow(3, 39), 39)
+	if widest.Side != 3 || widest.N() != satPow(3, 39) {
+		t.Fatalf("widest torus is %d^%d", widest.Side, widest.Dims)
+	}
+	for _, tc := range []struct {
+		src    NeighborSource
+		starts []int64
+	}{
+		{NewTorusD(7, 1), []int64{0}},
+		{NewTorusD(150, 1), []int64{0, 37, 150 - blockLen/2}},
+		{NewTorusD(24*24, 2), []int64{0, 341, 24*24 - blockLen}},
+		{NewTorusD(5*5*5, 3), []int64{0, 3, 125 - blockLen/2}},
+		{NewTorusD(14*14*14, 3), []int64{0, 14*14 - 7, 14*14*14 - blockLen}},
+		{widest, []int64{0, 1, satPow(3, 20) - blockLen/2, widest.N() - blockLen}},
+		{NewCycle(150), []int64{0, 150 - blockLen/2}},
+		{NewHypercube(512), []int64{0, 312}},
+	} {
+		g := tc.src
+		br := Resolver(g)
+		if torus, ok := g.(TorusD); ok && br != BlockResolver(torus) {
+			t.Fatalf("%s: Resolver does not return the torus's own ResolveBlock", g.Name())
+		}
+		deg := int(g.Degree(0))
+		for _, v0 := range tc.starts {
+			m := min(int64(blockLen), g.N()-v0)
+			// h = degree with draw s in slot s covers every draw of every
+			// vertex; h = 3 covers an h that does not divide the degree.
+			for _, h := range []int{deg, 3} {
+				draws := make([]int64, m*int64(h))
+				for p := range draws {
+					if h == deg {
+						draws[p] = int64(p % h)
+					} else {
+						draws[p] = int64((p*7 + p/h) % deg)
+					}
+				}
+				got := slices.Clone(draws)
+				br.ResolveBlock(v0, h, got)
+				for p, i := range draws {
+					v := v0 + int64(p/h)
+					if want := g.Neighbor(v, i); got[p] != want {
+						t.Fatalf("%s n=%d, block at %d, h=%d: vertex %d draw %d resolves to %d, Neighbor gives %d",
+							g.Name(), g.N(), v0, h, v, i, got[p], want)
+					}
+				}
+				if a := testing.AllocsPerRun(10, func() {
+					copy(got, draws)
+					br.ResolveBlock(v0, h, got)
+				}); a != 0 {
+					t.Errorf("%s: ResolveBlock allocates %.1f objects/op, want 0", g.Name(), a)
+				}
+			}
+		}
+	}
+}

@@ -38,15 +38,54 @@ type NeighborSource interface {
 
 // UniformDegree is the optional degree-class hint: a source whose vertices
 // all share one positive degree returns it, and the engine's bucketed hot
-// loop hoists the per-vertex degree load, the zero-degree branch, and the
-// rng rejection threshold out of the sampling loop. Return 0 when degrees
-// vary (or are unknown) — the hint must never overclaim, as the bucketed
-// loop indexes rows by the advertised width. Implicit regular families
+// loops hoist the per-vertex degree load, the zero-degree branch, and the
+// rng rejection threshold out of the sampling loop: they draw a whole
+// block with one dist.FillUniform(degree) and resolve it through the
+// source's BlockResolver (see Resolver). Return 0 when degrees vary (or
+// are unknown) — the hint must never overclaim, as the bucketed loops
+// draw and index rows by the advertised width. Implicit regular families
 // (torus, hypercube, cycle) answer in O(1); mmap CSRs answer from the scan
 // OpenCSR already pays; for an in-RAM *CSR the engine derives the hint
 // itself from the offset array.
 type UniformDegree interface {
 	UniformDegree() int64
+}
+
+// BlockResolver is the optional bulk form of Neighbor, for a source whose
+// per-sample Neighbor repeats work that consecutive vertices share.
+// ResolveBlock reads draws as h draws per vertex for the vertices v0,
+// v0+1, … in order (len(draws) a multiple of h, h >= 1) and replaces each
+// draw i of vertex v with Neighbor(v, i). It must equal Neighbor for every
+// draw in [0, Degree(v)), read no rng, and allocate nothing. The graph
+// engine calls it on uniform-degree sources after drawing the whole block
+// with one dist.FillUniform, which consumes the rng exactly as the
+// per-sample SampleNeighbor calls would. TorusD implements it.
+type BlockResolver interface {
+	ResolveBlock(v0 int64, h int, draws []int64)
+}
+
+// Resolver returns src's own BlockResolver, or else one that resolves each
+// draw through src.Neighbor.
+func Resolver(src NeighborSource) BlockResolver {
+	if b, ok := src.(BlockResolver); ok {
+		return b
+	}
+	return eachNeighbor{src}
+}
+
+// eachNeighbor is BlockResolver's contract met one Neighbor call per draw.
+type eachNeighbor struct{ NeighborSource }
+
+// ResolveBlock implements BlockResolver.
+func (e eachNeighbor) ResolveBlock(v0 int64, h int, draws []int64) {
+	v := v0
+	for p := 0; p < len(draws); p += h {
+		blk := draws[p : p+h]
+		for s, i := range blk {
+			blk[s] = e.Neighbor(v, i)
+		}
+		v++
+	}
 }
 
 // MaterializeCSR materializes any NeighborSource into an in-RAM CSR

@@ -36,8 +36,10 @@ type GraphContractSpec struct {
 // also certifies that a run does not depend on its worker count.
 var contractWorkers = []int{1, 2, 3, 5, 8}
 
-// StandardGraphSpecs covers the registry's generator families plus the
-// hypercube and the 3-torus, at sizes the quick tier affords.
+// StandardGraphSpecs covers the registry's generator families plus every
+// implicit uniform-degree family (hypercube, square torus, 3-torus,
+// cycle), at sizes the quick tier affords. The square torus is 24², so
+// its second 341-agent block starts mid-row.
 func StandardGraphSpecs() []GraphContractSpec {
 	mk := func(spec string, n int64) GraphContractSpec {
 		return GraphContractSpec{Spec: spec, N: n, K: 3, Bias: n / 6, Rounds: 8, Seed: 7101}
@@ -48,6 +50,8 @@ func StandardGraphSpecs() []GraphContractSpec {
 		mk("sbm:3:0.05:0.005", 600),
 		mk("hypercube", 512),
 		mk("torus:3", 512), // 8×8×8
+		mk("torus", 576),   // 24×24
+		mk("cycle", 600),
 		mk("barbell:4", 600),
 		mk("regular:8", 600),
 		mk("gnp:0.02", 600),
