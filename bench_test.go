@@ -106,30 +106,57 @@ func BenchmarkEngineMultinomialRoundN(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSampledRound measures the agent-sampling engine at
-// n = 100k across worker counts (parallel scaling ablation).
+// roundsPerEngine is how many rounds the transient-round benchmarks step
+// one engine before rebuilding it outside the timer: from their starts the
+// clique reaches consensus in 29–48 rounds, and the undecided chain in
+// ~80, so 16 rounds keep every timed round transient at any -benchtime.
+const roundsPerEngine = 16
+
+// stepFresh steps b.N rounds on r, rebuilding the engine with build,
+// outside the timer, every roundsPerEngine rounds. It runs a b.N loop,
+// not b.Loop: go1.24's b.Loop times its stop check from the last
+// StartTimer, so with the timer paused every 16 rounds it never stops.
+func stepFresh(b *testing.B, r *rng.Rand, build func() engine.Engine) {
+	var e engine.Engine
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%roundsPerEngine == 0 {
+			b.StopTimer()
+			if e != nil {
+				e.Close()
+			}
+			e = build()
+			b.StartTimer()
+		}
+		e.Step(r)
+	}
+	b.StopTimer()
+	if e != nil {
+		e.Close()
+	}
+}
+
+// BenchmarkEngineSampledRound measures one transient round of the
+// agent-sampling engine at n = 100k across worker counts (parallel
+// scaling ablation).
 func BenchmarkEngineSampledRound(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("w=%d", workers), func(b *testing.B) {
-			r := rng.New(1)
-			e := engine.NewCliqueSampled(dynamics.ThreeMajority{},
-				colorcfg.Biased(100_000, 16, 1_000), workers, 7)
-			defer e.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step(r)
-			}
+			init := colorcfg.Biased(100_000, 16, 1_000)
+			stepFresh(b, nil, func() engine.Engine {
+				return engine.NewCliqueSampled(dynamics.ThreeMajority{}, init, workers, 7)
+			})
 		})
 	}
 }
 
-// BenchmarkEngineGraphRound measures the per-vertex engine at n = 10⁵ on
-// the clique (alias fast path) and on a random 8-regular CSR (direct-slice
-// fast path) — the clique-vs-regular gap of DESIGN.md §5.
+// BenchmarkEngineGraphRound measures one transient round of the
+// per-vertex engine at n = 10⁵ on the clique (alias fast path) and on a
+// random 8-regular CSR (direct-slice fast path) — the clique-vs-regular
+// gap of DESIGN.md §5.
 func BenchmarkEngineGraphRound(b *testing.B) {
 	const n = 100_000
-	layout := rng.New(3)
 	builders := []struct {
 		name string
 		g    topo.NeighborSource
@@ -139,23 +166,20 @@ func BenchmarkEngineGraphRound(b *testing.B) {
 	}
 	for _, tc := range builders {
 		b.Run(tc.name, func(b *testing.B) {
-			e := engine.NewGraphEngine(dynamics.ThreeMajority{}, tc.g,
-				colorcfg.Biased(n, 8, 1_000), 4, 11, layout)
-			defer e.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Step(nil)
-			}
+			init := colorcfg.Biased(n, 8, 1_000)
+			layout := rng.New(3)
+			stepFresh(b, nil, func() engine.Engine {
+				return engine.NewGraphEngine(dynamics.ThreeMajority{}, tc.g, init, 4, 11, layout)
+			})
 		})
 	}
 }
 
 // BenchmarkEngineGraphRoundSparse scales the CSR-sharded graph engine to
 // large sparse topologies: one synchronous 3-majority round on a random
-// 8-regular graph at n = 10⁶ and the headline n = 10⁷ (offsets + neighbors
-// ≈ 720 MB, double-buffered colors 80 MB — comfortably inside 2 GB; the
-// legacy engine path topped out around 10⁵).
+// 8-regular graph at n = 10⁶ and the headline n = 10⁷ (int64 offsets
+// 80 MB + int32 neighbors 320 MB, double-buffered colors 80 MB —
+// comfortably inside 2 GB; the legacy engine path topped out around 10⁵).
 func BenchmarkEngineGraphRoundSparse(b *testing.B) {
 	for _, n := range []int64{1_000_000, 10_000_000} {
 		g := topo.RandomRegular("regular:8", n, 8, rng.New(4))
@@ -249,26 +273,11 @@ func BenchmarkEngineGraphRoundMmap(b *testing.B) {
 // BenchmarkEngineUndecidedRound measures one transient round of the exact
 // undecided-state engine at n = 10⁶, k = 64. From this start the chain
 // reaches consensus in ~80 rounds, after which a round is one live draw;
-// so the engine is rebuilt, outside the timer, every 16 rounds, while all
-// 64 colors are still alive.
+// so the engine is rebuilt every 16 rounds, while all 64 colors are still
+// alive.
 func BenchmarkEngineUndecidedRound(b *testing.B) {
-	const roundsPerEngine = 16
-	r := rng.New(1)
 	init := colorcfg.Biased(1_000_000, 64, 10_000)
-	var e *engine.UndecidedExact
-	b.ReportAllocs()
-	b.ResetTimer()
-	// A b.N loop, not b.Loop: go1.24's b.Loop times its stop check from
-	// the last StartTimer, so with the timer paused every 16 rounds it
-	// never stops.
-	for i := 0; i < b.N; i++ {
-		if i%roundsPerEngine == 0 {
-			b.StopTimer()
-			e = engine.NewUndecidedExact(init)
-			b.StartTimer()
-		}
-		e.Step(r)
-	}
+	stepFresh(b, rng.New(1), func() engine.Engine { return engine.NewUndecidedExact(init) })
 }
 
 // BenchmarkTieBreakVariants compares the two tie-break implementations

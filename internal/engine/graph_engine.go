@@ -115,7 +115,7 @@ type graphLoop struct {
 	// offsets/neighbors are non-nil only when src is an in-RAM *topo.CSR;
 	// the workers then index its arrays directly.
 	offsets   []int64
-	neighbors []int64
+	neighbors []int32
 	h         int
 	// unifDeg, when positive, promises every vertex has exactly this
 	// degree (from the topo.UniformDegree hint or a one-time offsets
@@ -128,11 +128,10 @@ type graphLoop struct {
 	// (topo.Resolver).
 	resolve topo.BlockResolver
 	// fast3 replaces rule.Apply with the inlined first-sample 3-majority
-	// ("if s1 == s2 adopt s1, else adopt s0", with no interface call) on
-	// every row: applyMajority3 on the clique row, applyFused3 on the
-	// others. Set only for dynamics.ThreeMajority without UniformTie,
-	// whose Apply it replicates exactly and which never draws from the
-	// rule stream.
+	// (majority3, with no interface call) on every row: applyMajority3 on
+	// the clique row, applyFused3 on the others. Set only for
+	// dynamics.ThreeMajority without UniformTie, whose Apply it
+	// replicates exactly and which never draws from the rule stream.
 	fast3 bool
 }
 
@@ -310,7 +309,7 @@ func (w *graphWorker) runFlat(lp *graphLoop, v0, m int64) {
 		for lo, end := lp.offsets[v0], lp.offsets[v0+m]; lo < end; lo += d {
 			row := neighbors[lo : lo+d]
 			for s := 0; s < h; s++ {
-				idx[p] = row[idx[p]]
+				idx[p] = int64(row[idx[p]])
 				p++
 			}
 		}
@@ -347,7 +346,7 @@ func (w *graphWorker) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
 			for lo2 < thresh {
 				hi, lo2 = bits.Mul64(r.Uint64(), d)
 			}
-			idx[p] = neighbors[lo+int64(hi)]
+			idx[p] = int64(neighbors[lo+int64(hi)])
 			p++
 		}
 	}
@@ -394,44 +393,41 @@ func (w *graphWorker) gatherApply(lp *graphLoop, idx []int64, v0, m int64) {
 	w.applyBlock(lp, buf, next, v0, m)
 }
 
-// applyFused3 gathers a block's colors and applies first-sample 3-majority
-// in one pass. The rule reduces to "if s1 == s2 adopt s1, else adopt s0"
-// (when s0 matches either other sample both branches return the same
-// color). The compiler keeps that test as a branch, since its result
-// indexes the tally; a masked select, as in applyMajority3, measured no
-// faster here on the gather-bound 8-regular row at n = 10⁶. (A split
-// gather-then-apply variant was measured slower: the extra buffer pass
-// costs more than the denser load window buys.)
+// majority3 is first-sample 3-majority on one sample triple: "if s1 == s2
+// adopt s1, else adopt s0" (when s0 matches either other sample both
+// branches return the same color), the color ThreeMajority.Apply picks
+// for every triple. It selects with a mask rather than the branch Go
+// keeps for "if y == z { x = y }" when x then indexes the tally: on a
+// mid-run block y == z goes either way at random. eq is all ones exactly
+// when y^z is 0, for any two int32 colors.
+func majority3(x, y, z Color) Color {
+	eq := Color((int64(uint32(y^z)) - 1) >> 63)
+	return x ^ (x^y)&eq
+}
+
+// applyFused3 gathers a block's colors and applies majority3 in one pass.
+// Its mask measured faster than the branch here too, on the 8-regular CSR
+// at n = 2¹⁸, 10⁶ and 10⁷ (DESIGN §12). (A split gather-then-apply
+// variant was measured slower: the extra buffer pass costs more than the
+// denser load window buys.)
 func (w *graphWorker) applyFused3(colors, next []Color, idx []int64, v0, m int64) {
 	tally := w.tally
 	p := 0
 	for i := int64(0); i < m; i++ {
-		x := colors[idx[p]]
-		y := colors[idx[p+1]]
-		z := colors[idx[p+2]]
+		x := majority3(colors[idx[p]], colors[idx[p+1]], colors[idx[p+2]])
 		p += 3
-		if y == z {
-			x = y
-		}
 		next[v0+i] = x
 		tally[x]++
 	}
 }
 
-// applyMajority3 is the clique row's fast3 pass: first-sample 3-majority
-// (see applyFused3) over each sample triple of buf, one pass that writes
-// next[v0:v0+m] when next is non-nil (the graph engine's agent array) and
-// tallies. It picks the color ThreeMajority.Apply picks for every triple.
-// The alias block holds no gather to wait for, so it selects with a mask
-// rather than the branch the compiler would keep: on a mid-run block
-// y == z goes either way at random. eq is all ones exactly when y^z is 0,
-// for any two int32 colors.
+// applyMajority3 is the clique row's fast3 pass: majority3 over each
+// sample triple of buf, one pass that writes next[v0:v0+m] when next is
+// non-nil (the graph engine's agent array) and tallies.
 func (w *graphWorker) applyMajority3(buf, next []Color, v0, m int64) {
 	tally := w.tally
 	for i := int64(0); i < m; i++ {
-		x, y, z := buf[3*i], buf[3*i+1], buf[3*i+2]
-		eq := Color((int64(uint32(y^z)) - 1) >> 63)
-		x ^= (x ^ y) & eq
+		x := majority3(buf[3*i], buf[3*i+1], buf[3*i+2])
 		if next != nil {
 			next[v0+i] = x
 		}

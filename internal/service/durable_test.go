@@ -225,6 +225,33 @@ func TestCrashAfterTerminalKeepsJobDone(t *testing.T) {
 	}
 }
 
+// TestTerminalFsyncsOnlyPendingRecords counts the fsyncs of one
+// synchronous job under durableOpts (SyncEvery 2). The records file is
+// fsynced on every second record, and again at the terminal transition
+// only when a record is still unsynced; the meta journal fsyncs the
+// submit and the terminal state. A 12-replicate job therefore makes
+// 6 + 0 + 2 fsyncs, one fewer than a terminal fsync of a synced file
+// would, and a 13-replicate job 6 + 1 + 2.
+func TestTerminalFsyncsOnlyPendingRecords(t *testing.T) {
+	for _, tc := range []struct{ reps, syncs int }{{12, 8}, {13, 9}} {
+		fs := faultfs.New()
+		s, ts := boot(t, durableOpts(fs))
+		spec := service.JobSpec{Rule: "3majority", Engine: "multinomial", N: 100_000, K: 4,
+			Seed: 9, Replicates: tc.reps}
+		_, before := fs.Counts()
+		status, info, raw := submit(t, ts, spec, "?wait=1")
+		_, after := fs.Counts()
+		ts.Close()
+		s.Close()
+		if status != http.StatusOK || info.State != service.StateDone || info.Records != tc.reps {
+			t.Fatalf("%d replicates: status %d state %s, %d records (%s)", tc.reps, status, info.State, info.Records, raw)
+		}
+		if got := after - before; got != tc.syncs {
+			t.Errorf("%d-replicate job made %d fsyncs, want %d", tc.reps, got, tc.syncs)
+		}
+	}
+}
+
 // TestTransientRecordWriteFailureRetried injects a single failing,
 // partially-landed record write; the retry must repair the file
 // (truncating the interior garbage) and the job must complete with

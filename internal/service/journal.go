@@ -488,7 +488,11 @@ func (jr *journal) appendRecord(id string, rec mc.Record) error {
 
 // jobTerminal records a terminal transition: the job's records file is
 // fsynced and closed first, then the terminal meta entry is fsynced —
-// so a journaled terminal state implies every record is durable.
+// so a journaled terminal state implies every record is durable. The
+// records fsync is skipped when this process's last append to the file
+// already fsynced it (nothing pending on an open handle): the file then
+// holds no byte that fsync left undurable. A file this process never
+// opened (a replayed job that appended nothing) is still fsynced.
 func (jr *journal) jobTerminal(id string, st State, errmsg string) error {
 	jr.mu.Lock()
 	af := jr.recs[id]
@@ -496,7 +500,10 @@ func (jr *journal) jobTerminal(id string, st State, errmsg string) error {
 	jr.mu.Unlock()
 	if af != nil {
 		af.mu.Lock()
-		err := jr.append(af, nil, true)
+		var err error
+		if af.pending > 0 || af.f == nil {
+			err = jr.append(af, nil, true)
+		}
 		af.close()
 		af.mu.Unlock()
 		if err != nil {

@@ -8,13 +8,14 @@
 // specs through.
 //
 // CSR is the backbone for materialized graphs: neighbors live in one flat
-// int64 array indexed by a flat offset array, so degree lookup is O(1),
-// neighbor scans are cache-linear, and the whole structure serializes to
-// disk (WriteTo/ReadCSR) so an expensive generated graph is buildable once
-// and reusable across sweep cells. The engine layer (engine.GraphEngine)
-// special-cases *CSR with a direct-slice sampling path; the rng draw
-// sequence (one Int63n(degree) per sample) is byte-identical to the
-// generic NeighborSource path.
+// int32 array (MaxBuilderN = 2³¹ bounds every vertex id) indexed by a flat
+// int64 offset array, so degree lookup is O(1), neighbor scans are
+// cache-linear at 4 bytes per entry, and the whole structure serializes to
+// disk (WriteTo/ReadCSR, one 8-byte word per entry) so an expensive
+// generated graph is buildable once and reusable across sweep cells. The
+// engine layer (engine.GraphEngine) special-cases *CSR with a direct-slice
+// sampling path; the rng draw sequence (one Int63n(degree) per sample) is
+// byte-identical to the generic NeighborSource path.
 //
 // All generators draw exclusively from an explicit *rng.Rand, so every
 // graph is a pure function of (spec, n, seed): byte-identical across runs,
@@ -34,7 +35,11 @@ import (
 // neighbors of vertex v are Neighbors[Offsets[v]:Offsets[v+1]]. Each
 // undirected edge {a, b} appears twice (b in a's row and a in b's row), so
 // len(Neighbors) is twice the edge count and the handshake identity
-// Σ degree(v) = len(Neighbors) holds by construction.
+// Σ degree(v) = len(Neighbors) holds by construction. Neighbor ids are
+// 32-bit because a CSR has fewer than MaxBuilderN = 2³¹ vertices; offsets
+// stay 64-bit, since the entry count is bounded only by memory. The
+// NeighborSource methods take and return int64 ids like every other
+// source.
 type CSR struct {
 	// GraphName is the registry spec the graph was built from (e.g.
 	// "regular:8", "smallworld:10:0.1"); it identifies the topology in
@@ -42,10 +47,10 @@ type CSR struct {
 	GraphName string
 	// Offsets has length N()+1 with Offsets[0] = 0, nondecreasing.
 	Offsets []int64
-	// Neighbors holds the concatenated adjacency rows: sorted for
-	// generator-built graphs, in enumeration order for a materialized
-	// source (see MaterializeCSR).
-	Neighbors []int64
+	// Neighbors holds the concatenated adjacency rows, each id in
+	// [0, N()): sorted for generator-built graphs, in enumeration order
+	// for a materialized source (see MaterializeCSR).
+	Neighbors []int32
 }
 
 var _ NeighborSource = (*CSR)(nil)
@@ -60,7 +65,7 @@ func (g *CSR) N() int64 { return int64(len(g.Offsets)) - 1 }
 func (g *CSR) Degree(v int64) int64 { return g.Offsets[v+1] - g.Offsets[v] }
 
 // Neighbor implements NeighborSource.
-func (g *CSR) Neighbor(v, i int64) int64 { return g.Neighbors[g.Offsets[v]+i] }
+func (g *CSR) Neighbor(v, i int64) int64 { return int64(g.Neighbors[g.Offsets[v]+i]) }
 
 // SampleNeighbor implements NeighborSource: one Int63n(degree) draw per
 // sample, as the contract requires, so swapping the backing store never
@@ -71,7 +76,7 @@ func (g *CSR) SampleNeighbor(v int64, r *rng.Rand) int64 {
 	if lo == hi {
 		return v
 	}
-	return g.Neighbors[lo+r.Int63n(hi-lo)]
+	return int64(g.Neighbors[lo+r.Int63n(hi-lo)])
 }
 
 // Edges returns the number of undirected edges.
@@ -130,13 +135,13 @@ func (b *Builder) Finalize() *CSR {
 	for v := int64(0); v < b.n; v++ {
 		offsets[v+1] += offsets[v]
 	}
-	neighbors := make([]int64, offsets[b.n])
-	cursor := make([]int64, b.n)
+	neighbors := make([]int32, offsets[b.n])
+	cursor := make([]int32, b.n) // a row's degree, below n < 2^31 in a simple graph
 	for _, e := range b.edges {
-		x, y := int64(e>>32), int64(uint32(e))
-		neighbors[offsets[x]+cursor[x]] = y
+		x, y := int32(e>>32), int32(uint32(e))
+		neighbors[offsets[x]+int64(cursor[x])] = y
 		cursor[x]++
-		neighbors[offsets[y]+cursor[y]] = x
+		neighbors[offsets[y]+int64(cursor[y])] = x
 		cursor[y]++
 	}
 	b.edges = nil
@@ -158,11 +163,31 @@ func sortRows(g *CSR) {
 
 // csrMagic versions the on-disk format: magic, name (uvarint length +
 // bytes), n and nnz (uvarint), then Offsets[1:] and Neighbors as
-// little-endian uint64s. Offsets[0] is always 0 and is not stored.
+// little-endian uint64s. Offsets[0] is always 0 and is not stored. A
+// neighbor id takes a full word on disk although CSR holds it as an
+// int32: WriteTo widens each id as it writes and ReadCSR narrows each
+// checked word as it reads, so the format, and every file in it, is
+// independent of the in-memory width.
 const csrMagic = "topoCSR1"
 
-// ioChunk is the staging-buffer size for (de)serializing the int64 arrays.
+// ioChunk is the staging-buffer size, in words, for (de)serializing the
+// arrays.
 const ioChunk = 8192
+
+// csrHeader is a decoded topoCSR1 header.
+type csrHeader struct {
+	name   string
+	n, nnz int64
+}
+
+// appendTo appends the header's encoding, the one WriteTo writes.
+func (h csrHeader) appendTo(dst []byte) []byte {
+	dst = append(dst, csrMagic...)
+	dst = binary.AppendUvarint(dst, uint64(len(h.name)))
+	dst = append(dst, h.name...)
+	dst = binary.AppendUvarint(dst, uint64(h.n))
+	return binary.AppendUvarint(dst, uint64(h.nnz))
+}
 
 // WriteTo implements io.WriterTo: the exact bytes are a pure function of
 // the CSR contents, so serialized graphs are content-addressable.
@@ -173,115 +198,155 @@ func (g *CSR) WriteTo(w io.Writer) (int64, error) {
 		total += int64(m)
 		return err
 	}
-	var hdr []byte
-	hdr = append(hdr, csrMagic...)
-	hdr = binary.AppendUvarint(hdr, uint64(len(g.GraphName)))
-	hdr = append(hdr, g.GraphName...)
-	hdr = binary.AppendUvarint(hdr, uint64(g.N()))
-	hdr = binary.AppendUvarint(hdr, uint64(len(g.Neighbors)))
-	if err := wr(hdr); err != nil {
+	h := csrHeader{g.GraphName, g.N(), int64(len(g.Neighbors))}
+	if err := wr(h.appendTo(nil)); err != nil {
 		return total, err
 	}
-	for _, arr := range [][]int64{g.Offsets[1:], g.Neighbors} {
-		buf := make([]byte, 0, 8*ioChunk)
-		for _, v := range arr {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			if len(buf) == cap(buf) {
-				if err := wr(buf); err != nil {
-					return total, err
-				}
-				buf = buf[:0]
-			}
-		}
-		if err := wr(buf); err != nil {
-			return total, err
-		}
+	if err := writeWords(wr, g.Offsets[1:]); err != nil {
+		return total, err
 	}
-	return total, nil
+	err := writeWords(wr, g.Neighbors)
+	return total, err
 }
 
-// ReadCSR deserializes a CSR written by WriteTo, validating the structural
-// invariants (nondecreasing offsets, in-range neighbors) so a truncated or
-// corrupted file is an error, never a later panic.
+// writeWords writes arr through wr as little-endian uint64s, widening each
+// element on its own, in chunks of ioChunk words.
+func writeWords[T int32 | int64](wr func([]byte) error, arr []T) error {
+	buf := make([]byte, 0, 8*ioChunk)
+	for _, v := range arr {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		if len(buf) == cap(buf) {
+			if err := wr(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+	}
+	return wr(buf)
+}
+
+// ReadCSR deserializes a CSR written by WriteTo, validating the header and
+// the structural invariants (nondecreasing offsets, in-range neighbors)
+// word by word, so a truncated or corrupted input is an error, never a
+// later panic. The arrays grow as their bytes arrive instead of being
+// sized from the header, so a short input that claims a huge graph fails
+// at its end without allocating what it claims. ReadCSR reads no byte
+// past the graph.
 func ReadCSR(r io.Reader) (*CSR, error) {
 	br := &byteReader{r: r}
+	h, err := readCSRHeader(br)
+	if err != nil {
+		return nil, fmt.Errorf("topo: %w", err)
+	}
+	n, nnz := h.n, h.nnz
+	prev := int64(0)
+	offsets, err := readWords(br, []int64{0}, n, func(v int64, w uint64) (int64, error) {
+		if w > uint64(nnz) || int64(w) < prev {
+			return 0, fmt.Errorf("offsets not nondecreasing at vertex %d", v)
+		}
+		prev = int64(w)
+		return prev, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("topo: reading offsets: %w", err)
+	}
+	if offsets[n] != nnz {
+		return nil, fmt.Errorf("topo: offsets end at %d, want %d", offsets[n], nnz)
+	}
+	neighbors, err := readWords(br, nil, nnz, func(_ int64, w uint64) (int32, error) {
+		if w >= uint64(n) {
+			return 0, fmt.Errorf("neighbor %d out of range [0, %d)", int64(w), n)
+		}
+		return int32(w), nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("topo: reading neighbors: %w", err)
+	}
+	return &CSR{GraphName: h.name, Offsets: offsets, Neighbors: neighbors}, nil
+}
+
+// readWords appends count little-endian uint64 words from r to dst, each
+// checked and narrowed by conv (which gets the word's index), reading
+// ioChunk words at a time. dst grows as the words arrive, doubling up to
+// what count still needs, never to count at once.
+func readWords[T int32 | int64](r io.Reader, dst []T, count int64, conv func(i int64, w uint64) (T, error)) ([]T, error) {
+	buf := make([]byte, 8*ioChunk)
+	for done := int64(0); done < count; {
+		m := min(count-done, ioChunk)
+		if _, err := io.ReadFull(r, buf[:8*m]); err != nil {
+			return nil, err
+		}
+		if int64(cap(dst)-len(dst)) < m {
+			dst = slices.Grow(dst, int(min(count-done, max(m, int64(len(dst))))))
+		}
+		for j := int64(0); j < m; j++ {
+			x, err := conv(done+j, binary.LittleEndian.Uint64(buf[8*j:]))
+			if err != nil {
+				return nil, err
+			}
+			dst = append(dst, x)
+		}
+		done += m
+	}
+	return dst, nil
+}
+
+// readCSRHeader decodes a topoCSR1 header from br, applying the format's
+// bounds: a name of at most 2^16 bytes, 1 <= n < MaxBuilderN and
+// nnz <= 2^40. It accepts only the encoding csrHeader.appendTo writes
+// (minimal varints), so every accepted file is the one WriteTo writes for
+// its graph. ReadCSR and OpenCSR both parse through it.
+func readCSRHeader(br *byteReader) (csrHeader, error) {
+	start := br.n
 	magic := make([]byte, len(csrMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("topo: reading magic: %w", err)
+		return csrHeader{}, fmt.Errorf("reading magic: %w", err)
 	}
 	if string(magic) != csrMagic {
-		return nil, fmt.Errorf("topo: bad magic %q", magic)
+		return csrHeader{}, fmt.Errorf("bad magic %q (not a %s file)", magic, csrMagic)
 	}
 	nameLen, err := binary.ReadUvarint(br)
 	if err != nil || nameLen > 1<<16 {
-		return nil, fmt.Errorf("topo: bad name length (%v)", err)
+		return csrHeader{}, fmt.Errorf("bad name length (%v)", err)
 	}
 	name := make([]byte, nameLen)
 	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("topo: reading name: %w", err)
+		return csrHeader{}, fmt.Errorf("reading name: %w", err)
 	}
-	n64, err := binary.ReadUvarint(br)
-	if err != nil || int64(n64) < 1 || int64(n64) >= MaxBuilderN {
-		return nil, fmt.Errorf("topo: bad vertex count (%v)", err)
+	n, err := binary.ReadUvarint(br)
+	if err != nil || n < 1 || n >= uint64(MaxBuilderN) {
+		return csrHeader{}, fmt.Errorf("bad vertex count (%v)", err)
 	}
-	nnz64, err := binary.ReadUvarint(br)
-	if err != nil || nnz64 > 1<<40 {
-		return nil, fmt.Errorf("topo: bad neighbor count (%v)", err)
+	nnz, err := binary.ReadUvarint(br)
+	if err != nil || nnz > 1<<40 {
+		return csrHeader{}, fmt.Errorf("bad neighbor count (%v)", err)
 	}
-	n, nnz := int64(n64), int64(nnz64)
-	g := &CSR{
-		GraphName: string(name),
-		Offsets:   make([]int64, n+1),
-		Neighbors: make([]int64, nnz),
+	h := csrHeader{string(name), int64(n), int64(nnz)}
+	if got, want := br.n-start, int64(len(h.appendTo(nil))); got != want {
+		return csrHeader{}, fmt.Errorf("non-minimal header varint (%d header bytes, want %d)", got, want)
 	}
-	if err := readInt64s(br, g.Offsets[1:]); err != nil {
-		return nil, fmt.Errorf("topo: reading offsets: %w", err)
-	}
-	if err := readInt64s(br, g.Neighbors); err != nil {
-		return nil, fmt.Errorf("topo: reading neighbors: %w", err)
-	}
-	for v := int64(0); v < n; v++ {
-		if g.Offsets[v+1] < g.Offsets[v] || g.Offsets[v+1] > nnz {
-			return nil, fmt.Errorf("topo: offsets not nondecreasing at vertex %d", v)
-		}
-	}
-	if g.Offsets[n] != nnz {
-		return nil, fmt.Errorf("topo: offsets end at %d, want %d", g.Offsets[n], nnz)
-	}
-	for _, u := range g.Neighbors {
-		if u < 0 || u >= n {
-			return nil, fmt.Errorf("topo: neighbor %d out of range [0, %d)", u, n)
-		}
-	}
-	return g, nil
-}
-
-// readInt64s fills dst from little-endian uint64s in chunks.
-func readInt64s(r io.Reader, dst []int64) error {
-	buf := make([]byte, 8*ioChunk)
-	for len(dst) > 0 {
-		m := min(len(dst), ioChunk)
-		if _, err := io.ReadFull(r, buf[:8*m]); err != nil {
-			return err
-		}
-		for i := 0; i < m; i++ {
-			dst[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-		dst = dst[m:]
-	}
-	return nil
+	return h, nil
 }
 
 // byteReader adapts any reader for binary.ReadUvarint without buffering
-// past the varint (a bufio.Reader would swallow bytes the array reads need).
-type byteReader struct{ r io.Reader }
+// past the varint (a bufio.Reader would swallow bytes the array reads
+// need), and counts the bytes it has passed on.
+type byteReader struct {
+	r io.Reader
+	n int64
+}
 
-func (b *byteReader) Read(p []byte) (int, error) { return b.r.Read(p) }
+func (b *byteReader) Read(p []byte) (int, error) {
+	m, err := b.r.Read(p)
+	b.n += int64(m)
+	return m, err
+}
 
 func (b *byteReader) ReadByte() (byte, error) {
 	var one [1]byte
 	if _, err := io.ReadFull(b.r, one[:]); err != nil {
 		return 0, err
 	}
+	b.n++
 	return one[0], nil
 }

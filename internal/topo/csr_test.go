@@ -2,6 +2,9 @@ package topo
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -26,19 +29,20 @@ func checkCSR(t *testing.T, g *CSR) int64 {
 		if !slices.IsSorted(row) {
 			t.Fatalf("row %d not sorted", v)
 		}
-		for i, u := range row {
+		for i, w := range row {
+			u := int64(w)
 			if u < 0 || u >= n {
 				t.Fatalf("vertex %d: neighbor %d out of range", v, u)
 			}
 			if u == v {
 				t.Fatalf("vertex %d has a self-loop", v)
 			}
-			if i > 0 && row[i-1] == u {
+			if i > 0 && row[i-1] == w {
 				t.Fatalf("vertex %d has duplicate neighbor %d", v, u)
 			}
 			// Symmetry: v must appear in u's row.
 			urow := g.Neighbors[g.Offsets[u]:g.Offsets[u+1]]
-			if _, found := slices.BinarySearch(urow, v); !found {
+			if _, found := slices.BinarySearch(urow, int32(v)); !found {
 				t.Fatalf("edge {%d,%d} missing its mirror", v, u)
 			}
 		}
@@ -103,7 +107,7 @@ func TestBuilderBasic(t *testing.T) {
 			t.Errorf("degree(%d) = %d, want %d", v, got, want)
 		}
 	}
-	if got := g.Neighbors[g.Offsets[0]:g.Offsets[1]]; !slices.Equal(got, []int64{1, 2, 3}) {
+	if got := g.Neighbors[g.Offsets[0]:g.Offsets[1]]; !slices.Equal(got, []int32{1, 2, 3}) {
 		t.Errorf("row 0 = %v, want [1 2 3]", got)
 	}
 	if g.Edges() != 4 {
@@ -218,9 +222,123 @@ func TestReadCSRRejectsCorruption(t *testing.T) {
 	corrupt := slices.Clone(full)
 	corrupt[len(corrupt)-1] = 0x7f
 	cases["neighbor out of range"] = corrupt
+	cases["non-minimal varint"] = nonMinimalHeader(full)
+	// A header that claims the largest graph the format allows, followed
+	// by a few words: sized from the header, the arrays would take 16 GiB
+	// and 4 TiB.
+	huge := csrHeader{"huge", MaxBuilderN - 1, 1 << 40}.appendTo(nil)
+	cases["huge claim, short input"] = append(huge, make([]byte, 64)...)
 	for name, data := range cases {
-		if _, err := ReadCSR(bytes.NewReader(data)); err == nil {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadCSR(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
 			t.Errorf("%s: ReadCSR accepted corrupted input", name)
 		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: ReadCSR allocated %d bytes for a %d-byte input", name, grew, len(data))
+		}
+	}
+}
+
+// nonMinimalHeader re-encodes a serialized graph's one-byte name length
+// as the two-byte varint [L|0x80, 0x00]: the same value, one byte longer,
+// with the array words unchanged, so only the header's encoding is wrong.
+func nonMinimalHeader(file []byte) []byte {
+	at := len(csrMagic)
+	out := slices.Clone(file[:at])
+	out = append(out, file[at]|0x80, 0)
+	return append(out, file[at+1:]...)
+}
+
+// TestWriteToBytesPinned pins the SHA-256 of the serialized bytes of one
+// generated graph per CSR producer — the regular pairing generator, the
+// Builder (smallworld, gnp, ba), Barbell and MaterializeCSR (a torus built
+// with ModeCSR) — at the values files written before neighbor ids were
+// held as int32 have. Cache files on disk therefore keep opening, and
+// ReadCSR reproduces each graph exactly.
+func TestWriteToBytesPinned(t *testing.T) {
+	for _, tc := range []struct{ spec, sha string }{
+		{"regular:8", "550bc7e0e2aa53dee061d1a716bff127f59d77201379c62cf9227b4606f06704"},
+		{"smallworld:8:0.1", "c5d5054e2d98860daf77865fc4b50d1b7bf6e15dd3a3e169909ddb4a8e9144f7"},
+		{"barbell:4", "45abd4901258e1e6cb36941177db0012fb28ebe333c0dba540641449f16e6e78"},
+		{"gnp:0.01", "4f91f087ff35d65c9d32128d6d7c4600101d104ddf536306635ce4bfc2e559af"},
+		{"ba:3", "60662076e7d89edf7faa87a49d5d3158dd32339cb51cc2856a5094219d8043df"},
+		{"torus", "32a1e48232be8456e8544fd247b83cc06e651653e9aad02ad3e8bba99afbc4ac"},
+	} {
+		src, err := BuildSource(tc.spec, 4096, rng.New(2026), BuildOpts{Mode: ModeCSR})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := src.(*CSR).WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.sha {
+			t.Errorf("%s: WriteTo SHA-256 %s, want %s", tc.spec, got, tc.sha)
+		}
+		back, err := ReadCSR(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: ReadCSR: %v", tc.spec, err)
+		}
+		if g := src.(*CSR); !slices.Equal(back.Offsets, g.Offsets) || !slices.Equal(back.Neighbors, g.Neighbors) {
+			t.Errorf("%s: ReadCSR changed the graph", tc.spec)
+		}
+	}
+}
+
+// allocated returns the bytes the heap handed out while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBuildAllocatesInt32Layout bounds what building a CSR allocates by
+// its int32 layout: 4 bytes per adjacency entry and 8 per offset, plus
+// the producer's own int32 scratch and 1/8 of the neighbor array as slack.
+// An int64 neighbor array, or an int64 one narrowed into an int32 copy,
+// costs at least 4 bytes per entry more, twice the slack.
+func TestBuildAllocatesInt32Layout(t *testing.T) {
+	const n = 1 << 16
+	const nnz = 8 * n
+	const slack = 4 * nnz / 8
+	offsets := uint64(8 * (n + 1))
+
+	// regular:8: the neighbor array, the stub array (4 bytes per entry)
+	// and the int32 cursor (4 per vertex).
+	var g NeighborSource
+	grew := allocated(func() {
+		var err error
+		g, err = BuildSource("regular:8", n, rng.New(1), BuildOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if csr := g.(*CSR); len(csr.Neighbors) != nnz {
+		t.Fatalf("regular:8 has %d entries, want %d", len(csr.Neighbors), nnz)
+	}
+	if budget := 4*nnz + 4*nnz + 4*n + offsets + slack; grew > budget {
+		t.Errorf("building regular:8 at n=%d allocated %d bytes, budget %d", n, grew, budget)
+	}
+
+	// Builder.Finalize: the neighbor array, the offsets and the int32
+	// cursor; the edge list was allocated before the call.
+	b := NewBuilder("ring8", n)
+	for v := int64(0); v < n; v++ {
+		for j := int64(1); j <= 4; j++ {
+			b.AddEdge(v, (v+j)%n)
+		}
+	}
+	var csr *CSR
+	grew = allocated(func() { csr = b.Finalize() })
+	if len(csr.Neighbors) != nnz {
+		t.Fatalf("ring8 has %d entries, want %d", len(csr.Neighbors), nnz)
+	}
+	if budget := 4*nnz + 4*n + offsets + slack; grew > budget {
+		t.Errorf("Builder.Finalize at n=%d allocated %d bytes, budget %d", n, grew, budget)
 	}
 }

@@ -89,9 +89,9 @@ func TestBuildSourceMmapLockedRebuildMatches(t *testing.T) {
 		if src.Degree(v) != csr.Degree(v) {
 			t.Fatalf("vertex %d: degree %d vs direct %d", v, src.Degree(v), csr.Degree(v))
 		}
-		row := make([]int64, 0, csr.Degree(v))
+		row := make([]int32, 0, csr.Degree(v))
 		for i := int64(0); i < csr.Degree(v); i++ {
-			row = append(row, src.Neighbor(v, i))
+			row = append(row, int32(src.Neighbor(v, i)))
 		}
 		if !slices.Equal(row, csr.Neighbors[csr.Offsets[v]:csr.Offsets[v+1]]) {
 			t.Fatalf("vertex %d: rows differ", v)

@@ -17,9 +17,9 @@ import (
 // RandomRegular samples a random d-regular simple graph on n vertices with
 // the configuration (pairing) model followed by in-place degree-preserving
 // edge-swap repair, building the CSR directly (one int32 stub array + the
-// final neighbor array — no per-vertex slices, no edge map), so the
-// construction scales to n·d well past 10⁸ adjacency entries. Requires
-// 1 <= d < n and n·d even.
+// final int32 neighbor array — no per-vertex slices, no edge map, no
+// wider copy), so the construction scales to n·d well past 10⁸ adjacency
+// entries. Requires 1 <= d < n and n·d even.
 func RandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 	if d < 1 || d >= n || n >= MaxBuilderN {
 		panic(fmt.Sprintf("topo: RandomRegular needs 1 <= d < n < 2^31, got n=%d d=%d", n, d))
@@ -40,7 +40,7 @@ func RandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 // budget ran out (essentially impossible except at adversarial d ≈ n).
 func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 	total := n * d
-	neighbors := make([]int64, total)
+	neighbors := make([]int32, total)
 	func() { // scope the stub arrays so they free before the repair sweep
 		// Stub multiset: vertex v appears d times; a random pairing of
 		// stubs is stubs[2i] — stubs[2i+1].
@@ -53,10 +53,10 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 		// has exactly d slots: row v is [v*d, v*d+d)).
 		cursor := make([]int32, n)
 		for i := int64(0); i < total; i += 2 {
-			a, b := int64(stubs[i]), int64(stubs[i+1])
-			neighbors[a*d+int64(cursor[a])] = b
+			a, b := stubs[i], stubs[i+1]
+			neighbors[int64(a)*d+int64(cursor[a])] = b
 			cursor[a]++
-			neighbors[b*d+int64(cursor[b])] = a
+			neighbors[int64(b)*d+int64(cursor[b])] = a
 			cursor[b]++
 		}
 	}()
@@ -66,11 +66,11 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 	// a new loop or duplicate anywhere (all four incident rows are
 	// checked), so one sweep converges.
 	budget := 200*d*d + 10_000
-	row := func(v int64) []int64 { return neighbors[v*d : v*d+d] }
+	row := func(v int64) []int32 { return neighbors[v*d : v*d+d] }
 	isBad := func(v int64, slot int64) bool {
 		rv := row(v)
 		u := rv[slot]
-		if u == v {
+		if int64(u) == v {
 			return true
 		}
 		for j := int64(0); j < d; j++ {
@@ -80,7 +80,7 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 		}
 		return false
 	}
-	contains := func(v, u int64) bool {
+	contains := func(v int64, u int32) bool {
 		for _, x := range row(v) {
 			if x == u {
 				return true
@@ -88,7 +88,7 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 		}
 		return false
 	}
-	replaceOne := func(v, from, to int64) {
+	replaceOne := func(v int64, from, to int32) {
 		rv := row(v)
 		for j := range rv {
 			if rv[j] == from {
@@ -114,13 +114,13 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 				// New edges would be {v, w} and {c, old}: reject loops
 				// and duplicates on all incident rows (symmetry covers
 				// the mirrored rows).
-				if w == v || c == old || contains(v, w) || contains(c, old) {
+				if int64(w) == v || c == int64(old) || contains(v, w) || contains(c, old) {
 					continue
 				}
 				row(v)[slot] = w
 				neighbors[p] = old
-				replaceOne(old, v, c)
-				replaceOne(w, c, v)
+				replaceOne(int64(old), int32(v), int32(c))
+				replaceOne(int64(w), int32(c), int32(v))
 			}
 		}
 	}
@@ -386,20 +386,20 @@ func Barbell(name string, n, d int64, r *rng.Rand) *CSR {
 		}
 		offsets[v+1] = offsets[v] + deg
 	}
-	neighbors := make([]int64, offsets[n])
+	neighbors := make([]int32, offsets[n])
 	for v := int64(0); v < h; v++ {
 		dst := neighbors[offsets[v]:]
 		copy(dst, left.Neighbors[left.Offsets[v]:left.Offsets[v+1]])
 		if v == h-1 {
-			dst[d] = h // bridge
+			dst[d] = int32(h) // bridge
 		}
 		dst2 := neighbors[offsets[h+v]:]
 		src := right.Neighbors[right.Offsets[v]:right.Offsets[v+1]]
 		for i, u := range src {
-			dst2[i] = u + h
+			dst2[i] = u + int32(h)
 		}
 		if v == 0 {
-			dst2[d] = h - 1 // bridge
+			dst2[d] = int32(h - 1) // bridge
 		}
 	}
 	g := &CSR{GraphName: name, Offsets: offsets, Neighbors: neighbors}

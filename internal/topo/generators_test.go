@@ -137,7 +137,7 @@ func TestSBMInvariantsAndCommunityStructure(t *testing.T) {
 	var within, cross float64
 	for v := int64(0); v < n; v++ {
 		for _, u := range g.Neighbors[g.Offsets[v]:g.Offsets[v+1]] {
-			if v/size == u/size {
+			if v/size == int64(u)/size {
 				within++
 			} else {
 				cross++
@@ -184,7 +184,7 @@ func TestBarbellInvariants(t *testing.T) {
 	crossing := 0
 	for v := int64(0); v < h; v++ {
 		for _, u := range g.Neighbors[g.Offsets[v]:g.Offsets[v+1]] {
-			if u >= h {
+			if int64(u) >= h {
 				crossing++
 			}
 		}

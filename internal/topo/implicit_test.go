@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"path/filepath"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -168,7 +169,9 @@ func TestConstructorPanics(t *testing.T) {
 // equals per-sample Neighbor, and it allocates nothing. TorusD resolves
 // with its own division-free method, at dims 1, 2, 3 and the widest torus
 // NewTorusD accepts (side 3, dims 39, n = 3³⁹, implicit, so it costs no
-// memory); the cycle and the hypercube take Resolver's per-draw fallback.
+// memory); a MappedCSR with its own method, on a regular:8 file (rows at
+// v·d) and on a ba:3 file whose degrees vary (one offset read per
+// vertex); the cycle and the hypercube take Resolver's per-draw fallback.
 // Blocks start at 0, start mid-row, end at n-1 and straddle a long carry,
 // so they cross every wrap.
 func TestResolveBlockMatchesNeighbor(t *testing.T) {
@@ -176,6 +179,20 @@ func TestResolveBlockMatchesNeighbor(t *testing.T) {
 	widest := NewTorusD(satPow(3, 39), 39)
 	if widest.Side != 3 || widest.N() != satPow(3, 39) {
 		t.Fatalf("widest torus is %d^%d", widest.Side, widest.Dims)
+	}
+	dir := t.TempDir()
+	mapped := func(spec string) *MappedCSR {
+		src, err := BuildSource(spec, 1000, rng.New(8), BuildOpts{Mode: ModeMmap, Path: filepath.Join(dir, spec+".csr")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := src.(*MappedCSR)
+		t.Cleanup(func() { m.Close() })
+		return m
+	}
+	regular, skewed := mapped("regular:8"), mapped("ba:3")
+	if regular.UniformDegree() != 8 || skewed.UniformDegree() != 0 {
+		t.Fatalf("mapped UniformDegree: regular:8 %d, ba:3 %d", regular.UniformDegree(), skewed.UniformDegree())
 	}
 	for _, tc := range []struct {
 		src    NeighborSource
@@ -187,26 +204,31 @@ func TestResolveBlockMatchesNeighbor(t *testing.T) {
 		{NewTorusD(5*5*5, 3), []int64{0, 3, 125 - blockLen/2}},
 		{NewTorusD(14*14*14, 3), []int64{0, 14*14 - 7, 14*14*14 - blockLen}},
 		{widest, []int64{0, 1, satPow(3, 20) - blockLen/2, widest.N() - blockLen}},
+		{regular, []int64{0, 341, 1000 - blockLen}},
+		{skewed, []int64{0, 341, 1000 - blockLen}},
 		{NewCycle(150), []int64{0, 150 - blockLen/2}},
 		{NewHypercube(512), []int64{0, 312}},
 	} {
 		g := tc.src
 		br := Resolver(g)
-		if torus, ok := g.(TorusD); ok && br != BlockResolver(torus) {
-			t.Fatalf("%s: Resolver does not return the torus's own ResolveBlock", g.Name())
+		if own, ok := g.(BlockResolver); ok && br != own {
+			t.Fatalf("%s: Resolver does not return the source's own ResolveBlock", g.Name())
 		}
 		deg := int(g.Degree(0))
 		for _, v0 := range tc.starts {
 			m := min(int64(blockLen), g.N()-v0)
-			// h = degree with draw s in slot s covers every draw of every
-			// vertex; h = 3 covers an h that does not divide the degree.
+			// h = degree(0) with draw s in slot s covers every draw of
+			// every vertex of a uniform-degree source; h = 3 covers an h
+			// that does not divide the degree. Each draw stays below its
+			// own vertex's degree.
 			for _, h := range []int{deg, 3} {
 				draws := make([]int64, m*int64(h))
 				for p := range draws {
+					d := g.Degree(v0 + int64(p/h))
 					if h == deg {
-						draws[p] = int64(p % h)
+						draws[p] = int64(p%h) % d
 					} else {
-						draws[p] = int64((p*7 + p/h) % deg)
+						draws[p] = int64(p*7+p/h) % d
 					}
 				}
 				got := slices.Clone(draws)

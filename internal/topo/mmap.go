@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -75,6 +76,24 @@ func (m *MappedCSR) Neighbor(v, i int64) int64 {
 // the offsets scan OpenCSR performs at open time.
 func (m *MappedCSR) UniformDegree() int64 { return m.uniform }
 
+// ResolveBlock implements BlockResolver: it finds each vertex's row once,
+// at v·d when every row has width d (no offset read at all) and by one
+// offset read otherwise, and resolves the vertex's h draws against it.
+func (m *MappedCSR) ResolveBlock(v0 int64, h int, draws []int64) {
+	v := v0
+	for p := 0; p < len(draws); p += h {
+		lo := v * m.uniform
+		if m.uniform == 0 {
+			lo = m.off(v)
+		}
+		blk := draws[p : p+h]
+		for s, i := range blk {
+			blk[s] = int64(binary.LittleEndian.Uint64(m.nbrs[8*(lo+i):]))
+		}
+		v++
+	}
+}
+
 // SampleNeighbor implements NeighborSource: one Int63n(degree) draw per
 // sample, none for an isolated vertex — the same stream as every other
 // backend.
@@ -125,10 +144,12 @@ func OpenCSR(path string) (*MappedCSR, error) {
 	if _, err := f.ReadAt(head, 0); err != nil {
 		return nil, fmt.Errorf("topo: reading %s header: %w", path, err)
 	}
-	name, n, nnz, headerLen, err := parseCSRHeader(head)
+	br := &byteReader{r: bytes.NewReader(head)}
+	h, err := readCSRHeader(br)
 	if err != nil {
 		return nil, fmt.Errorf("topo: %s: %w", path, err)
 	}
+	name, n, nnz, headerLen := h.name, h.n, h.nnz, br.n
 	want := headerLen + 8*(n+nnz)
 	if size != want {
 		return nil, fmt.Errorf("topo: %s is %d bytes, want %d for n=%d nnz=%d (truncated or trailing junk)", path, size, want, n, nnz)
@@ -168,42 +189,6 @@ func OpenCSR(path string) (*MappedCSR, error) {
 		}
 	}
 	return m, nil
-}
-
-// parseCSRHeader decodes the v1 header from a prefix of the file, applying
-// the same bounds as ReadCSR, and returns the header's byte length.
-func parseCSRHeader(head []byte) (name string, n, nnz, headerLen int64, err error) {
-	if len(head) < len(csrMagic) || string(head[:len(csrMagic)]) != csrMagic {
-		return "", 0, 0, 0, fmt.Errorf("bad magic (not a %s file)", csrMagic)
-	}
-	rest := head[len(csrMagic):]
-	readUvarint := func() (uint64, error) {
-		v, k := binary.Uvarint(rest)
-		if k <= 0 {
-			return 0, fmt.Errorf("truncated header varint")
-		}
-		rest = rest[k:]
-		return v, nil
-	}
-	nameLen, err := readUvarint()
-	if err != nil || nameLen > 1<<16 {
-		return "", 0, 0, 0, fmt.Errorf("bad name length (%v)", err)
-	}
-	if uint64(len(rest)) < nameLen {
-		return "", 0, 0, 0, fmt.Errorf("truncated header name")
-	}
-	name = string(rest[:nameLen])
-	rest = rest[nameLen:]
-	n64, err := readUvarint()
-	if err != nil || int64(n64) < 1 || int64(n64) >= MaxBuilderN {
-		return "", 0, 0, 0, fmt.Errorf("bad vertex count (%v)", err)
-	}
-	nnz64, err := readUvarint()
-	if err != nil || nnz64 > 1<<40 {
-		return "", 0, 0, 0, fmt.Errorf("bad neighbor count (%v)", err)
-	}
-	headerLen = int64(len(head) - len(rest))
-	return name, int64(n64), int64(nnz64), headerLen, nil
 }
 
 // WriteCSRFile serializes g to path atomically: the bytes land in a

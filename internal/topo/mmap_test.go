@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"bytes"
 	"encoding/binary"
 	"os"
 	"path/filepath"
@@ -115,7 +116,7 @@ func TestOpenCSRBoundaryNeighborIDs(t *testing.T) {
 	g := &CSR{
 		GraphName: "bound",
 		Offsets:   make([]int64, n+1),
-		Neighbors: []int64{n - 1, 0},
+		Neighbors: []int32{n - 1, 0},
 	}
 	// One edge between the extreme vertices 0 and n-1.
 	for v := int64(1); v <= n; v++ {
@@ -135,30 +136,28 @@ func TestOpenCSRBoundaryNeighborIDs(t *testing.T) {
 	}
 
 	// A stored id >= n must be rejected at open, for both "just past n"
-	// and "past int32" values (the latter catches 32-bit narrowing).
+	// and "past int32" values (the latter catches 32-bit narrowing). A
+	// CSR's int32 ids cannot hold the second, so the first neighbor word
+	// of the valid file is patched in place.
+	valid, err := os.ReadFile(filepath.Join(dir, "bound.csr"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, bad := range []int64{n, int64(1) << 33} {
-		evil := &CSR{GraphName: "evil", Offsets: g.Offsets, Neighbors: []int64{bad, 0}}
+		evil := slices.Clone(valid)
+		binary.LittleEndian.PutUint64(evil[len(evil)-16:], uint64(bad))
 		path := filepath.Join(dir, "evil.csr")
-		if err := writeRaw(path, evil); err != nil {
+		if err := os.WriteFile(path, evil, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if m, err := OpenCSR(path); err == nil {
 			m.Close()
 			t.Fatalf("OpenCSR accepted neighbor id %d with n=%d", bad, int64(n))
 		}
+		if _, err := ReadCSR(bytes.NewReader(evil)); err == nil {
+			t.Fatalf("ReadCSR accepted neighbor id %d with n=%d", bad, int64(n))
+		}
 	}
-}
-
-// writeRaw serializes without WriteTo's own validation getting a chance to
-// veto (WriteTo does not validate, but keep the escape hatch explicit).
-func writeRaw(path string, g *CSR) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	_, err = g.WriteTo(f)
-	return err
 }
 
 // TestOpenCSRRejectsTruncation sweeps every prefix length of a valid file
@@ -215,6 +214,7 @@ func TestOpenCSRRejectsCorruption(t *testing.T) {
 			c[len(c)-1] = 0x7f // final neighbor becomes huge
 			return c
 		},
+		"non-minimal varint": nonMinimalHeader,
 		"offsets decrease": func(b []byte) []byte {
 			c := slices.Clone(b)
 			// First stored offset (Offsets[1]) lives right after the
@@ -336,4 +336,71 @@ func TestWriteCSRFileAtomic(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("directory holds %d entries after atomic writes, want 1", len(entries))
 	}
+}
+
+// FuzzReadCSR feeds the same bytes to both topoCSR1 readers: ReadCSR from
+// memory and OpenCSR through a file. Neither may panic; OpenCSR accepts
+// exactly the inputs ReadCSR accepts without bytes left over, and both
+// then describe the same graph; and WriteTo reproduces the bytes ReadCSR
+// consumed, so an accepted file is the canonical encoding of its graph.
+func FuzzReadCSR(f *testing.F) {
+	for _, g := range []*CSR{
+		RandomRegular("r", 6, 2, rng.New(1)),
+		Gnp("g", 5, 0.4, rng.New(2)),
+		NewBuilder("e", 3).Finalize(),
+		{GraphName: "single", Offsets: []int64{0, 0}},
+	} {
+		var buf bytes.Buffer
+		if _, err := g.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		full := buf.Bytes()
+		f.Add(full)
+		f.Add(full[:len(full)-3])
+		f.Add(append(slices.Clone(full), 0))
+		f.Add(nonMinimalHeader(full))
+	}
+	f.Add(csrHeader{"huge", MaxBuilderN - 1, 1 << 40}.appendTo(nil))
+	path := filepath.Join(f.TempDir(), "fuzz.csr")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rd := bytes.NewReader(data)
+		g, readErr := ReadCSR(rd)
+		consumed := len(data) - rd.Len()
+		if readErr == nil {
+			var out bytes.Buffer
+			if _, err := g.WriteTo(&out); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), data[:consumed]) {
+				t.Fatalf("WriteTo wrote %d bytes that differ from the %d ReadCSR consumed", out.Len(), consumed)
+			}
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, openErr := OpenCSR(path)
+		if wantOpen := readErr == nil && consumed == len(data); (openErr == nil) != wantOpen {
+			t.Fatalf("OpenCSR error %v, ReadCSR error %v with %d of %d bytes consumed", openErr, readErr, consumed, len(data))
+		}
+		if openErr != nil {
+			return
+		}
+		defer m.Close()
+		if m.Name() != g.GraphName || m.N() != g.N() || m.Edges() != g.Edges() || m.UniformDegree() != uniformDegreeOf(g) {
+			t.Fatalf("OpenCSR header %q n=%d edges=%d uniform=%d, ReadCSR %q n=%d edges=%d", m.Name(), m.N(), m.Edges(), m.UniformDegree(), g.GraphName, g.N(), g.Edges())
+		}
+		sourcesAgree(t, "ReadCSR vs OpenCSR", g, m)
+	})
+}
+
+// uniformDegreeOf is the common row width of g when every row has the same
+// positive width, else 0: what MappedCSR.UniformDegree must report.
+func uniformDegreeOf(g *CSR) int64 {
+	d := g.Degree(0)
+	for v := int64(1); v < g.N(); v++ {
+		if g.Degree(v) != d {
+			return 0
+		}
+	}
+	return d
 }

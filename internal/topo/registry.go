@@ -21,8 +21,8 @@ import (
 // no other parser.
 
 // Resource caps enforced by Validate. They bound what one topology can pin
-// in memory: MaxAdjEntries bounds len(CSR.Neighbors) (2 edges per entry
-// pair, 8 bytes per entry — 2 GiB at the cap), MaxDegreeParam bounds the
+// in memory: MaxAdjEntries bounds len(CSR.Neighbors) (2 entries per edge,
+// 4 bytes per int32 entry — 1 GiB at the cap), MaxDegreeParam bounds the
 // degree-like parameters (d, k, m) so repair loops stay near-linear, and
 // MaxBlocks bounds the SBM's O(blocks²) block-pair walk.
 const (

@@ -59,7 +59,8 @@ type UniformDegree interface {
 // draw in [0, Degree(v)), read no rng, and allocate nothing. The graph
 // engine calls it on uniform-degree sources after drawing the whole block
 // with one dist.FillUniform, which consumes the rng exactly as the
-// per-sample SampleNeighbor calls would. TorusD implements it.
+// per-sample SampleNeighbor calls would. TorusD and MappedCSR implement
+// it.
 type BlockResolver interface {
 	ResolveBlock(v0 int64, h int, draws []int64)
 }
@@ -116,11 +117,11 @@ func MaterializeCSR(name string, src NeighborSource) (*CSR, error) {
 		}
 	}
 	offsets[n] = total
-	neighbors := make([]int64, total)
+	neighbors := make([]int32, total)
 	for v := int64(0); v < n; v++ {
 		row := neighbors[offsets[v]:offsets[v+1]]
 		for i := range row {
-			row[i] = src.Neighbor(v, int64(i))
+			row[i] = int32(src.Neighbor(v, int64(i))) // an id below n < 2^31
 		}
 	}
 	return &CSR{GraphName: name, Offsets: offsets, Neighbors: neighbors}, nil
