@@ -270,6 +270,20 @@ func BenchmarkEngineGraphRoundMmap(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildRegular measures one regular:8 build at n = 2¹⁸, the
+// graph graph-grid builds in its set-up and the shape of every graph
+// engine job's first step: the stub fill and shuffle, the pairing, the
+// repair sweep and the row sort, all on the calling goroutine. Every
+// iteration builds the same graph from a fresh generator.
+func BenchmarkBuildRegular(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := topo.BuildSource("regular:8", 1<<18, rng.New(1), topo.BuildOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineUndecidedRound measures one transient round of the exact
 // undecided-state engine at n = 10⁶, k = 64. From this start the chain
 // reaches consensus in ~80 rounds, after which a round is one live draw;

@@ -168,9 +168,7 @@ func NewGraphEngine(rule dynamics.Rule, src topo.NeighborSource, initial colorcf
 		},
 	}
 	if layoutRng != nil {
-		layoutRng.Shuffle(len(e.bufs.colors), func(i, j int) {
-			e.bufs.colors[i], e.bufs.colors[j] = e.bufs.colors[j], e.bufs.colors[i]
-		})
+		rng.Shuffle(layoutRng, e.bufs.colors)
 	}
 	lp := &graphLoop{seed: seed, n: n, src: src, rule: rule, bufs: e.bufs, h: h}
 	if c, ok := src.(topo.Complete); ok && c.IncludeSelf {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"plurality/internal/rng"
 )
 
 func timingJob(name string, reps int) Job {
@@ -112,4 +114,39 @@ func TestWorkerBusy(t *testing.T) {
 	if after != 12 {
 		t.Errorf("cumulative tasks %d, want 12", after)
 	}
+}
+
+// BenchmarkPoolDispatch measures what Pool.Run costs per replicate beyond
+// the replicate's own work, on 2 workers. Each replicate draws 1024
+// values from its generator, a few microseconds of fixed work, so a
+// dispatch cost of that order shows. It reports the replicate's exec time
+// (exec-ns/rep, from OnTiming) and the worker-slot overhead per replicate
+// (slot-ns/rep): wall time × workers − Σ exec, over the replicates, the
+// definition of plbench's mc.overhead_ns_per_rep.
+func BenchmarkPoolDispatch(b *testing.B) {
+	const workers, reps = 2, 1000
+	pool := NewPool(workers)
+	defer pool.Close()
+	job := Job{Name: "dispatch", Seed: 1, Replicates: reps, New: func(seed uint64) Run {
+		return func() Record {
+			r := rng.New(seed)
+			var x uint64
+			for i := 0; i < 1024; i++ {
+				x ^= r.Uint64()
+			}
+			return Record{Rounds: int(x & 1)}
+		}
+	}}
+	var execNs, runs int64
+	opts := RunOpts{OnTiming: func(t RepTiming) { execNs += int64(t.Exec) }}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := pool.Run(context.Background(), job, opts); err != nil {
+			b.Fatal(err)
+		}
+		runs++
+	}
+	done := float64(runs * reps)
+	b.ReportMetric(float64(execNs)/done, "exec-ns/rep")
+	b.ReportMetric((float64(b.Elapsed().Nanoseconds())*workers-float64(execNs))/done, "slot-ns/rep")
 }

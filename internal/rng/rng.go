@@ -177,11 +177,15 @@ func (r *Rand) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using the provided swap
-// function (Fisher–Yates).
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
+// Shuffle permutes s uniformly at random in place (Fisher–Yates). It
+// draws r.Intn(i+1) for i = len(s)-1 down to 1 and swaps s[i] with the
+// drawn index, so a seed fixes the permutation. The swap is inline, with
+// no call through a function value per element: the graph builders
+// shuffle one entry per adjacency slot.
+func Shuffle[T any](r *Rand, s []T) {
+	for i := len(s) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		s[i], s[j] = s[j], s[i]
 	}
 }
 

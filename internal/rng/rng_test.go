@@ -146,7 +146,7 @@ func TestPermUniformFirstElement(t *testing.T) {
 func TestShuffle(t *testing.T) {
 	r := New(13)
 	xs := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
+	Shuffle(r, xs)
 	seen := make(map[int]bool)
 	for _, v := range xs {
 		if seen[v] {

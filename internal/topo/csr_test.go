@@ -288,6 +288,49 @@ func TestWriteToBytesPinned(t *testing.T) {
 	}
 }
 
+// TestSort8MatchesSort requires sort8 to agree with slices.Sort on every
+// 0/1 row (by the 0-1 principle, a network that sorts these sorts all
+// rows) and on 10⁵ random rows drawn with repeats and with the ids 0 and
+// MaxBuilderN-1.
+func TestSort8MatchesSort(t *testing.T) {
+	check := func(row [8]int32) {
+		t.Helper()
+		got, want := row, row
+		sort8(&got)
+		slices.Sort(want[:])
+		if got != want {
+			t.Fatalf("sort8(%v) = %v, want %v", row, got, want)
+		}
+	}
+	for bits := 0; bits < 1<<8; bits++ {
+		var row [8]int32
+		for i := range row {
+			row[i] = int32(bits >> i & 1)
+		}
+		check(row)
+	}
+	r := rng.New(8)
+	for trial := 0; trial < 100_000; trial++ {
+		// Draw from a small pool half the time, so rows repeat ids.
+		bound := MaxBuilderN
+		if trial%2 == 0 {
+			bound = 1 + r.Int63n(8)
+		}
+		var row [8]int32
+		for i := range row {
+			switch r.Intn(8) {
+			case 0:
+				row[i] = 0
+			case 1:
+				row[i] = int32(MaxBuilderN - 1)
+			default:
+				row[i] = int32(r.Int63n(bound))
+			}
+		}
+		check(row)
+	}
+}
+
 // allocated returns the bytes the heap handed out while f ran.
 func allocated(f func()) uint64 {
 	var before, after runtime.MemStats

@@ -20,6 +20,14 @@ import (
 // final int32 neighbor array — no per-vertex slices, no edge map, no
 // wider copy), so the construction scales to n·d well past 10⁸ adjacency
 // entries. Requires 1 <= d < n and n·d even.
+//
+// One attempt runs five phases on the calling goroutine: fill the stub
+// array (vertex v in d consecutive slots), shuffle it with rng.Shuffle,
+// scatter the pairs into fixed-stride rows, repair, and sort the rows
+// with sortRows (8-entry rows by a sorting network). The repair visits
+// each row once: a row that cleanRow passes has no self-loop or repeated
+// id and is skipped without a draw; only the rest are scanned slot by
+// slot. A seed fixes every draw, so it fixes the graph's bytes.
 func RandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 	if d < 1 || d >= n || n >= MaxBuilderN {
 		panic(fmt.Sprintf("topo: RandomRegular needs 1 <= d < n < 2^31, got n=%d d=%d", n, d))
@@ -45,10 +53,13 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 		// Stub multiset: vertex v appears d times; a random pairing of
 		// stubs is stubs[2i] — stubs[2i+1].
 		stubs := make([]int32, total)
-		for i := int64(0); i < total; i++ {
-			stubs[i] = int32(i / d)
+		for v := int64(0); v < n; v++ {
+			row := stubs[v*d : v*d+d]
+			for j := range row {
+				row[j] = int32(v)
+			}
 		}
-		r.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+		rng.Shuffle(r, stubs)
 		// Scatter the pairing into fixed-stride CSR rows (every vertex
 		// has exactly d slots: row v is [v*d, v*d+d)).
 		cursor := make([]int32, n)
@@ -67,19 +78,6 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 	// checked), so one sweep converges.
 	budget := 200*d*d + 10_000
 	row := func(v int64) []int32 { return neighbors[v*d : v*d+d] }
-	isBad := func(v int64, slot int64) bool {
-		rv := row(v)
-		u := rv[slot]
-		if int64(u) == v {
-			return true
-		}
-		for j := int64(0); j < d; j++ {
-			if j != slot && rv[j] == u {
-				return true
-			}
-		}
-		return false
-	}
 	contains := func(v int64, u int32) bool {
 		for _, x := range row(v) {
 			if x == u {
@@ -99,8 +97,11 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 		panic("topo: repair lost an edge mirror")
 	}
 	for v := int64(0); v < n; v++ {
+		if cleanRow(row(v), int32(v)) {
+			continue // slotBad holds at no slot, so the scan would draw nothing
+		}
 		for slot := int64(0); slot < d; slot++ {
-			for isBad(v, slot) {
+			for slotBad(row(v), int32(v), slot) {
 				if budget <= 0 {
 					return nil
 				}
@@ -132,6 +133,37 @@ func tryRandomRegular(name string, n, d int64, r *rng.Rand) *CSR {
 	g := &CSR{GraphName: name, Offsets: offsets, Neighbors: neighbors}
 	sortRows(g)
 	return g
+}
+
+// slotBad reports whether slot of vertex v's row rv holds a self-loop or
+// an id that another slot of rv repeats: the entries the repair swaps out.
+func slotBad(rv []int32, v int32, slot int64) bool {
+	u := rv[slot]
+	if u == v {
+		return true
+	}
+	for j := range rv {
+		if int64(j) != slot && rv[j] == u {
+			return true
+		}
+	}
+	return false
+}
+
+// cleanRow reports whether vertex v's row rv has no self-loop and no
+// repeated id, that is whether slotBad is false at every slot. It tests
+// all pairs without a branch per test: ids are non-negative int32s, so
+// (a^b)-1 is negative exactly when a == b, and the OR of those values is
+// negative exactly when some pair is equal.
+func cleanRow(rv []int32, v int32) bool {
+	var acc int32
+	for i, a := range rv {
+		acc |= (a ^ v) - 1
+		for _, b := range rv[i+1:] {
+			acc |= (a ^ b) - 1
+		}
+	}
+	return acc >= 0
 }
 
 // Gnp samples the Erdős–Rényi graph G(n, p): every unordered pair is an

@@ -42,6 +42,85 @@ func TestRandomRegularDeterministic(t *testing.T) {
 	}
 }
 
+// TestRandomRegularMatchesReference requires the regular:D build to leave
+// the bytes and the generator state the reference build leaves: odd d,
+// d = n-1 (every row needs repair, and attempts restart), rows of 8 and
+// of other lengths, up to n = 2¹⁸.
+func TestRandomRegularMatchesReference(t *testing.T) {
+	for _, tc := range []struct{ n, d int64 }{
+		{10, 3}, {33, 32}, {1000, 7}, {4096, 8}, {1 << 18, 8}, {5000, 64},
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			r, ref := rng.New(seed), rng.New(seed)
+			g := RandomRegular("regular", tc.n, tc.d, r)
+			want := randomRegularRef("regular", tc.n, tc.d, ref)
+			if !slices.Equal(g.Neighbors, want.Neighbors) || !slices.Equal(g.Offsets, want.Offsets) {
+				t.Errorf("n=%d d=%d seed=%d: graph differs from the reference build", tc.n, tc.d, seed)
+			}
+			if *r != *ref {
+				t.Errorf("n=%d d=%d seed=%d: generator state differs from the reference build", tc.n, tc.d, seed)
+			}
+		}
+	}
+}
+
+// TestCleanRowMatchesSlotScan requires cleanRow to pass a row exactly when
+// slotBad holds at no slot: on clean rows, on rows with a self-loop
+// planted at each slot, and on rows with a repeated id planted at each
+// pair of slots, with the ids 0 and MaxBuilderN-1 among rows and vertices.
+func TestCleanRowMatchesSlotScan(t *testing.T) {
+	scanClean := func(rv []int32, v int32) bool {
+		for slot := range rv {
+			if slotBad(rv, v, int64(slot)) {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(rv []int32, v int32) {
+		t.Helper()
+		if got, want := cleanRow(rv, v), scanClean(rv, v); got != want {
+			t.Fatalf("row %v of vertex %d: cleanRow %v, slot scan %v", rv, v, got, want)
+		}
+	}
+	r := rng.New(7)
+	for _, d := range []int{1, 2, 3, 8, 13, 64} {
+		for trial := 0; trial < 2+4000/(d*d); trial++ {
+			// d distinct ids, none equal to v, some at the ends of the range.
+			v := [...]int32{0, int32(MaxBuilderN - 1), int32(r.Int63n(MaxBuilderN))}[trial%3]
+			rv := make([]int32, 0, d)
+			for len(rv) < d {
+				u := int32(r.Int63n(MaxBuilderN))
+				switch r.Intn(8) {
+				case 0:
+					u = 0
+				case 1:
+					u = int32(MaxBuilderN - 1)
+				}
+				if u != v && !slices.Contains(rv, u) {
+					rv = append(rv, u)
+				}
+			}
+			if !cleanRow(rv, v) {
+				t.Fatalf("row %v of vertex %d: distinct ids, no self-loop, but cleanRow is false", rv, v)
+			}
+			check(rv, v)
+			for i := range rv {
+				loop := slices.Clone(rv)
+				loop[i] = v
+				check(loop, v)
+				for j := range rv {
+					if j != i {
+						dup := slices.Clone(rv)
+						dup[j] = dup[i]
+						check(dup, v)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGnpInvariantsAndDensity(t *testing.T) {
 	const n, p = 600, 0.05
 	g := Gnp("gnp", n, p, rng.New(9))
