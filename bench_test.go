@@ -9,8 +9,12 @@
 package plurality_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
@@ -21,6 +25,7 @@ import (
 	"plurality/internal/expt"
 	"plurality/internal/obs"
 	"plurality/internal/rng"
+	"plurality/internal/service"
 	"plurality/internal/topo"
 )
 
@@ -282,6 +287,57 @@ func BenchmarkBuildRegular(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkJournalReplay measures a pluralityd restart: service.New on a
+// data dir holding 500 finished 16-replicate jobs, the journal plbench's
+// daemon-submit boots on, then Close. Replay reads the meta journal and
+// proves each job's records file with mc.Prefix. The data dir is built
+// once, outside the timer, without fsyncs; every timed restart reads the
+// same files and cuts nothing.
+func BenchmarkJournalReplay(b *testing.B) {
+	const jobs = 500
+	dir := b.TempDir()
+	srv, err := service.New(service.Options{Workers: 2, DataDir: dir, FS: noSyncFS{service.OSFS()}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range jobs {
+		body, err := json.Marshal(service.JobSpec{Rule: "3majority", Engine: "multinomial", N: 1_000_000, K: 16, Replicates: 16, Seed: uint64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs?wait=1", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("job %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	srv.Close()
+	b.ReportAllocs()
+	for b.Loop() {
+		srv, err := service.New(service.Options{Workers: 2, DataDir: dir})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv.Close()
+	}
+}
+
+// noSyncFS is a service.FS whose files skip fsync, for building scratch
+// data dirs quickly.
+type noSyncFS struct{ service.FS }
+
+type noSyncFile struct{ service.File }
+
+func (noSyncFile) Sync() error { return nil }
+
+func (fs noSyncFS) OpenAppend(path string) (service.File, error) {
+	f, err := fs.FS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
 }
 
 // BenchmarkEngineUndecidedRound measures one transient round of the exact

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+	"unicode/utf8"
 
 	"plurality/internal/mc"
 )
@@ -209,4 +211,86 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// journalLines are meta-journal lines on and next to the shapes
+// journalEntry.DecodeLine decodes; the first six are the canonical
+// state, delete and shutdown lines appendMeta writes.
+var journalLines = []string{
+	`{"type":"state","id":"j1","state":"running"}`,
+	`{"type":"state","id":"j12","state":"done"}`,
+	`{"type":"state","id":"j3","state":"cancelled","error":"context canceled"}`,
+	`{"type":"state","id":"j4","state":"failed","error":"service: journal records of j4: disk full"}`,
+	`{"type":"delete","id":"j7"}`,
+	`{"type":"shutdown"}`,
+	`{"type":"submit","id":"j1","spec":{"rule":"3majority","n":1000,"k":4}}`,
+	`{"type":"state","id":"j1","state":"failed","error":"a \"quoted\" panic"}`,
+	`{"type":"state","id":"j1","state":"failed","error":"\u003cpanic\u003e"}`,
+	`{"type":"state","id":"j1","state":"done"}x`,
+	`{"type":"state","id":"j1","state":"done"} `,
+	`{"type":"state","id":"j1","id":"j2"}`,
+	`{"type":"state","state":"done","id":"j1"}`,
+	`{"type":"shutdown","spec":null}`,
+	`{"type" : "shutdown"}`,
+	`{"TYPE":"shutdown"}`,
+	`{"type":"shutdown"`,
+	`{"type":7}`,
+	"{\"type\":\"state\",\"id\":\"j\xff\"}",
+	`{}`, `null`, ``,
+}
+
+// FuzzJournalEntryLine is the meta journal's differential check against
+// encoding/json: every entry appendMeta writes scans back to itself, and
+// any line journalEntry.DecodeLine accepts json.Unmarshals to the same
+// entry without error, while a declined line leaves the entry untouched.
+func FuzzJournalEntryLine(f *testing.F) {
+	f.Add("state", "j1", "done", "", []byte(journalLines[0]))
+	f.Add("state", "j2", "failed", `boom "x" <y>`, []byte(journalLines[6]))
+	f.Add("shutdown", "", "", "", []byte(journalLines[9]))
+	f.Add("\xc7", "\xad", "&", "&\x00\x10", []byte("\xc7")) // invalid apart, valid joined
+	for _, line := range journalLines {
+		f.Add("delete", "j3", "", "", []byte(line))
+	}
+	f.Fuzz(func(t *testing.T, typ, id, state, errmsg string, line []byte) {
+		e := journalEntry{Type: typ, ID: id, State: State(state), Error: errmsg}
+		b, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range [][]byte{b, line} {
+			sentinel := journalEntry{Type: "sentinel", Error: "untouched"}
+			fast := sentinel
+			if !fast.DecodeLine(l) {
+				if !reflect.DeepEqual(fast, sentinel) {
+					t.Fatalf("DecodeLine declined %q but changed its receiver to %+v", l, fast)
+				}
+				continue
+			}
+			var slow journalEntry
+			if err := json.Unmarshal(l, &slow); err != nil || !reflect.DeepEqual(slow, fast) {
+				t.Fatalf("DecodeLine accepted %q as %+v; json.Unmarshal gives %+v, %v", l, fast, slow, err)
+			}
+		}
+		for _, s := range []string{typ, id, state, errmsg} {
+			if !utf8.ValidString(s) {
+				return // json.Marshal wrote U+FFFD for the invalid bytes
+			}
+		}
+		back, _ := mc.ScanLines[journalEntry](append(b, '\n'))
+		if len(back) != 1 || !reflect.DeepEqual(back[0], e) {
+			t.Fatalf("%+v: %q scans back as %+v", e, b, back)
+		}
+	})
+}
+
+// TestJournalEntryDecodeLine: the fast path takes the state, delete and
+// shutdown lines appendMeta writes and declines everything else in
+// journalLines, which then goes to json.Unmarshal.
+func TestJournalEntryDecodeLine(t *testing.T) {
+	for i, line := range journalLines {
+		var e journalEntry
+		if got, want := e.DecodeLine([]byte(line)), i < 6; got != want {
+			t.Errorf("DecodeLine(%q) = %v, want %v", line, got, want)
+		}
+	}
 }

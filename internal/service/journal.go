@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,6 +95,40 @@ type journalEntry struct {
 	Error string `json:"error,omitempty"`
 }
 
+// DecodeLine is journalEntry's mc.LineDecoder: replay's fast path for
+// the state, delete and shutdown lines json.Marshal writes,
+//
+//	{"type":"T"[,"id":"I"][,"state":"S"][,"error":"E"]}
+//
+// with the optional members in that order and every string plain
+// (mc.CutString). Submit lines, whose spec is a nested object, and every
+// other line return false and go to json.Unmarshal.
+func (e *journalEntry) DecodeLine(line []byte) bool {
+	var d journalEntry
+	rest, ok := bytes.CutPrefix(line, []byte(`{"type":`))
+	if !ok {
+		return false
+	}
+	if d.Type, rest, ok = mc.CutString(rest); !ok {
+		return false
+	}
+	for _, f := range [...]struct {
+		key string
+		dst *string
+	}{{`,"id":`, &d.ID}, {`,"state":`, (*string)(&d.State)}, {`,"error":`, &d.Error}} {
+		if r, found := bytes.CutPrefix(rest, []byte(f.key)); found {
+			if *f.dst, rest, ok = mc.CutString(r); !ok {
+				return false
+			}
+		}
+	}
+	if string(rest) != "}" {
+		return false
+	}
+	*e = d
+	return true
+}
+
 // jobID pins the set of ids the journal will touch the filesystem for:
 // ids are server-generated ("j1", "j2", …), and replay refuses anything
 // else so a tampered journal can never name a path outside records/.
@@ -140,6 +176,7 @@ type appendFile struct {
 	// broken marks a failed attempt: f is closed and the file may hold a
 	// partial line past valid, which the next open cuts first.
 	broken bool
+	line   []byte // appendRecord's encoding buffer, reused under mu
 }
 
 // open opens the file for appending, first cutting a broken file back to
@@ -315,9 +352,7 @@ func (rs *replayState) applyEntry(e journalEntry, byID map[string]*replayedJob, 
 			rs.dropped++
 			return
 		}
-		var n int
-		fmt.Sscanf(e.ID, "j%d", &n)
-		if n > rs.next {
+		if n, err := strconv.Atoi(e.ID[1:]); err == nil && n > rs.next {
 			rs.next = n
 		}
 		rj := &replayedJob{id: e.ID, spec: spec, state: StateQueued}
@@ -468,19 +503,21 @@ func (jr *journal) records(id string) (*appendFile, error) {
 }
 
 // appendRecord appends one replicate record to the job's records file,
-// fsynced on every syncEvery-th unsynced append.
+// fsynced on every syncEvery-th unsynced append. The line is
+// mc.AppendRecordLine's, the bytes sweep -out and /records write.
 func (jr *journal) appendRecord(id string, rec mc.Record) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
 	af, err := jr.records(id)
 	if err != nil {
 		return err
 	}
 	af.mu.Lock()
 	defer af.mu.Unlock()
-	if err := jr.append(af, append(b, '\n'), af.pending+1 >= jr.syncEvery); err != nil {
+	line, err := mc.AppendRecordLine(af.line[:0], rec)
+	if err != nil {
+		return err
+	}
+	af.line = line
+	if err := jr.append(af, line, af.pending+1 >= jr.syncEvery); err != nil {
 		return fmt.Errorf("service: journal records of %s: %w", id, err)
 	}
 	return nil

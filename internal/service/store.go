@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
 	"sync"
 
 	"plurality/internal/mc"
@@ -370,13 +372,13 @@ func (s *store) setNext(n int) {
 }
 
 // restore re-registers a replayed job under its original ID, keeping the
-// ID counter ahead of every restored job. Only called during New, before
-// any request can race it.
+// ID counter ahead of every restored job. Replay admits only IDs that
+// match jobID, so the ID's digits follow its "j". Only called during
+// New, before any request can race it.
 func (s *store) restore(id string, spec JobSpec, cancel context.CancelFunc) *jobState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var n int
-	if _, err := fmt.Sscanf(id, "j%d", &n); err == nil && n > s.next {
+	if n, err := strconv.Atoi(id[1:]); err == nil && n > s.next {
 		s.next = n
 	}
 	j := newJobState(id, spec, cancel, s.met)
@@ -407,15 +409,14 @@ func (s *store) noteTerminal(id string) {
 	}
 }
 
-// touch refreshes a job's position in the retention LRU.
+// touch refreshes a job's position in the retention LRU, moving it to
+// the end in place.
 func (s *store) touch(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, other := range s.lru {
-		if other == id {
-			s.lru = append(append(s.lru[:i:i], s.lru[i+1:]...), id)
-			return
-		}
+	if i := slices.Index(s.lru, id); i >= 0 {
+		copy(s.lru[i:], s.lru[i+1:])
+		s.lru[len(s.lru)-1] = id
 	}
 }
 
