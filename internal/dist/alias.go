@@ -160,16 +160,21 @@ func (a *Alias) Sample(r *rng.Rand) int {
 // SampleMany fills dst with independent draws, byte-identical to len(dst)
 // Sample calls. One tight loop over the flat slot array amortizes call
 // overhead and keeps the table hot in cache; the agent-sampling engines
-// use it to draw whole batches of agent samples at once. The slot-or-alias
-// choice is a conditional move rather than a branch: on a mid-run table
-// the threshold compare goes either way at random, and a mispredicted
-// branch per draw cost more than the draw itself. dst is an int32 slice so
-// engines can pass their []Color buffers directly (Color = int32).
+// use it to draw whole batches of agent samples at once. The loop steps a
+// register copy of the generator (rng.Rand.Next) and stores it back once.
+// The slot-or-alias choice is a conditional move rather than a branch: on
+// a mid-run table the threshold compare goes either way at random, and a
+// mispredicted branch per draw cost more than the draw itself. dst is an
+// int32 slice so engines can pass their []Color buffers directly
+// (Color = int32).
 func (a *Alias) SampleMany(r *rng.Rand, dst []int32) {
 	slots := a.slots
 	k := uint64(len(slots))
+	g := *r
 	for i := range dst {
-		hi, lo := bits.Mul64(r.Uint64(), k)
+		var x uint64
+		x, g = g.Next()
+		hi, lo := bits.Mul64(x, k)
 		s := slots[hi]
 		c := s.alias
 		if lo < s.thresh {
@@ -177,4 +182,5 @@ func (a *Alias) SampleMany(r *rng.Rand, dst []int32) {
 		}
 		dst[i] = c
 	}
+	*r = g
 }

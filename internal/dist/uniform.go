@@ -12,16 +12,12 @@ import (
 // stay in registers and lets the engine's subsequent color gathers
 // pipeline their cache misses.
 
-// fillUniformChunk is the number of raw draws FillUniform generates per
-// rng.Uint64Block call.
-const fillUniformChunk = 256
-
 // FillUniform fills dst with independent uniform draws from [0, n),
 // consuming the rng exactly as len(dst) sequential r.Int63n(n) calls would —
 // the output values and the generator's end state are byte-identical for
-// any seed. It generates raw draws through rng.Uint64Block, which keeps the
-// generator state in registers, asking each time for no more draws than
-// slots remain unfilled, so a rejected draw never over-draws the stream.
+// any seed. It steps a register copy of the generator (rng.Rand.Next) and
+// stores it back once, and maps each draw as it is made, so a rejected
+// draw is replaced by the next one and the stream is never over-drawn.
 // Panics if n <= 0.
 func FillUniform(r *rng.Rand, n int64, dst []int64) {
 	if n <= 0 {
@@ -34,19 +30,16 @@ func FillUniform(r *rng.Rand, n int64, dst []int64) {
 	// word is the top k bits, as in Int63n.
 	un := uint64(n)
 	thresh := -un % un
-	var raw [fillUniformChunk]uint64
-	for len(dst) > 0 {
-		chunk := raw[:min(len(dst), len(raw))]
-		r.Uint64Block(chunk)
-		filled := 0
-		for _, x := range chunk {
-			hi, lo := bits.Mul64(x, un)
-			if lo < thresh {
-				continue // rejected: the next raw draw replaces it
-			}
-			dst[filled] = int64(hi)
-			filled++
+	g := *r
+	for i := range dst {
+		var x uint64
+		x, g = g.Next()
+		hi, lo := bits.Mul64(x, un)
+		for lo < thresh {
+			x, g = g.Next()
+			hi, lo = bits.Mul64(x, un)
 		}
-		dst = dst[filled:]
+		dst[i] = int64(hi)
 	}
+	*r = g
 }

@@ -6,6 +6,10 @@ import (
 	"plurality/internal/rng"
 )
 
+// fillUniformChunk is a block length TestFillUniformMatchesInt63n runs
+// FillUniform at, besides lengths just off its multiples.
+const fillUniformChunk = 256
+
 // TestFillUniformMatchesInt63n pins the kernel's contract: for any n,
 // FillUniform produces the same values AND leaves the generator in the same
 // state as sequential Int63n calls. The n values cover powers of two
@@ -64,4 +68,16 @@ func TestFillUniformUniformity(t *testing.T) {
 	if chi2 > 22.46 {
 		t.Errorf("χ² = %.1f over %d classes (want < 22.46)", chi2, n)
 	}
+}
+
+// BenchmarkFillUniform times one 1023-draw block at degree 8, the shape
+// of an 8-regular graph's 3-majority block (341 agents × 3 samples).
+func BenchmarkFillUniform(b *testing.B) {
+	r := rng.New(1)
+	dst := make([]int64, 1023)
+	b.ReportAllocs()
+	for b.Loop() {
+		FillUniform(r, 8, dst)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(dst)), "ns/draw")
 }

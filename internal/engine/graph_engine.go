@@ -45,10 +45,11 @@ import (
 //
 // Every other topology runs one of the two-pass loops described at
 // graphLoop: draw a block of neighbor ids, then gather their colors and
-// apply the rule. On a uniform-degree source (a regular in-RAM CSR, or a
-// topo.UniformDegree source such as the implicit torus, cycle and
-// hypercube or an mmap CSR) the block's draws come from one
-// dist.FillUniform call, byte-identical to the per-sample draws. With
+// apply the rule. On a regular in-RAM CSR the block's draws are made and
+// resolved in one register-resident rng loop; on a topo.UniformDegree
+// source (the implicit torus, cycle and hypercube, or an mmap CSR) they
+// come from one dist.FillUniform call. Both are byte-identical to the
+// per-sample draws. With
 // first-sample 3-majority, every row applies the rule in one inlined pass
 // instead of a rule.Apply call per agent.
 //
@@ -119,9 +120,9 @@ type graphLoop struct {
 	h         int
 	// unifDeg, when positive, promises every vertex has exactly this
 	// degree (from the topo.UniformDegree hint or a one-time offsets
-	// scan); the flat and generic rows then draw the whole block with one
-	// dist.FillUniform, hoisting the degree load, the zero-degree branch
-	// and the rejection threshold out of the rng loop.
+	// scan); the flat row (fillFlatUniform) and the generic row (one
+	// dist.FillUniform) then hoist the degree load, the zero-degree
+	// branch and the rejection threshold out of the rng loop.
 	unifDeg int64
 	// resolve is non-nil only on the generic row of a uniform-degree
 	// source: it turns the block's draws into neighbor ids in one call
@@ -286,35 +287,48 @@ func (w *graphWorker) runClique(lp *graphLoop, v0, m int64) {
 }
 
 // runFlat is the sparse hot loop: pass 1 fills the block's index buffer
-// with one neighbor draw per sample in a tight rng loop (degree-bucketed
-// when the degree is uniform), then pass 2 gathers colors and applies the
-// rule. Splitting the passes lets the out-of-order core overlap the
-// block's random color-array reads — the dominant cache misses at
-// n >= 10⁷ — instead of serializing them behind each vertex's rule
-// application.
+// with one resolved neighbor id per sample in a tight rng loop, then
+// pass 2 gathers colors and applies the rule. Splitting the passes lets
+// the out-of-order core overlap the block's random color-array reads —
+// the dominant cache misses at n >= 10⁷ — instead of serializing them
+// behind each vertex's rule application.
 func (w *graphWorker) runFlat(lp *graphLoop, v0, m int64) {
-	h := lp.h
-	idx := w.idx[:m*int64(h)]
-	if d := lp.unifDeg; d > 0 {
-		// Bucketed pass 1: one FillUniform kernel call for the whole
-		// block, then a branch-free sweep resolving draws to vertex ids
-		// (row reads are near-sequential as v ascends). Uniform degree
-		// means offsets is an arithmetic sequence, so the resolve sweep
-		// steps lo by d instead of streaming the offsets array.
-		dist.FillUniform(&w.draw, d, idx)
-		neighbors := lp.neighbors
-		p := 0
-		for lo, end := lp.offsets[v0], lp.offsets[v0+m]; lo < end; lo += d {
-			row := neighbors[lo : lo+d]
-			for s := 0; s < h; s++ {
-				idx[p] = int64(row[idx[p]])
-				p++
-			}
-		}
+	idx := w.idx[:m*int64(lp.h)]
+	if lp.unifDeg > 0 {
+		w.fillFlatUniform(lp, idx, v0, m)
 	} else {
 		w.fillFlatExact(lp, idx, v0, m)
 	}
 	w.gatherApply(lp, idx, v0, m)
+}
+
+// fillFlatUniform is pass 1 of the flat row on a uniform-degree CSR: it
+// draws each sample and resolves it to a neighbor id in the same step,
+// consuming the rng exactly as one FillUniform(d) over the block (one
+// Int63n(d) per sample) would. Uniform degree means offsets is an
+// arithmetic sequence, so the row walk steps lo by d instead of streaming
+// the offsets array, and the rejection threshold is computed once per
+// block. The generator is stepped as a register copy (rng.Rand.Next).
+func (w *graphWorker) fillFlatUniform(lp *graphLoop, idx []int64, v0, m int64) {
+	h, d, neighbors := lp.h, lp.unifDeg, lp.neighbors
+	ud := uint64(d)
+	thresh := -ud % ud
+	g := w.draw
+	p := 0
+	for lo, end := lp.offsets[v0], lp.offsets[v0+m]; lo < end; lo += d {
+		for range h {
+			var x uint64
+			x, g = g.Next()
+			hi, l := bits.Mul64(x, ud)
+			for l < thresh {
+				x, g = g.Next()
+				hi, l = bits.Mul64(x, ud)
+			}
+			idx[p] = int64(neighbors[lo+int64(hi)])
+			p++
+		}
+	}
+	w.draw = g
 }
 
 // fillFlatExact fills idx with one resolved neighbor id per sample for
@@ -322,11 +336,12 @@ func (w *graphWorker) runFlat(lp *graphLoop, v0, m int64) {
 // rng exactly like SampleNeighbor: one Int63n(degree) per draw (the
 // inlined Lemire multiply-shift below is rng.Uint64n verbatim, with the
 // rejection threshold hoisted per vertex), none for an isolated vertex,
-// which samples itself.
+// which samples itself. The generator is stepped as a register copy
+// (rng.Rand.Next).
 func (w *graphWorker) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
 	h := lp.h
 	offsets, neighbors := lp.offsets, lp.neighbors
-	r := &w.draw
+	g := w.draw
 	p := 0
 	for v := v0; v < v0+m; v++ {
 		lo := offsets[v]
@@ -340,14 +355,18 @@ func (w *graphWorker) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
 		}
 		thresh := -d % d
 		for s := 0; s < h; s++ {
-			hi, lo2 := bits.Mul64(r.Uint64(), d)
+			var x uint64
+			x, g = g.Next()
+			hi, lo2 := bits.Mul64(x, d)
 			for lo2 < thresh {
-				hi, lo2 = bits.Mul64(r.Uint64(), d)
+				x, g = g.Next()
+				hi, lo2 = bits.Mul64(x, d)
 			}
 			idx[p] = int64(neighbors[lo+int64(hi)])
 			p++
 		}
 	}
+	w.draw = g
 }
 
 // runGeneric is the two-pass loop for non-flat sources (implicit

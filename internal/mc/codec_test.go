@@ -1,11 +1,15 @@
 package mc
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"unicode/utf8"
 )
@@ -150,6 +154,53 @@ func TestReadRecordsSkipsWhitespaceLines(t *testing.T) {
 	}
 	if scanned, _ := ScanLines[Record](data); len(scanned) != 2 {
 		t.Fatalf("ScanLines read %d records, want 2", len(scanned))
+	}
+}
+
+// TestReadRecordsAllocatesForItsInput bounds what parsing a short stream
+// costs: 16 records, the shape of one job's /records body, allocate a few
+// KiB per call, not a line buffer sized for the longest line allowed.
+func TestReadRecordsAllocatesForItsInput(t *testing.T) {
+	data := writeRecords(t, sampleRecords(16))
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if recs, err := ReadRecords(bytes.NewReader(data)); err != nil || len(recs) != 16 {
+			t.Fatalf("ReadRecords = %d records, %v; want 16", len(recs), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 16<<10 {
+		t.Errorf("ReadRecords of %d bytes allocated %d bytes per call, want at most 16 KiB", len(data), perCall)
+	}
+}
+
+// TestReadRecordsLineCap: a record line just under the 1 MiB cap still
+// decodes, and one that reaches the cap is an error.
+func TestReadRecordsLineCap(t *testing.T) {
+	const limit = 1 << 20
+	// line returns a record whose line, newline included, is size bytes.
+	line := func(size int) (Record, []byte) {
+		rec := Record{Rep: 1, Seed: 2, Rounds: 3, Success: true}
+		base, err := AppendRecordLine(nil, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec.Job = strings.Repeat("a", size-len(base)-len(`"job":"",`))
+		b, err := AppendRecordLine(nil, rec)
+		if err != nil || len(b) != size {
+			t.Fatalf("record line of %d bytes (%v), want %d", len(b), err, size)
+		}
+		return rec, b
+	}
+	rec, data := line(limit)
+	if got, err := ReadRecords(bytes.NewReader(data)); err != nil || len(got) != 1 || got[0] != rec {
+		t.Fatalf("a %d-byte line: %d records, %v; want the record back", limit-1, len(got), err)
+	}
+	_, data = line(limit + 1)
+	if _, err := ReadRecords(bytes.NewReader(data)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("a %d-byte line: error %v, want bufio.ErrTooLong", limit, err)
 	}
 }
 

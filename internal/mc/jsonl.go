@@ -222,7 +222,10 @@ func decodeLine[T any](line []byte, v *T) error {
 func ReadRecords(r io.Reader) ([]Record, error) {
 	var out []Record
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	// The buffer starts at bufio's 4 KiB and doubles only as far as the
+	// longest line needs, up to the 1 MiB line cap: a short stream, such
+	// as one job's /records body, costs one small buffer.
+	sc.Buffer(nil, 1<<20)
 	line := 0
 	for sc.Scan() {
 		line++

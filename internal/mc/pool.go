@@ -21,10 +21,18 @@ import (
 // instrumenting jobs: see WorkerBusy / WorkerTasks.
 type Pool struct {
 	workers int
-	tasks   chan func(worker int)
+	tasks   chan poolTask
 	wg      sync.WaitGroup
 	busyNs  []atomic.Int64 // cumulative busy nanoseconds per worker
 	done    []atomic.Int64 // cumulative completed tasks per worker
+}
+
+// poolTask is one task handed to a worker: run(i, worker), after which the
+// worker sends i back on done.
+type poolTask struct {
+	run  func(i, worker int)
+	i    int
+	done chan<- int
 }
 
 // NewPool starts a pool with the given parallelism (<= 0 means
@@ -35,7 +43,7 @@ func NewPool(workers int) *Pool {
 	}
 	p := &Pool{
 		workers: workers,
-		tasks:   make(chan func(worker int)),
+		tasks:   make(chan poolTask),
 		busyNs:  make([]atomic.Int64, workers),
 		done:    make([]atomic.Int64, workers),
 	}
@@ -43,11 +51,14 @@ func NewPool(workers int) *Pool {
 		p.wg.Add(1)
 		go func(w int) {
 			defer p.wg.Done()
-			for f := range p.tasks {
+			for t := range p.tasks {
 				start := time.Now()
-				f(w)
+				t.run(t.i, w)
+				// The counters move before the hand-back, so a Run that
+				// has returned is fully counted.
 				p.busyNs[w].Add(time.Since(start).Nanoseconds())
 				p.done[w].Add(1)
+				t.done <- t.i
 			}
 		}(i)
 	}
@@ -130,10 +141,8 @@ func (p *Pool) dispatch(ctx context.Context, lo, hi int, task func(i, worker int
 			break // aborted with nothing in flight
 		}
 		if canSubmit {
-			i := sub
-			t := func(w int) { task(i, w); done <- i }
 			select {
-			case p.tasks <- t:
+			case p.tasks <- poolTask{run: task, i: sub, done: done}:
 				sub++
 			case j := <-done:
 				rcv++

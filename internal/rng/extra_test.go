@@ -74,21 +74,30 @@ func TestUint64nSmallModuliUnbiased(t *testing.T) {
 	}
 }
 
-// TestUint64BlockMatchesSequential pins the bulk-generation contract:
-// Uint64Block is byte-identical to sequential Uint64 calls — same outputs,
-// same end state — including the empty block, and composes across calls.
-func TestUint64BlockMatchesSequential(t *testing.T) {
-	r1, r2 := New(77), New(77)
-	for _, size := range []int{0, 1, 7, 256, 1000} {
-		block := make([]uint64, size)
-		r1.Uint64Block(block)
-		for i, v := range block {
-			if want := r2.Uint64(); v != want {
-				t.Fatalf("size %d: block[%d] = %#x, want %#x", size, i, v, want)
+// TestNextMatchesUint64 pins the value step's contract: Next returns the
+// output Uint64 returns and the state Uint64 leaves, step for step, and a
+// loop that steps a register copy and stores it back once leaves the
+// generator where as many Uint64 calls leave it.
+func TestNextMatchesUint64(t *testing.T) {
+	for seed := uint64(1); seed <= 3; seed++ {
+		r, ref := New(seed), New(seed)
+		g := *r
+		for i := 0; i < 10_000; i++ {
+			var x uint64
+			x, g = g.Next()
+			if want := ref.Uint64(); x != want {
+				t.Fatalf("seed %d step %d: Next = %#x, Uint64 = %#x", seed, i, x, want)
+			}
+			if g != *ref {
+				t.Fatalf("seed %d step %d: Next left another state than Uint64", seed, i)
 			}
 		}
-	}
-	if r1.Uint64() != r2.Uint64() {
-		t.Error("generator state diverged after block generation")
+		if *r != *New(seed) {
+			t.Fatalf("seed %d: Next changed its receiver's source", seed)
+		}
+		*r = g
+		if r.Uint64() != ref.Uint64() {
+			t.Errorf("seed %d: generator diverged after the stored-back copy", seed)
+		}
 	}
 }

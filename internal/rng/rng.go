@@ -89,25 +89,24 @@ func (r *Rand) Uint64() uint64 {
 	return result
 }
 
-// Uint64Block fills dst with consecutive outputs of the sequence,
-// byte-identical to len(dst) sequential Uint64 calls. The state lives in
-// locals across the loop so the compiler keeps it in registers instead of
-// re-loading the receiver per draw — this is the bulk-generation primitive
-// behind the engines' batched sampling paths.
-func (r *Rand) Uint64Block(dst []uint64) {
-	s0, s1, s2, s3 := r.s0, r.s1, r.s2, r.s3
-	for i := range dst {
-		result := bits.RotateLeft64(s0+s3, 23) + s0
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = bits.RotateLeft64(s3, 45)
-		dst[i] = result
-	}
-	r.s0, r.s1, r.s2, r.s3 = s0, s1, s2, s3
+// Next is the value form of Uint64: it returns the output Uint64 would
+// return and the advanced state, leaving r itself unchanged. A per-draw
+// loop copies the generator into a local, steps the copy with
+// `x, g = g.Next()` and stores it back once after the loop, so the
+// compiler keeps the four state words in registers instead of loading
+// and storing them through a pointer on every draw. Uint64 stays the
+// pointer form: the samplers that draw a few values per call (Float64,
+// the binomial) are faster through it.
+func (r Rand) Next() (uint64, Rand) {
+	result := bits.RotateLeft64(r.s0+r.s3, 23) + r.s0
+	t := r.s1 << 17
+	r.s2 ^= r.s0
+	r.s3 ^= r.s1
+	r.s1 ^= r.s2
+	r.s0 ^= r.s3
+	r.s2 ^= t
+	r.s3 = bits.RotateLeft64(r.s3, 45)
+	return result, r
 }
 
 // Uint32 returns a uniformly distributed 32-bit value.
@@ -179,14 +178,27 @@ func (r *Rand) Perm(n int) []int {
 
 // Shuffle permutes s uniformly at random in place (Fisher–Yates). It
 // draws r.Intn(i+1) for i = len(s)-1 down to 1 and swaps s[i] with the
-// drawn index, so a seed fixes the permutation. The swap is inline, with
-// no call through a function value per element: the graph builders
-// shuffle one entry per adjacency slot.
+// drawn index, so a seed fixes the permutation. The draw is Uint64n's
+// Lemire map inline on a register copy of the generator (Next), and the
+// swap is inline too: the graph builders shuffle one entry per adjacency
+// slot.
 func Shuffle[T any](r *Rand, s []T) {
+	g := *r
 	for i := len(s) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
+		n := uint64(i + 1)
+		var x uint64
+		x, g = g.Next()
+		j, lo := bits.Mul64(x, n)
+		if lo < n {
+			thresh := -n % n
+			for lo < thresh {
+				x, g = g.Next()
+				j, lo = bits.Mul64(x, n)
+			}
+		}
 		s[i], s[j] = s[j], s[i]
 	}
+	*r = g
 }
 
 // NewStream derives an independent child generator from this one. The child

@@ -49,3 +49,17 @@ func shuffleMatchesSwapLoop[T comparable](t *testing.T, n int, seed uint64, elem
 		t.Errorf("%T n=%d seed=%d: Shuffle left another generator state than the swap loop", got, n, seed)
 	}
 }
+
+// BenchmarkShuffle times one shuffle of 2²¹ int32, the stub array of a
+// regular:8 build at n = 2¹⁸.
+func BenchmarkShuffle(b *testing.B) {
+	r := rng.New(1)
+	s := make([]int32, 1<<21)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		rng.Shuffle(r, s)
+	}
+}

@@ -125,20 +125,27 @@ func (h *hub) clients() int {
 	return len(h.subs)
 }
 
-// publish assigns the event its sequence number and offers it to every
-// subscriber without ever blocking: a subscriber whose buffer is full
-// is dropped on the spot (channel closed, so its handler ends the
-// response after writing what it already has).
-func (h *hub) publish(ev Event) {
+// publish assigns the next sequence number, counts the event, and offers
+// it to every subscriber without ever blocking: a subscriber whose buffer
+// is full is dropped on the spot (channel closed, so its handler ends the
+// response after writing what it already has). The event comes from
+// build, which runs only when a subscriber is connected, under the hub
+// lock: with nobody listening nothing is built or rendered, and a client
+// that subscribes concurrently receives the whole event or none of it.
+func (h *hub) publish(build func() Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return
 	}
 	h.seq++
+	h.met.sseEvent()
+	if len(h.subs) == 0 {
+		return
+	}
+	ev := build()
 	ev.Seq = h.seq
 	b := frame(ev)
-	h.met.sseEvent()
 	for sub := range h.subs {
 		select {
 		case sub.ch <- b:
@@ -178,8 +185,10 @@ func (h *hub) shutdown() {
 
 // publishJob broadcasts a job's current lifecycle snapshot.
 func (s *Server) publishJob(j *jobState) {
-	info := j.info()
-	s.hub.publish(Event{Type: "job", Job: &info, Backlog: s.queue.Backlog()})
+	s.hub.publish(func() Event {
+		info := j.info()
+		return Event{Type: "job", Job: &info, Backlog: s.queue.Backlog()}
+	})
 }
 
 // progressStride is the throttle for per-job progress events: at most
@@ -202,15 +211,17 @@ func (s *Server) jobProgress(j *jobState) func(rec mc.Record, done, total int) {
 	return func(rec mc.Record, done, total int) {
 		s.met.replicateDone(j.engLabel, j.ruleLabel, rec.Rounds)
 		if done%stride == 0 || done == total {
-			s.hub.publish(Event{
-				Type:    "progress",
-				ID:      j.id,
-				Done:    done,
-				Total:   total,
-				Rounds:  rec.Rounds,
-				Engine:  j.engLabel,
-				Rule:    j.ruleLabel,
-				Backlog: s.queue.Backlog(),
+			s.hub.publish(func() Event {
+				return Event{
+					Type:    "progress",
+					ID:      j.id,
+					Done:    done,
+					Total:   total,
+					Rounds:  rec.Rounds,
+					Engine:  j.engLabel,
+					Rule:    j.ruleLabel,
+					Backlog: s.queue.Backlog(),
+				}
 			})
 		}
 	}

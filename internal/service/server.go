@@ -496,7 +496,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.journalDelete(id)
 	s.met.jobDeleted()
-	s.hub.publish(Event{Type: "deleted", ID: id, Backlog: s.queue.Backlog()})
+	s.hub.publish(func() Event { return Event{Type: "deleted", ID: id, Backlog: s.queue.Backlog()} })
 	w.WriteHeader(http.StatusNoContent)
 }
 

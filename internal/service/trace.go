@@ -121,15 +121,17 @@ func (jt *jobTracer) maybePublishRound(o *repObserver) {
 		return
 	}
 	st := o.rec.At(o.rec.Len() - 1)
-	jt.srv.hub.publish(Event{
-		Type:    "round",
-		ID:      jt.job.id,
-		Round:   st.Round,
-		Bias:    st.Bias,
-		CMax:    st.CMax,
-		Engine:  jt.job.engLabel,
-		Rule:    jt.job.ruleLabel,
-		Backlog: jt.srv.queue.Backlog(),
+	jt.srv.hub.publish(func() Event {
+		return Event{
+			Type:    "round",
+			ID:      jt.job.id,
+			Round:   st.Round,
+			Bias:    st.Bias,
+			CMax:    st.CMax,
+			Engine:  jt.job.engLabel,
+			Rule:    jt.job.ruleLabel,
+			Backlog: jt.srv.queue.Backlog(),
+		}
 	})
 }
 
