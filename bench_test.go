@@ -156,10 +156,15 @@ func BenchmarkEngineSampledRound(b *testing.B) {
 	}
 }
 
+// opaqueSource hides a source's concrete type behind the bare interface,
+// so the graph engine takes its generic row over the same structure.
+type opaqueSource struct{ topo.NeighborSource }
+
 // BenchmarkEngineGraphRound measures one transient round of the
-// per-vertex engine at n = 10⁵ on the clique (alias fast path) and on a
+// per-vertex engine at n = 10⁵ on the clique (alias fast path), on a
 // random 8-regular CSR (direct-slice fast path) — the clique-vs-regular
-// gap of DESIGN.md §5.
+// gap of DESIGN.md §5 — and on a G(n, 8/n) CSR behind opaqueSource (the
+// generic row's per-sample draws over skewed degrees).
 func BenchmarkEngineGraphRound(b *testing.B) {
 	const n = 100_000
 	builders := []struct {
@@ -168,6 +173,7 @@ func BenchmarkEngineGraphRound(b *testing.B) {
 	}{
 		{"clique", topo.NewComplete(n)},
 		{"8-regular-csr", topo.RandomRegular("regular:8", n, 8, rng.New(2))},
+		{"gnp-generic", opaqueSource{topo.Gnp("gnp:8e-05", n, 8.0/n, rng.New(2))}},
 	}
 	for _, tc := range builders {
 		b.Run(tc.name, func(b *testing.B) {

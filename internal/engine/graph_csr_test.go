@@ -47,6 +47,72 @@ func TestGraphEngineCSRByteContract(t *testing.T) {
 	}
 }
 
+// TestDrawRuleSameOnFlatAndGenericRows pins the engine's one draw rule
+// (see graphLoop) across its two exact rows: the same skewed-degree CSR,
+// stepped directly (flat row, fillFlatExact) and behind opaqueSource
+// (generic row, one Int63n and Neighbor call per sample), goes through
+// equal configurations and per-vertex colors every round, at 1 and 3
+// workers, under a rule that never reads its rule stream and one that
+// does, and its isolated vertices keep their initial colors. Block 0
+// holds isolated vertices, then the degree-1 leaves of a star whose hub
+// is the block's last vertex, and every later block a pendant vertex
+// ahead of each third vertex: a row that skipped a degree-1 vertex's draw
+// would hand the next vertex different draws.
+func TestDrawRuleSameOnFlatAndGenericRows(t *testing.T) {
+	const n, rounds, isolated = 1200, 12, 10
+	const hub = 340 // the last vertex of block 0 at h = 3
+	b := topo.NewBuilder("draw-rule", n)
+	for v := int64(isolated); v < hub; v++ {
+		b.AddEdge(v, hub)
+	}
+	var core []int64
+	for v := int64(hub + 1); v < n; v++ {
+		if v%3 == 0 {
+			b.AddEdge(v, v+1) // a pendant ahead of its core neighbor
+		} else {
+			core = append(core, v)
+		}
+	}
+	for i, v := range core {
+		b.AddEdge(v, core[(i+1)%len(core)])
+		b.AddEdge(v, core[(i+5)%len(core)])
+	}
+	csr := b.Finalize()
+	init := colorcfg.Biased(n, 4, n/8)
+	for _, name := range []string{"3majority", "3majority-utie"} {
+		rule, err := dynamics.ParseRule(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			flat := NewGraphEngine(rule, csr, init, workers, 77, rng.New(5))
+			generic := NewGraphEngine(rule, opaqueSource{csr}, init, workers, 77, rng.New(5))
+			if flat.lp.offsets == nil || flat.lp.unifDeg != 0 || generic.lp.offsets != nil || generic.lp.resolve != nil {
+				t.Fatal("want the flat exact row against the generic exact row")
+			}
+			if flat.lp.blockLen != hub+1 {
+				t.Fatalf("block 0 ends at vertex %d, want the hub %d", flat.lp.blockLen-1, hub)
+			}
+			start := flat.AppendColors(nil)
+			for round := 1; round <= rounds; round++ {
+				flat.Step(nil)
+				generic.Step(nil)
+				if !flat.Config().Equal(generic.Config()) {
+					t.Fatalf("%s w=%d round %d: flat config %v, generic %v", name, workers, round, flat.Config(), generic.Config())
+				}
+				if !slices.Equal(flat.Colors(), generic.Colors()) {
+					t.Fatalf("%s w=%d round %d: per-vertex colors differ", name, workers, round)
+				}
+				if !slices.Equal(flat.Colors()[:isolated], start[:isolated]) {
+					t.Fatalf("%s w=%d round %d: an isolated vertex changed color", name, workers, round)
+				}
+			}
+			flat.Close()
+			generic.Close()
+		}
+	}
+}
+
 // oneRoundColor0Samples runs reps independent one-round executions and
 // returns the color-0 count after the round for each.
 func oneRoundColor0Samples(init colorcfg.Config, reps int, build func(rep int) Engine) []float64 {

@@ -20,13 +20,12 @@ import (
 // cross-validate the configuration-level clique engines.
 //
 // The engine consumes its topology through topo.NeighborSource — the
-// minimal sampling surface shared by implicit graphs (neighbors computed
+// adjacency surface shared by implicit graphs (neighbors computed
 // functionally, zero materialization), in-RAM CSRs, and mmap-backed CSRs.
-// Every source honors the same rng byte contract (one Int63n(degree) per
-// sample, none for an isolated vertex), so swapping a graph's
-// representation never perturbs a seeded run; only memory residency
-// changes. That is what takes sparse runs past RAM: implicit torus to
-// n = 10⁹, mmap smallworld to n = 10⁸.
+// The engine alone draws neighbors, by one rule on every row (see
+// graphLoop), so swapping a graph's representation never perturbs a
+// seeded run; only memory residency changes. That is what takes sparse
+// runs past RAM: implicit torus to n = 10⁹, mmap smallworld to n = 10⁸.
 //
 // Vertices are cut into fixed blocks that worker goroutines claim each
 // round, and each block draws from streams keyed by (seed, round, block)
@@ -48,10 +47,9 @@ import (
 // apply the rule. On a regular in-RAM CSR the block's draws are made and
 // resolved in one register-resident rng loop; on a topo.UniformDegree
 // source (the implicit torus, cycle and hypercube, or an mmap CSR) they
-// come from one dist.FillUniform call. Both are byte-identical to the
-// per-sample draws. With
-// first-sample 3-majority, every row applies the rule in one inlined pass
-// instead of a rule.Apply call per agent.
+// come from one dist.FillUniform call. Both make exactly the draw rule's
+// Int63n calls. With first-sample 3-majority, every row applies the rule
+// in one inlined pass instead of a rule.Apply call per agent.
 //
 // Repaint recolors the first m vertices (in vertex order) that hold
 // `from`.
@@ -83,8 +81,14 @@ type graphBuffers struct {
 // alias draws and one for its rule.Apply calls. A block's draws therefore
 // depend neither on which worker runs it nor on how many there are, so a
 // run is a pure function of its seed, and a whole block can be drawn
-// before the rule runs, whatever the rule. Dispatch order in
-// graphWorker.run:
+// before the rule runs, whatever the rule.
+//
+// The draw rule, which every non-clique row follows and which makes the
+// rows and the graph's representations interchangeable: within a block,
+// in vertex order, each sample of vertex v consumes exactly one
+// Int63n(Degree(v)) from the neighbor stream and resolves draw i to
+// Neighbor(v, i); a vertex of degree 0 samples itself and draws nothing.
+// Dispatch order in graphWorker.run:
 //
 //	alias != nil   → clique row: one block of alias draws, then the rule
 //	offsets != nil → flat row: fill a block of neighbor ids in one tight
@@ -95,7 +99,8 @@ type graphBuffers struct {
 //	otherwise      → generic row: the same two passes through the source,
 //	                 one FillUniform and one topo.BlockResolver call per
 //	                 block when the degree is uniform (resolve != nil),
-//	                 else one SampleNeighbor call per sample
+//	                 else one Degree call per vertex and one Int63n and
+//	                 Neighbor call per sample
 //
 // On every row, fast3 replaces the rule's Apply calls with one inlined
 // 3-majority pass over the block.
@@ -332,11 +337,11 @@ func (w *graphWorker) fillFlatUniform(lp *graphLoop, idx []int64, v0, m int64) {
 }
 
 // fillFlatExact fills idx with one resolved neighbor id per sample for
-// vertices [v0, v0+m) of a flat source with varying degrees, consuming the
-// rng exactly like SampleNeighbor: one Int63n(degree) per draw (the
-// inlined Lemire multiply-shift below is rng.Uint64n verbatim, with the
-// rejection threshold hoisted per vertex), none for an isolated vertex,
-// which samples itself. The generator is stepped as a register copy
+// vertices [v0, v0+m) of a flat source with varying degrees, by the draw
+// rule (see graphLoop): one Int63n(degree) per draw (the inlined Lemire
+// multiply-shift below is rng.Uint64n verbatim, with the rejection
+// threshold hoisted per vertex), none for an isolated vertex, which
+// samples itself. The generator is stepped as a register copy
 // (rng.Rand.Next).
 func (w *graphWorker) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
 	h := lp.h
@@ -371,11 +376,11 @@ func (w *graphWorker) fillFlatExact(lp *graphLoop, idx []int64, v0, m int64) {
 
 // runGeneric is the two-pass loop for non-flat sources (implicit
 // families, mmap CSRs, opaque graphs): pass 1 fills the index buffer with
-// sampled neighbor ids, pass 2 gathers colors and applies the rule. On a
-// uniform-degree source pass 1 is one FillUniform over the block, which
-// consumes the rng exactly as the SampleNeighbor calls would (one
-// Int63n(degree) per sample), and one ResolveBlock call; otherwise it is
-// one SampleNeighbor call per sample.
+// sampled neighbor ids by the draw rule (see graphLoop), pass 2 gathers
+// colors and applies the rule. On a uniform-degree source pass 1 is one
+// FillUniform over the block, which is one Int63n(degree) per sample, and
+// one ResolveBlock call; otherwise it reads each vertex's degree once and
+// resolves each sample's Int63n draw through Neighbor.
 func (w *graphWorker) runGeneric(lp *graphLoop, v0, m int64) {
 	h := lp.h
 	idx := w.idx[:m*int64(h)]
@@ -386,8 +391,13 @@ func (w *graphWorker) runGeneric(lp *graphLoop, v0, m int64) {
 		src, r := lp.src, &w.draw
 		p := 0
 		for v := v0; v < v0+m; v++ {
+			d := src.Degree(v)
 			for s := 0; s < h; s++ {
-				idx[p] = src.SampleNeighbor(v, r)
+				u := v
+				if d > 0 {
+					u = src.Neighbor(v, r.Int63n(d))
+				}
+				idx[p] = u
 				p++
 			}
 		}

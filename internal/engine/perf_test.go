@@ -60,9 +60,11 @@ func TestStepZeroAllocs(t *testing.T) {
 		"graph-mmap-w4": NewGraphEngine(dynamics.ThreeMajority{},
 			mmapSrc, init, 4, 11, nil),
 		// The remaining rows and kernels of the graph loop: the
-		// skewed-degree flat row, and an rng-consuming rule (the rule's
-		// own stream, the generic apply pass) on the flat and generic rows.
-		"graph-gnp-w4": NewGraphEngine(dynamics.ThreeMajority{}, gnp, init, 4, 11, nil),
+		// skewed-degree flat and generic rows, and an rng-consuming rule
+		// (the rule's own stream, the generic apply pass) on the flat and
+		// generic rows.
+		"graph-gnp-w4":               NewGraphEngine(dynamics.ThreeMajority{}, gnp, init, 4, 11, nil),
+		"graph-generic-exact-gnp-w4": NewGraphEngine(dynamics.ThreeMajority{}, opaqueSource{gnp}, init, 4, 11, nil),
 		"graph-csr-utie-w4": NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},
 			topo.RandomRegular("regular:8", 20_000, 8, rng.New(2)), init, 4, 11, nil),
 		"graph-implicit-utie-w4": NewGraphEngine(dynamics.ThreeMajority{UniformTie: true},

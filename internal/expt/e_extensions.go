@@ -121,30 +121,7 @@ func runE14(p Profile, seed uint64) []*Table {
 		if err != nil {
 			panic(fmt.Sprintf("expt: E14 build %q at n=%d: %v", spec, n, err))
 		}
-		type out struct {
-			rounds float64
-			conv   bool
-			share  float64
-		}
-		results := ParallelReps(p, p.Reps, seed+hashName(spec), func(rep int, r *rng.Rand) out {
-			e := engine.NewGraphEngine(dynamics.ThreeMajority{}, g,
-				colorcfg.Biased(n, k, bias), 2, seed^uint64(rep)<<8^hashName(spec), r)
-			defer e.Close()
-			res := core.Run(e, core.Options{MaxRounds: limit, Rand: r})
-			first, _ := res.Final.TopTwo()
-			return out{rounds: float64(res.Rounds), conv: res.Stopped,
-				share: float64(first) / float64(n)}
-		})
-		conv := 0
-		var rounds, share float64
-		for _, o := range results {
-			if o.conv {
-				conv++
-			}
-			rounds += o.rounds / float64(len(results))
-			share += o.share / float64(len(results))
-		}
-		t.AddRow(spec, fmt.Sprintf("%d/%d", conv, len(results)), fmtF(rounds), fmtF(share))
+		t.AddRow(append([]string{spec}, topologyRow(p, seed, spec, g, k, bias, limit)...)...)
 	}
 	return []*Table{t}
 }

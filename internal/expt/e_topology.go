@@ -70,31 +70,39 @@ func runE20(p Profile, seed uint64) []*Table {
 			gapCell = fmt.Sprintf("%.2e", diag.SpectralGap)
 			condCell = fmt.Sprintf("%.2e", diag.Conductance)
 		}
-		type out struct {
-			rounds float64
-			conv   bool
-			share  float64
-		}
-		results := ParallelReps(p, p.Reps, seed+hashName(canon), func(rep int, r *rng.Rand) out {
-			e := engine.NewGraphEngine(dynamics.ThreeMajority{}, g,
-				colorcfg.Biased(n, k, bias), 2, seed^uint64(rep)<<8^hashName(canon), r)
-			defer e.Close()
-			res := core.Run(e, core.Options{MaxRounds: limit, Rand: r})
-			first, _ := res.Final.TopTwo()
-			return out{rounds: float64(res.Rounds), conv: res.Stopped,
-				share: float64(first) / float64(n)}
-		})
-		conv := 0
-		var rounds, share float64
-		for _, o := range results {
-			if o.conv {
-				conv++
-			}
-			rounds += o.rounds / float64(len(results))
-			share += o.share / float64(len(results))
-		}
-		t.AddRow(canon, gapCell, condCell, fmt.Sprintf("%d/%d", conv, len(results)),
-			fmtF(rounds), fmtF(share))
+		t.AddRow(append([]string{canon, gapCell, condCell}, topologyRow(p, seed, canon, g, k, bias, limit)...)...)
 	}
 	return []*Table{t}
+}
+
+// topologyRow runs the replicates of one E14 or E20 row: p.Reps runs of
+// 3-majority on the quenched graph g from Biased(g.N(), k, bias), each
+// capped at limit rounds and seeded from seed and the row's name. It
+// returns the row's converged, rounds_mean and final_cmax_share cells.
+func topologyRow(p Profile, seed uint64, name string, g topo.NeighborSource, k int, bias int64, limit int) []string {
+	n := g.N()
+	type out struct {
+		rounds float64
+		conv   bool
+		share  float64
+	}
+	results := ParallelReps(p, p.Reps, seed+hashName(name), func(rep int, r *rng.Rand) out {
+		e := engine.NewGraphEngine(dynamics.ThreeMajority{}, g,
+			colorcfg.Biased(n, k, bias), 2, seed^uint64(rep)<<8^hashName(name), r)
+		defer e.Close()
+		res := core.Run(e, core.Options{MaxRounds: limit, Rand: r})
+		first, _ := res.Final.TopTwo()
+		return out{rounds: float64(res.Rounds), conv: res.Stopped,
+			share: float64(first) / float64(n)}
+	})
+	conv := 0
+	var rounds, share float64
+	for _, o := range results {
+		if o.conv {
+			conv++
+		}
+		rounds += o.rounds / float64(len(results))
+		share += o.share / float64(len(results))
+	}
+	return []string{fmt.Sprintf("%d/%d", conv, len(results)), fmtF(rounds), fmtF(share)}
 }

@@ -690,3 +690,75 @@ func TestCorruptJournalNeverWedges(t *testing.T) {
 		t.Fatalf("healthz after corruption: %d", resp.StatusCode)
 	}
 }
+
+// TestCorruptJournalCutStartsReissuedIDFresh cuts the meta journal at a
+// job's submit line, as replay cuts a corrupt or torn journal to its
+// valid prefix: the restarted daemon forgets that job and every later
+// one, but not their records files, and issues the forgotten id again.
+// The new job must start from an empty records file, so its records are
+// exactly its own: served live, served from the journal after eviction,
+// and replayed after one more restart.
+func TestCorruptJournalCutStartsReissuedIDFresh(t *testing.T) {
+	first := service.JobSpec{Rule: "3majority", Engine: "multinomial", N: 100_000, K: 4, Seed: 9, Replicates: 2}
+	forgotten := first
+	forgotten.Seed, forgotten.Replicates = 10, 3
+	reissued := first
+	reissued.Seed = 11
+	want := baseline(t, reissued)
+
+	fs := faultfs.New()
+	s1, ts1 := boot(t, durableOpts(fs))
+	var ids []string
+	for _, spec := range []service.JobSpec{first, forgotten} {
+		status, info, raw := submit(t, ts1, spec, "?wait=1")
+		if status != http.StatusOK {
+			t.Fatalf("submit: status %d (%s)", status, raw)
+		}
+		ids = append(ids, info.ID)
+	}
+	ts1.Close()
+	s1.Close()
+
+	journal := dataDir + "/journal.jsonl"
+	meta := fs.Bytes(journal)
+	cut := bytes.Index(meta, []byte(`{"type":"submit","id":"`+ids[1]+`"`))
+	if cut < 0 {
+		t.Fatalf("no submit line for %s in the journal", ids[1])
+	}
+	if err := fs.Truncate(journal, int64(cut)); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := durableOpts(fs)
+	opts.Retain = 1
+	s2, ts2 := boot(t, opts)
+	status, info, raw := submit(t, ts2, reissued, "?wait=1")
+	if status != http.StatusOK {
+		t.Fatalf("post-cut submit: status %d (%s)", status, raw)
+	}
+	if info.ID != ids[1] {
+		t.Fatalf("post-cut submission got id %s; the test needs the forgotten id %s", info.ID, ids[1])
+	}
+	if got := recordBytes(t, ts2, info.ID); !bytes.Equal(got, want) {
+		t.Fatalf("reissued %s serves %d record lines, want its own %d", info.ID, bytes.Count(got, []byte("\n")), reissued.Replicates)
+	}
+	// One more terminal job evicts the reissued one (Retain 1), whose
+	// records are then served from its journal file.
+	if status, _, raw := submit(t, ts2, first, "?wait=1"); status != http.StatusOK {
+		t.Fatalf("evicting submit: status %d (%s)", status, raw)
+	}
+	if got := recordBytes(t, ts2, info.ID); !bytes.Equal(got, want) {
+		t.Fatalf("evicted %s serves %d record lines, want its own %d", info.ID, bytes.Count(got, []byte("\n")), reissued.Replicates)
+	}
+	ts2.Close()
+	s2.Close()
+
+	s3, ts3 := boot(t, opts)
+	defer func() { ts3.Close(); s3.Close() }()
+	if got := jobInfo(t, ts3, info.ID); got.State != service.StateDone || got.Records != reissued.Replicates {
+		t.Fatalf("replayed %s: state %s, %d records, want done with %d", info.ID, got.State, got.Records, reissued.Replicates)
+	}
+	if got := recordBytes(t, ts3, info.ID); !bytes.Equal(got, want) {
+		t.Fatalf("replayed %s records differ from its own", info.ID)
+	}
+}

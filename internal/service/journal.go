@@ -476,8 +476,15 @@ func (jr *journal) appendMeta(e journalEntry, sync bool) error {
 }
 
 // submit journals a job submission (fsynced before the caller admits
-// the job, so an acknowledged job is never forgotten).
+// the job, so an acknowledged job is never forgotten). It first removes
+// any records file already under the id: a meta journal cut mid-file
+// forgets the jobs past the cut but leaves their records files, and the
+// next daemon issues those ids again, so the new job must start from an
+// empty file rather than append to a forgotten job's records.
 func (jr *journal) submit(id string, spec JobSpec) error {
+	if err := jr.fs.Remove(jr.recordsPath(id)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("service: remove stale records of %s: %w", id, err)
+	}
 	return jr.appendMeta(journalEntry{Type: "submit", ID: id, Spec: &spec}, true)
 }
 

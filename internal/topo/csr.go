@@ -15,7 +15,7 @@
 // generated graph is buildable once and reusable across sweep cells. The
 // engine layer (engine.GraphEngine) special-cases *CSR with a direct-slice
 // sampling path; the rng draw sequence (one Int63n(degree) per sample) is
-// byte-identical to the generic NeighborSource path.
+// byte-identical to its generic NeighborSource path.
 //
 // All generators draw exclusively from an explicit *rng.Rand, so every
 // graph is a pure function of (spec, n, seed): byte-identical across runs,
@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-
-	"plurality/internal/rng"
 )
 
 // CSR is a static undirected graph in compressed-sparse-row form: the
@@ -66,18 +64,6 @@ func (g *CSR) Degree(v int64) int64 { return g.Offsets[v+1] - g.Offsets[v] }
 
 // Neighbor implements NeighborSource.
 func (g *CSR) Neighbor(v, i int64) int64 { return int64(g.Neighbors[g.Offsets[v]+i]) }
-
-// SampleNeighbor implements NeighborSource: one Int63n(degree) draw per
-// sample, as the contract requires, so swapping the backing store never
-// perturbs a seeded run. An isolated vertex samples itself and therefore
-// keeps its color forever.
-func (g *CSR) SampleNeighbor(v int64, r *rng.Rand) int64 {
-	lo, hi := g.Offsets[v], g.Offsets[v+1]
-	if lo == hi {
-		return v
-	}
-	return int64(g.Neighbors[lo+r.Int63n(hi-lo)])
-}
 
 // Edges returns the number of undirected edges.
 func (g *CSR) Edges() int64 { return int64(len(g.Neighbors)) / 2 }

@@ -140,37 +140,6 @@ func TestBuilderRejectsSelfLoop(t *testing.T) {
 	NewBuilder("bad", 3).AddEdge(1, 1)
 }
 
-func TestCSRSampleNeighborUniform(t *testing.T) {
-	b := NewBuilder("path", 5) // 0-1-2-3-4
-	for v := int64(0); v < 4; v++ {
-		b.AddEdge(v, v+1)
-	}
-	g := b.Finalize()
-	r := rng.New(7)
-	counts := map[int64]int{}
-	const draws = 40000
-	for i := 0; i < draws; i++ {
-		counts[g.SampleNeighbor(2, r)]++
-	}
-	if len(counts) != 2 {
-		t.Fatalf("vertex 2 sampled %v, want exactly {1, 3}", counts)
-	}
-	for _, u := range []int64{1, 3} {
-		if c := counts[u]; c < draws/2-600 || c > draws/2+600 {
-			t.Errorf("neighbor %d sampled %d times, want ~%d", u, c, draws/2)
-		}
-	}
-}
-
-func TestCSRIsolatedVertexSamplesSelf(t *testing.T) {
-	b := NewBuilder("lonely", 3)
-	b.AddEdge(0, 1) // vertex 2 isolated
-	g := b.Finalize()
-	if got := g.SampleNeighbor(2, rng.New(1)); got != 2 {
-		t.Fatalf("isolated vertex sampled %d, want itself", got)
-	}
-}
-
 func TestCSRSerializationRoundTrip(t *testing.T) {
 	for _, g := range []*CSR{
 		RandomRegular("regular:4", 50, 4, rng.New(3)),

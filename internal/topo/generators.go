@@ -501,57 +501,14 @@ func (g Complete) Neighbor(v, i int64) int64 {
 	return i
 }
 
-// SampleNeighbor implements NeighborSource.
-func (g Complete) SampleNeighbor(v int64, r *rng.Rand) int64 {
-	if g.IncludeSelf {
-		return r.Int63n(g.Vertices)
-	}
-	u := r.Int63n(g.Vertices - 1)
-	if u >= v {
-		u++
-	}
-	return u
-}
-
-// Cycle is the n-vertex ring.
-type Cycle struct {
-	Vertices int64
-}
-
-// NewCycle returns a ring on n >= 3 vertices.
-func NewCycle(n int64) Cycle {
+// NewCycle returns the ring on n >= 3 vertices: the 1-d torus, whose
+// neighbor 0 of v is v+1 and neighbor 1 is v-1 (mod n).
+func NewCycle(n int64) TorusD {
 	if n < 3 {
 		panic("topo: Cycle needs n >= 3")
 	}
-	return Cycle{Vertices: n}
+	return NewTorusD(n, 1)
 }
-
-// Name implements NeighborSource.
-func (Cycle) Name() string { return "cycle" }
-
-// N implements NeighborSource.
-func (g Cycle) N() int64 { return g.Vertices }
-
-// Degree implements NeighborSource.
-func (Cycle) Degree(int64) int64 { return 2 }
-
-// Neighbor implements NeighborSource: neighbor 0 is v+1, neighbor 1 is
-// v-1.
-func (g Cycle) Neighbor(v, i int64) int64 {
-	if i == 0 {
-		return (v + 1) % g.Vertices
-	}
-	return (v - 1 + g.Vertices) % g.Vertices
-}
-
-// SampleNeighbor implements NeighborSource.
-func (g Cycle) SampleNeighbor(v int64, r *rng.Rand) int64 {
-	return g.Neighbor(v, r.Int63n(2))
-}
-
-// UniformDegree implements the degree-class hint: every vertex has degree
-// 2.
-func (Cycle) UniformDegree() int64 { return 2 }
 
 // Star has vertex 0 as the hub adjacent to all leaves.
 type Star struct {
@@ -584,14 +541,6 @@ func (g Star) Degree(v int64) int64 {
 func (g Star) Neighbor(v, i int64) int64 {
 	if v == 0 {
 		return i + 1
-	}
-	return 0
-}
-
-// SampleNeighbor implements NeighborSource.
-func (g Star) SampleNeighbor(v int64, r *rng.Rand) int64 {
-	if v == 0 {
-		return 1 + r.Int63n(g.Vertices-1)
 	}
 	return 0
 }
@@ -631,11 +580,6 @@ func (g Hypercube) Neighbor(v, i int64) int64 { return v ^ (1 << i) }
 // UniformDegree implements the degree-class hint: every vertex has degree
 // Dim.
 func (g Hypercube) UniformDegree() int64 { return int64(g.Dim) }
-
-// SampleNeighbor implements NeighborSource.
-func (g Hypercube) SampleNeighbor(v int64, r *rng.Rand) int64 {
-	return v ^ (1 << r.Int63n(int64(g.Dim)))
-}
 
 // TorusD is the Dims-dimensional torus with equal side length Side:
 // vertices are base-Side digit strings, adjacent when exactly one digit
@@ -701,10 +645,13 @@ func satPow(b int64, e int) int64 {
 	return p
 }
 
-// Name implements NeighborSource. The square torus is plain "torus",
-// the registry's default family name.
+// Name implements NeighborSource. The ring is "cycle" and the square
+// torus plain "torus", their registry family names.
 func (g TorusD) Name() string {
-	if g.Dims == 2 {
+	switch g.Dims {
+	case 1:
+		return "cycle"
+	case 2:
 		return "torus"
 	}
 	return fmt.Sprintf("torus%dd", g.Dims)
@@ -737,11 +684,6 @@ func (g TorusD) Neighbor(v, i int64) int64 {
 		next = g.Side - 1
 	}
 	return v + (next-digit)*stride
-}
-
-// SampleNeighbor implements NeighborSource.
-func (g TorusD) SampleNeighbor(v int64, r *rng.Rand) int64 {
-	return g.Neighbor(v, r.Int63n(int64(2*g.Dims)))
 }
 
 // UniformDegree implements the degree-class hint: every vertex has degree

@@ -1,11 +1,9 @@
 package topo
 
 import (
-	"math"
 	"path/filepath"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"plurality/internal/rng"
 )
@@ -15,16 +13,10 @@ func TestCompleteWithSelf(t *testing.T) {
 	if g.Degree(3) != 10 {
 		t.Errorf("degree = %d, want 10 (self included)", g.Degree(3))
 	}
-	// Sampling must be uniform over all vertices including self.
-	r := rng.New(1)
-	counts := make([]int, 10)
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		counts[g.SampleNeighbor(3, r)]++
-	}
-	for v, c := range counts {
-		if math.Abs(float64(c)-draws/10) > 5*math.Sqrt(draws/10) {
-			t.Errorf("vertex %d sampled %d times", v, c)
+	// Neighbor enumeration covers all n vertices, self included.
+	for i := int64(0); i < 10; i++ {
+		if u := g.Neighbor(3, i); u != i {
+			t.Fatalf("Neighbor(3,%d) = %d, want %d", i, u, i)
 		}
 	}
 }
@@ -33,12 +25,6 @@ func TestCompleteWithoutSelf(t *testing.T) {
 	g := Complete{Vertices: 8}
 	if g.Degree(0) != 7 {
 		t.Errorf("degree = %d, want 7", g.Degree(0))
-	}
-	r := rng.New(2)
-	for i := 0; i < 10000; i++ {
-		if g.SampleNeighbor(5, r) == 5 {
-			t.Fatal("sampled self with IncludeSelf=false")
-		}
 	}
 	// Neighbor enumeration must skip self and cover the other n-1.
 	seen := map[int64]bool{}
@@ -92,13 +78,12 @@ func TestStar(t *testing.T) {
 	if g.Degree(0) != 5 || g.Degree(3) != 1 {
 		t.Errorf("star degrees: hub %d leaf %d", g.Degree(0), g.Degree(3))
 	}
-	r := rng.New(4)
-	for i := 0; i < 100; i++ {
-		if g.SampleNeighbor(2, r) != 0 {
-			t.Fatal("leaf must sample the hub")
-		}
-		if g.SampleNeighbor(0, r) == 0 {
-			t.Fatal("hub must sample a leaf")
+	if g.Neighbor(2, 0) != 0 {
+		t.Fatal("a leaf's one neighbor must be the hub")
+	}
+	for i := int64(0); i < 5; i++ {
+		if g.Neighbor(0, i) != i+1 {
+			t.Fatalf("hub's neighbor %d is %d, want leaf %d", i, g.Neighbor(0, i), i+1)
 		}
 	}
 }
@@ -115,33 +100,6 @@ func TestImplicitNames(t *testing.T) {
 	} {
 		if g.Name() != want {
 			t.Errorf("Name() = %q, want %q", g.Name(), want)
-		}
-	}
-}
-
-func TestSampleNeighborIsNeighborProperty(t *testing.T) {
-	r := rng.New(10)
-	for _, g := range []NeighborSource{
-		NewComplete(9),
-		Complete{Vertices: 9},
-		NewCycle(9),
-		NewStar(7),
-		NewTorusD(25, 2),
-		NewTorusD(27, 3),
-		NewHypercube(16),
-	} {
-		f := func(vRaw uint16) bool {
-			v := int64(vRaw) % g.N()
-			u := g.SampleNeighbor(v, r)
-			for i := int64(0); i < g.Degree(v); i++ {
-				if g.Neighbor(v, i) == u {
-					return true
-				}
-			}
-			return false
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-			t.Errorf("%s: %v", g.Name(), err)
 		}
 	}
 }
@@ -171,7 +129,8 @@ func TestConstructorPanics(t *testing.T) {
 // NewTorusD accepts (side 3, dims 39, n = 3³⁹, implicit, so it costs no
 // memory); a MappedCSR with its own method, on a regular:8 file (rows at
 // v·d) and on a ba:3 file whose degrees vary (one offset read per
-// vertex); the cycle and the hypercube take Resolver's per-draw fallback.
+// vertex); the cycle resolves as the 1-d torus it is, and the hypercube
+// takes Resolver's per-draw fallback.
 // Blocks start at 0, start mid-row, end at n-1 and straddle a long carry,
 // so they cross every wrap.
 func TestResolveBlockMatchesNeighbor(t *testing.T) {

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"plurality/internal/rng"
 )
 
 // MappedCSR is a read-only CSR served straight from an on-disk file in the
@@ -15,16 +13,17 @@ import (
 // opening a multi-gigabyte graph touches only the header, and a round's
 // neighbor reads fault pages in on demand, so resident memory tracks the
 // working set rather than the file size. This is the beyond-RAM backend —
-// a graph too big to hold as heap arrays still serves SampleNeighbor at
-// page-cache speed.
+// a graph too big to hold as heap arrays still serves its neighbor reads
+// at page-cache speed.
 //
 // The arrays are accessed through little-endian byte views rather than
 // []int64 casts: the v1 header is variable-length (uvarint name), so the
 // arrays have no alignment guarantee inside the mapping, and byte-wise
 // loads are alignment-safe on every platform. Each access costs a couple
-// of bounds-checked loads more than the in-RAM flat path; the rng draw
-// sequence is exactly the NeighborSource contract, so a mapped graph is
-// byte-identical in traces to the same graph deserialized with ReadCSR.
+// of bounds-checked loads more than the in-RAM flat path. A mapped graph
+// enumerates every row exactly as the same graph deserialized with
+// ReadCSR, so the engine's draws resolve identically and seeded runs are
+// byte-identical in traces.
 //
 // A MappedCSR must be Closed when done (unmapping the file); using it
 // after Close panics on the nil views. It is safe for concurrent readers,
@@ -92,17 +91,6 @@ func (m *MappedCSR) ResolveBlock(v0 int64, h int, draws []int64) {
 		}
 		v++
 	}
-}
-
-// SampleNeighbor implements NeighborSource: one Int63n(degree) draw per
-// sample, none for an isolated vertex — the same stream as every other
-// backend.
-func (m *MappedCSR) SampleNeighbor(v int64, r *rng.Rand) int64 {
-	lo, hi := m.off(v), m.off(v+1)
-	if lo == hi {
-		return v
-	}
-	return int64(binary.LittleEndian.Uint64(m.nbrs[8*(lo+r.Int63n(hi-lo)):]))
 }
 
 // Close unmaps the file. Idempotent; the graph must not be used afterwards.

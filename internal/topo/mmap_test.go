@@ -38,9 +38,6 @@ func TestOpenCSRRoundTrip(t *testing.T) {
 			t.Fatalf("%s: header mismatch", g.GraphName)
 		}
 		sourcesAgree(t, g.GraphName, g, m)
-		if !slices.Equal(sampleStream(g, 17, 2), sampleStream(m, 17, 2)) {
-			t.Fatalf("%s: mapped sample stream diverged from in-RAM", g.GraphName)
-		}
 		if err := m.Close(); err != nil {
 			t.Fatalf("%s: Close: %v", g.GraphName, err)
 		}
@@ -57,8 +54,7 @@ func TestOpenCSREdgeShapes(t *testing.T) {
 	dir := t.TempDir()
 
 	// Isolated vertices: a 6-vertex graph where only 1-2 and 4-5 have
-	// edges; vertices 0 and 3 have degree zero and must self-sample
-	// without consuming the rng.
+	// edges; vertices 0 and 3 have degree zero.
 	b := NewBuilder("islands", 6)
 	b.AddEdge(1, 2)
 	b.AddEdge(4, 5)
@@ -71,15 +67,6 @@ func TestOpenCSREdgeShapes(t *testing.T) {
 		if d := m.Degree(v); d != 0 {
 			t.Fatalf("vertex %d degree %d, want 0", v, d)
 		}
-		r := rng.New(1)
-		before := r.Uint64()
-		r = rng.New(1)
-		if got := m.SampleNeighbor(v, r); got != v {
-			t.Fatalf("isolated vertex %d sampled %d, want itself", v, got)
-		}
-		if r.Uint64() != before {
-			t.Fatal("isolated-vertex sample consumed randomness")
-		}
 	}
 	if m.Degree(1) != 1 || m.Neighbor(1, 0) != 2 {
 		t.Fatal("connected row wrong after round trip")
@@ -91,7 +78,7 @@ func TestOpenCSREdgeShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer one.Close()
-	if one.N() != 1 || one.Degree(0) != 0 || one.SampleNeighbor(0, rng.New(2)) != 0 {
+	if one.N() != 1 || one.Degree(0) != 0 {
 		t.Fatal("n=1 graph broken after round trip")
 	}
 
@@ -299,9 +286,6 @@ func TestOpenCSRMaxVertexSparse(t *testing.T) {
 	}
 	if m.Neighbor(n-1, 0) != n-2 {
 		t.Fatalf("Neighbor(n-1,0) = %d, want %d", m.Neighbor(n-1, 0), int64(n-2))
-	}
-	if got := m.SampleNeighbor(n-1, rng.New(9)); got != n-2 {
-		t.Fatalf("SampleNeighbor(n-1) = %d, want %d", got, int64(n-2))
 	}
 }
 

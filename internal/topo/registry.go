@@ -13,12 +13,13 @@ import (
 
 // The registry is the one place topology specs are parsed. A spec is a
 // family name plus colon-separated parameters ("regular:8",
-// "smallworld:10:0.1", "sbm:4:0.01:0.0005"); Validate checks it in
-// constant time against n and the resource caps below (never panicking,
-// so a hostile service spec is a 400, not a crash), and BuildSource
-// constructs the validated graph. cmd/sweep, internal/service,
-// cmd/validate, and examples/topologies all resolve names here — there is
-// no other parser.
+// "smallworld:10:0.1", "sbm:4:0.01:0.0005"). Each family's one parse
+// function checks its parameters in constant time against n and the
+// resource caps below (never panicking, so a hostile service spec is a
+// 400, not a crash) and returns the canonical spec with the graph's
+// constructor: Validate and Canonical stop there, and BuildSource calls
+// the constructor. cmd/sweep, internal/service, cmd/validate, and
+// examples/topologies all resolve names here — there is no other parser.
 
 // Resource caps enforced by Validate. They bound what one topology can pin
 // in memory: MaxAdjEntries bounds len(CSR.Neighbors) (2 entries per edge,
@@ -50,309 +51,263 @@ func tooLargef(format string, args ...any) error {
 type family struct {
 	name  string
 	usage string
-	doc   string
-	// random reports whether the build consumes randomness.
-	random bool
 	// implicit reports whether the family's default build is an O(1)-memory
 	// functional graph (neighbors computed, never stored) rather than a
 	// materialized CSR. Implicit families have no adjacency cap and scale
 	// to n bounded only by the engine's color arrays.
 	implicit bool
-	// validate checks params (already split, family prefix stripped)
-	// against n and returns the canonical spec. It must run in O(1) and
-	// never panic.
-	validate func(n int64, params []string) (canon string, err error)
-	// build constructs the graph; the spec must have passed validate.
-	build func(canon string, n int64, params []string, r *rng.Rand) NeighborSource
+	// parse checks params (already split, family prefix stripped) against
+	// n and returns the canonical spec together with the graph's
+	// constructor, so a spec is parsed once whether it is only validated
+	// or also built. It must run in O(1) and never panic.
+	parse func(n int64, params []string) (canon string, build builder, err error)
 }
+
+// builder constructs a parsed spec's graph, drawing any randomness from r
+// (implicit families ignore it).
+type builder func(r *rng.Rand) NeighborSource
 
 // families is the registry, in documentation order.
 var families = []family{
 	{
-		name: "complete", usage: "complete",
-		doc:    "the paper's clique; uniform sampling with self",
-		random: false, implicit: true,
-		validate: func(n int64, ps []string) (string, error) {
+		name: "complete", usage: "complete", implicit: true,
+		// The paper's clique; uniform sampling with self.
+		parse: func(n int64, ps []string) (string, builder, error) {
 			if err := noParams("complete", ps); err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if n < 1 {
-				return "", fmt.Errorf("complete needs n >= 1, got %d", n)
+				return "", nil, fmt.Errorf("complete needs n >= 1, got %d", n)
 			}
-			return "complete", nil
-		},
-		build: func(_ string, n int64, _ []string, _ *rng.Rand) NeighborSource {
-			return NewComplete(n)
+			return "complete", func(*rng.Rand) NeighborSource { return NewComplete(n) }, nil
 		},
 	},
 	{
-		name: "cycle", usage: "cycle",
-		doc:    "the n-vertex ring; the slowest-mixing connected topology",
-		random: false, implicit: true,
-		validate: func(n int64, ps []string) (string, error) {
+		name: "cycle", usage: "cycle", implicit: true,
+		// The n-vertex ring; the slowest-mixing connected topology.
+		parse: func(n int64, ps []string) (string, builder, error) {
 			if err := noParams("cycle", ps); err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if n < 3 {
-				return "", fmt.Errorf("cycle needs n >= 3, got %d", n)
+				return "", nil, fmt.Errorf("cycle needs n >= 3, got %d", n)
 			}
-			return "cycle", nil
-		},
-		build: func(_ string, n int64, _ []string, _ *rng.Rand) NeighborSource {
-			return NewCycle(n)
+			return "cycle", func(*rng.Rand) NeighborSource { return NewCycle(n) }, nil
 		},
 	},
 	{
-		name: "star", usage: "star",
-		doc:    "hub 0 adjacent to all leaves",
-		random: false, implicit: true,
-		validate: func(n int64, ps []string) (string, error) {
+		name: "star", usage: "star", implicit: true,
+		// Hub 0 adjacent to all leaves.
+		parse: func(n int64, ps []string) (string, builder, error) {
 			if err := noParams("star", ps); err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if n < 2 {
-				return "", fmt.Errorf("star needs n >= 2, got %d", n)
+				return "", nil, fmt.Errorf("star needs n >= 2, got %d", n)
 			}
-			return "star", nil
-		},
-		build: func(_ string, n int64, _ []string, _ *rng.Rand) NeighborSource {
-			return NewStar(n)
+			return "star", func(*rng.Rand) NeighborSource { return NewStar(n) }, nil
 		},
 	},
 	{
-		name: "torus", usage: "torus[:DIMS]",
-		doc:    "equal-sided DIMS-dimensional torus (default 2-d square); n must be an exact DIMS-th power with side >= 3",
-		random: false, implicit: true,
-		validate: func(n int64, ps []string) (string, error) {
+		name: "torus", usage: "torus[:DIMS]", implicit: true,
+		// Equal-sided DIMS-dimensional torus (default 2-d square); n must be an
+		// exact DIMS-th power with side >= 3.
+		parse: func(n int64, ps []string) (string, builder, error) {
 			dims := int64(2)
 			if len(ps) > 1 {
-				return "", fmt.Errorf("torus takes at most one parameter (torus[:DIMS]), got %d", len(ps))
+				return "", nil, fmt.Errorf("torus takes at most one parameter (torus[:DIMS]), got %d", len(ps))
 			}
 			if len(ps) == 1 {
 				var err error
 				dims, err = intParam("torus", "DIMS", ps[0], 1, 20)
 				if err != nil {
-					return "", err
+					return "", nil, err
 				}
 			}
 			side, ok := intRoot(n, int(dims))
 			if !ok || side < 3 {
-				return "", fmt.Errorf("torus:%d needs n = side^%d with side >= 3, got n=%d", dims, dims, n)
+				return "", nil, fmt.Errorf("torus:%d needs n = side^%d with side >= 3, got n=%d", dims, dims, n)
 			}
-			if len(ps) == 0 {
-				return "torus", nil
-			}
-			return fmt.Sprintf("torus:%d", dims), nil
-		},
-		build: func(_ string, n int64, ps []string, _ *rng.Rand) NeighborSource {
-			dims := int64(2)
+			canon := "torus"
 			if len(ps) == 1 {
-				dims, _ = strconv.ParseInt(ps[0], 10, 64)
+				canon = fmt.Sprintf("torus:%d", dims)
 			}
-			return NewTorusD(n, int(dims))
+			return canon, func(*rng.Rand) NeighborSource { return TorusD{Side: side, Dims: int(dims)} }, nil
 		},
 	},
 	{
-		name: "hypercube", usage: "hypercube",
-		doc:    "the log2(n)-dimensional boolean hypercube; n must be a power of two",
-		random: false, implicit: true,
-		validate: func(n int64, ps []string) (string, error) {
+		name: "hypercube", usage: "hypercube", implicit: true,
+		// The log2(n)-dimensional boolean hypercube; n must be a power of two.
+		parse: func(n int64, ps []string) (string, builder, error) {
 			if err := noParams("hypercube", ps); err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if n < 2 || n&(n-1) != 0 {
-				return "", fmt.Errorf("hypercube needs n a power of two >= 2, got %d", n)
+				return "", nil, fmt.Errorf("hypercube needs n a power of two >= 2, got %d", n)
 			}
 			if n >= MaxBuilderN {
-				return "", tooLargef("hypercube: n = %d exceeds the 2^31 vertex cap", n)
+				return "", nil, tooLargef("hypercube: n = %d exceeds the 2^31 vertex cap", n)
 			}
-			return "hypercube", nil
-		},
-		build: func(_ string, n int64, _ []string, _ *rng.Rand) NeighborSource {
-			return NewHypercube(n)
+			return "hypercube", func(*rng.Rand) NeighborSource { return NewHypercube(n) }, nil
 		},
 	},
 	{
 		name: "regular", usage: "regular:D",
-		doc:    "uniform-ish random D-regular graph (configuration model + swap repair); an expander w.h.p.",
-		random: true,
-		validate: func(n int64, ps []string) (string, error) {
+		// Uniform-ish random D-regular graph (configuration model + swap
+		// repair); an expander w.h.p.
+		parse: func(n int64, ps []string) (string, builder, error) {
 			d, err := oneIntParam("regular", "D", ps, 1, MaxDegreeParam)
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if err := checkBuilderN("regular", n); err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if d >= n {
-				return "", fmt.Errorf("regular:%d needs degree < n = %d", d, n)
+				return "", nil, fmt.Errorf("regular:%d needs degree < n = %d", d, n)
 			}
 			if n*d%2 != 0 {
-				return "", fmt.Errorf("regular:%d needs n·d even (n = %d)", d, n)
+				return "", nil, fmt.Errorf("regular:%d needs n·d even (n = %d)", d, n)
 			}
 			if n*d > MaxAdjEntries {
-				return "", tooLargef("regular:%d at n = %d exceeds the %d materialized adjacency-entry cap", d, n, MaxAdjEntries)
+				return "", nil, tooLargef("regular:%d at n = %d exceeds the %d materialized adjacency-entry cap", d, n, MaxAdjEntries)
 			}
-			return fmt.Sprintf("regular:%d", d), nil
-		},
-		build: func(canon string, n int64, ps []string, r *rng.Rand) NeighborSource {
-			d, _ := strconv.ParseInt(ps[0], 10, 64)
-			return RandomRegular(canon, n, d, r)
+			canon := fmt.Sprintf("regular:%d", d)
+			return canon, func(r *rng.Rand) NeighborSource { return RandomRegular(canon, n, d, r) }, nil
 		},
 	},
 	{
 		name: "gnp", usage: "gnp:P",
-		doc:    "Erdős–Rényi G(n, P); sparse G(n, c/n) sits at the connectivity threshold",
-		random: true,
-		validate: func(n int64, ps []string) (string, error) {
+		// Erdős–Rényi G(n, P); sparse G(n, c/n) sits at the connectivity
+		// threshold.
+		parse: func(n int64, ps []string) (string, builder, error) {
 			p, err := oneFloatParam("gnp", "P", ps, 0, 1)
 			if err != nil {
-				return "", err
-			}
-			if n < 1 {
-				return "", fmt.Errorf("gnp needs n >= 1, got %d", n)
+				return "", nil, err
 			}
 			if err := checkBuilderN("gnp", n); err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if p*float64(n)*float64(n-1) > float64(MaxAdjEntries) {
-				return "", tooLargef("gnp:%g at n = %d expects more than the %d materialized adjacency-entry cap", p, n, MaxAdjEntries)
+				return "", nil, tooLargef("gnp:%g at n = %d expects more than the %d materialized adjacency-entry cap", p, n, MaxAdjEntries)
 			}
-			return fmt.Sprintf("gnp:%g", p), nil
-		},
-		build: func(canon string, n int64, ps []string, r *rng.Rand) NeighborSource {
-			p, _ := strconv.ParseFloat(ps[0], 64)
-			return Gnp(canon, n, p, r)
+			canon := fmt.Sprintf("gnp:%g", p)
+			return canon, func(r *rng.Rand) NeighborSource { return Gnp(canon, n, p, r) }, nil
 		},
 	},
 	{
 		name: "smallworld", usage: "smallworld:K:BETA",
-		doc:    "Watts–Strogatz: ring lattice of even degree K with each edge rewired with probability BETA",
-		random: true,
-		validate: func(n int64, ps []string) (string, error) {
+		// Watts–Strogatz: ring lattice of even degree K with each edge rewired
+		// with probability BETA.
+		parse: func(n int64, ps []string) (string, builder, error) {
 			if len(ps) != 2 {
-				return "", fmt.Errorf("smallworld takes two parameters (smallworld:K:BETA), got %d", len(ps))
+				return "", nil, fmt.Errorf("smallworld takes two parameters (smallworld:K:BETA), got %d", len(ps))
 			}
 			k, err := intParam("smallworld", "K", ps[0], 2, MaxDegreeParam)
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
 			beta, err := floatParam("smallworld", "BETA", ps[1], 0, 1)
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if k%2 != 0 {
-				return "", fmt.Errorf("smallworld:%d needs even K", k)
+				return "", nil, fmt.Errorf("smallworld:%d needs even K", k)
 			}
 			if err := checkBuilderN("smallworld", n); err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if k >= n {
-				return "", fmt.Errorf("smallworld:%d needs K < n = %d", k, n)
+				return "", nil, fmt.Errorf("smallworld:%d needs K < n = %d", k, n)
 			}
 			if n*k > MaxAdjEntries {
-				return "", tooLargef("smallworld:%d at n = %d exceeds the %d materialized adjacency-entry cap", k, n, MaxAdjEntries)
+				return "", nil, tooLargef("smallworld:%d at n = %d exceeds the %d materialized adjacency-entry cap", k, n, MaxAdjEntries)
 			}
-			return fmt.Sprintf("smallworld:%d:%g", k, beta), nil
-		},
-		build: func(canon string, n int64, ps []string, r *rng.Rand) NeighborSource {
-			k, _ := strconv.ParseInt(ps[0], 10, 64)
-			beta, _ := strconv.ParseFloat(ps[1], 64)
-			return SmallWorld(canon, n, k, beta, r)
+			canon := fmt.Sprintf("smallworld:%d:%g", k, beta)
+			return canon, func(r *rng.Rand) NeighborSource { return SmallWorld(canon, n, k, beta, r) }, nil
 		},
 	},
 	{
 		name: "ba", usage: "ba:M",
-		doc:    "Barabási–Albert preferential attachment, M edges per arriving vertex; heavy-tailed hubs",
-		random: true,
-		validate: func(n int64, ps []string) (string, error) {
+		// Barabási–Albert preferential attachment, M edges per arriving vertex;
+		// heavy-tailed hubs.
+		parse: func(n int64, ps []string) (string, builder, error) {
 			m, err := oneIntParam("ba", "M", ps, 1, MaxDegreeParam)
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if err := checkBuilderN("ba", n); err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if m+1 > n {
-				return "", fmt.Errorf("ba:%d needs M+1 <= n = %d", m, n)
+				return "", nil, fmt.Errorf("ba:%d needs M+1 <= n = %d", m, n)
 			}
 			if 2*m*n > MaxAdjEntries {
-				return "", tooLargef("ba:%d at n = %d exceeds the %d materialized adjacency-entry cap", m, n, MaxAdjEntries)
+				return "", nil, tooLargef("ba:%d at n = %d exceeds the %d materialized adjacency-entry cap", m, n, MaxAdjEntries)
 			}
-			return fmt.Sprintf("ba:%d", m), nil
-		},
-		build: func(canon string, n int64, ps []string, r *rng.Rand) NeighborSource {
-			m, _ := strconv.ParseInt(ps[0], 10, 64)
-			return BarabasiAlbert(canon, n, m, r)
+			canon := fmt.Sprintf("ba:%d", m)
+			return canon, func(r *rng.Rand) NeighborSource { return BarabasiAlbert(canon, n, m, r) }, nil
 		},
 	},
 	{
 		name: "sbm", usage: "sbm:B:PIN:POUT",
-		doc:    "stochastic block model: B planted communities, edge probability PIN inside and POUT across — the adversarial case for plurality",
-		random: true,
-		validate: func(n int64, ps []string) (string, error) {
+		// Stochastic block model: B planted communities, edge probability PIN
+		// inside and POUT across — the adversarial case for plurality.
+		parse: func(n int64, ps []string) (string, builder, error) {
 			if len(ps) != 3 {
-				return "", fmt.Errorf("sbm takes three parameters (sbm:B:PIN:POUT), got %d", len(ps))
+				return "", nil, fmt.Errorf("sbm takes three parameters (sbm:B:PIN:POUT), got %d", len(ps))
 			}
 			blocks, err := intParam("sbm", "B", ps[0], 1, MaxBlocks)
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
 			pin, err := floatParam("sbm", "PIN", ps[1], 0, 1)
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
 			pout, err := floatParam("sbm", "POUT", ps[2], 0, 1)
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if blocks > n {
-				return "", fmt.Errorf("sbm:%d needs B <= n = %d", blocks, n)
+				return "", nil, fmt.Errorf("sbm:%d needs B <= n = %d", blocks, n)
 			}
 			if err := checkBuilderN("sbm", n); err != nil {
-				return "", err
+				return "", nil, err
 			}
 			size := float64(n) / float64(blocks)
 			expected := float64(n) * (pin*size + pout*(float64(n)-size))
 			if expected > float64(MaxAdjEntries) {
-				return "", tooLargef("sbm:%d:%g:%g at n = %d expects more than the %d materialized adjacency-entry cap", blocks, pin, pout, n, MaxAdjEntries)
+				return "", nil, tooLargef("sbm:%d:%g:%g at n = %d expects more than the %d materialized adjacency-entry cap", blocks, pin, pout, n, MaxAdjEntries)
 			}
-			return fmt.Sprintf("sbm:%d:%g:%g", blocks, pin, pout), nil
-		},
-		build: func(canon string, n int64, ps []string, r *rng.Rand) NeighborSource {
-			blocks, _ := strconv.ParseInt(ps[0], 10, 64)
-			pin, _ := strconv.ParseFloat(ps[1], 64)
-			pout, _ := strconv.ParseFloat(ps[2], 64)
-			return SBM(canon, n, blocks, pin, pout, r)
+			canon := fmt.Sprintf("sbm:%d:%g:%g", blocks, pin, pout)
+			return canon, func(r *rng.Rand) NeighborSource { return SBM(canon, n, blocks, pin, pout, r) }, nil
 		},
 	},
 	{
 		name: "barbell", usage: "barbell:D",
-		doc:    "bottleneck: two random D-regular halves joined by one bridge edge; conductance Θ(1/(n·D))",
-		random: true,
-		validate: func(n int64, ps []string) (string, error) {
+		// Bottleneck: two random D-regular halves joined by one bridge edge;
+		// conductance Θ(1/(n·D)).
+		parse: func(n int64, ps []string) (string, builder, error) {
 			d, err := oneIntParam("barbell", "D", ps, 1, MaxDegreeParam)
 			if err != nil {
-				return "", err
+				return "", nil, err
 			}
 			if err := checkBuilderN("barbell", n); err != nil {
-				return "", err
+				return "", nil, err
 			}
 			h := n / 2
 			if n%2 != 0 || d >= h {
-				return "", fmt.Errorf("barbell:%d needs even n with D < n/2, got n = %d", d, n)
+				return "", nil, fmt.Errorf("barbell:%d needs even n with D < n/2, got n = %d", d, n)
 			}
 			if h*d%2 != 0 {
-				return "", fmt.Errorf("barbell:%d needs (n/2)·D even (n = %d)", d, n)
+				return "", nil, fmt.Errorf("barbell:%d needs (n/2)·D even (n = %d)", d, n)
 			}
 			if n*d+2 > MaxAdjEntries {
-				return "", tooLargef("barbell:%d at n = %d exceeds the %d materialized adjacency-entry cap", d, n, MaxAdjEntries)
+				return "", nil, tooLargef("barbell:%d at n = %d exceeds the %d materialized adjacency-entry cap", d, n, MaxAdjEntries)
 			}
-			return fmt.Sprintf("barbell:%d", d), nil
-		},
-		build: func(canon string, n int64, ps []string, r *rng.Rand) NeighborSource {
-			d, _ := strconv.ParseInt(ps[0], 10, 64)
-			return Barbell(canon, n, d, r)
+			canon := fmt.Sprintf("barbell:%d", d)
+			return canon, func(r *rng.Rand) NeighborSource { return Barbell(canon, n, d, r) }, nil
 		},
 	},
 }
@@ -378,15 +333,6 @@ func FamilyUsages() []string {
 	return out
 }
 
-// FamilyDocs returns usage → one-line description pairs in registry order.
-func FamilyDocs() [][2]string {
-	out := make([][2]string, len(families))
-	for i, f := range families {
-		out[i] = [2]string{f.usage, f.doc}
-	}
-	return out
-}
-
 // Validate checks a topology spec against n and the resource caps. It runs
 // in constant time and never panics, so it is safe on hostile input (the
 // service admission path depends on this).
@@ -403,17 +349,8 @@ func Canonical(spec string, n int64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return f.validate(n, params)
-}
-
-// IsRandom reports whether the spec's generator consumes randomness (the
-// implicit families — complete, cycle, star, torus, hypercube — do not).
-func IsRandom(spec string) (bool, error) {
-	f, _, err := lookup(spec)
-	if err != nil {
-		return false, err
-	}
-	return f.random, nil
+	canon, _, err := f.parse(n, params)
+	return canon, err
 }
 
 // IsImplicit reports whether the spec's family has an implicit O(1)-memory
@@ -429,8 +366,8 @@ func IsImplicit(spec string) (bool, error) {
 }
 
 // Mode selects the backend representation BuildSource constructs behind
-// the NeighborSource interface. Every mode honors the same rng byte
-// contract, so for overlapping (spec, n, seed) the modes produce
+// the NeighborSource interface. Every mode enumerates the same neighbors
+// in the same order, so for overlapping (spec, n, seed) the modes produce
 // byte-identical seeded runs — the choice is purely a memory/latency
 // trade.
 type Mode string
@@ -486,7 +423,7 @@ func BuildSource(spec string, n int64, r *rng.Rand, opts BuildOpts) (NeighborSou
 	if err != nil {
 		return nil, err
 	}
-	canon, err := f.validate(n, params)
+	canon, build, err := f.parse(n, params)
 	if err != nil {
 		return nil, err
 	}
@@ -496,14 +433,14 @@ func BuildSource(spec string, n int64, r *rng.Rand, opts BuildOpts) (NeighborSou
 	}
 	switch mode {
 	case ModeAuto:
-		return f.build(canon, n, params, r), nil
+		return build(r), nil
 	case ModeImplicit:
 		if !f.implicit {
 			return nil, fmt.Errorf("topo: %s has no implicit backend (implicit families: %s)", f.name, strings.Join(implicitFamilyNames(), ", "))
 		}
-		return f.build(canon, n, params, r), nil
+		return build(r), nil
 	case ModeCSR:
-		return buildCSR(f, canon, n, params, r)
+		return buildCSR(canon, build(r))
 	case ModeMmap:
 		if opts.Path == "" {
 			return nil, fmt.Errorf("topo: mmap mode needs a file path (BuildOpts.Path)")
@@ -529,7 +466,7 @@ func BuildSource(spec string, n int64, r *rng.Rand, opts BuildOpts) (NeighborSou
 			return nil, err
 		}
 		mmapCacheBuilds.Add(1)
-		csr, err := buildCSR(f, canon, n, params, r)
+		csr, err := buildCSR(canon, build(r))
 		if err != nil {
 			return nil, err
 		}
@@ -541,9 +478,9 @@ func BuildSource(spec string, n int64, r *rng.Rand, opts BuildOpts) (NeighborSou
 	return nil, fmt.Errorf("unknown graph mode %q (want auto, implicit, csr, or mmap)", mode)
 }
 
-// buildCSR builds the family and forces an in-RAM CSR representation.
-func buildCSR(f *family, canon string, n int64, params []string, r *rng.Rand) (*CSR, error) {
-	g := f.build(canon, n, params, r)
+// buildCSR returns g as an in-RAM CSR, materializing it when it is not
+// one already.
+func buildCSR(canon string, g NeighborSource) (*CSR, error) {
 	if csr, ok := g.(*CSR); ok {
 		return csr, nil
 	}

@@ -131,28 +131,6 @@ func TestRegistryRejectsHostileSpecs(t *testing.T) {
 	}
 }
 
-func TestRegistryIsRandom(t *testing.T) {
-	random := map[string]bool{
-		"complete": false, "cycle": false, "star": false, "torus": false,
-		"hypercube": false, "regular:4": true, "gnp:0.1": true,
-		"smallworld:4:0.1": true, "ba:2": true, "sbm:2:0.1:0.01": true,
-		"barbell:4": true,
-	}
-	for spec, want := range random {
-		got, err := IsRandom(spec)
-		if err != nil {
-			t.Errorf("IsRandom(%q): %v", spec, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("IsRandom(%q) = %v, want %v", spec, got, want)
-		}
-	}
-	if _, err := IsRandom("nope"); err == nil {
-		t.Error("IsRandom accepted an unknown family")
-	}
-}
-
 func TestRegistryBuildDeterministic(t *testing.T) {
 	// Registry-resolved builds are pure functions of (spec, n, seed).
 	for _, spec := range []string{"regular:4", "smallworld:6:0.2", "ba:3", "sbm:3:0.2:0.02", "barbell:4", "gnp:0.08"} {
@@ -172,4 +150,54 @@ func TestRegistryBuildDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzRegistrySpec feeds arbitrary (spec, n, seed) triples to the
+// registry. Canonical never panics, whatever the input. For an accepted
+// spec at n <= 256 the canonical form is a fixed point of Canonical, and
+// the spec and its canonical form, each built from rng.New(seed), give
+// the same graph: n vertices, each neighbor id in [0, n). The corpus
+// starts from every family's usage string and one accepted spec per
+// family.
+func FuzzRegistrySpec(f *testing.F) {
+	for _, usage := range FamilyUsages() {
+		f.Add(usage, int64(64), uint64(1))
+	}
+	for _, spec := range []string{
+		"complete", "cycle", "star", "torus", "torus:3", "torus:1", "hypercube",
+		"regular:4", "gnp:0.05", "smallworld:6:0.1", "ba:3", "sbm:4:0.2:0.01", "barbell:4",
+	} {
+		f.Add(spec, int64(64), uint64(2))
+	}
+	f.Add("regular:08", int64(100), uint64(3))
+	f.Add("torus:3", int64(125), uint64(4))
+	f.Add("gnp:0.5000", int64(1)<<40, uint64(5))
+	f.Fuzz(func(t *testing.T, spec string, n int64, seed uint64) {
+		canon, err := Canonical(spec, n)
+		if err != nil || n > 256 {
+			return
+		}
+		if again, err := Canonical(canon, n); err != nil || again != canon {
+			t.Fatalf("Canonical(%q, %d) = %q, whose own canonical form is %q, %v", spec, n, canon, again, err)
+		}
+		g, err := BuildSource(spec, n, rng.New(seed), BuildOpts{})
+		if err != nil {
+			t.Fatalf("BuildSource(%q, %d): %v", spec, n, err)
+		}
+		c, err := BuildSource(canon, n, rng.New(seed), BuildOpts{})
+		if err != nil {
+			t.Fatalf("BuildSource(%q, %d): %v", canon, n, err)
+		}
+		if g.N() != n {
+			t.Fatalf("%q: built %d vertices, want %d", spec, g.N(), n)
+		}
+		sourcesAgree(t, spec+" vs "+canon, g, c)
+		for v := int64(0); v < n; v++ {
+			for i := int64(0); i < g.Degree(v); i++ {
+				if u := g.Neighbor(v, i); u < 0 || u >= n {
+					t.Fatalf("%q: neighbor %d of vertex %d is %d, outside [0, %d)", spec, i, v, u, n)
+				}
+			}
+		}
+	})
 }

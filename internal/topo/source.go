@@ -1,24 +1,15 @@
 package topo
 
-import (
-	"fmt"
+import "fmt"
 
-	"plurality/internal/rng"
-)
-
-// NeighborSource is the engine↔topology contract: the minimal surface the
-// graph engine samples neighbors through. Implicit families, in-RAM CSRs
-// and mmap-backed CSRs all implement it, and the engine has exactly one
-// generic sampling loop for them (plus the direct-slice loop for *CSR and
-// the alias loop for Complete with IncludeSelf).
-//
-// The rng byte contract every implementation must honor (the golden traces
-// pin it): SampleNeighbor consumes exactly one Int63n(Degree(u)) draw per
-// sample when Degree(u) > 0 and no draws at all when Degree(u) == 0 (the
-// vertex samples itself), and the value returned for draw i must equal
-// Neighbor(u, i). Two sources that agree on (N, Degree, Neighbor) therefore
-// yield byte-identical seeded runs, whichever representation backs them —
-// in-RAM CSR, mmap, or a pure function.
+// NeighborSource is the engine↔topology contract: the adjacency a graph
+// engine samples neighbors from. Implicit families, in-RAM CSRs and
+// mmap-backed CSRs all implement it, and a source only describes
+// adjacency: the graph engine owns the draw (one Int63n(Degree(v)) per
+// sample resolved through Neighbor, none for an isolated vertex, which
+// samples itself). Two sources that agree on (N, Degree, Neighbor)
+// therefore yield byte-identical seeded runs, whichever representation
+// backs them — in-RAM CSR, mmap, or a pure function.
 type NeighborSource interface {
 	// Name identifies the topology in engine names and experiment tables.
 	Name() string
@@ -27,13 +18,10 @@ type NeighborSource interface {
 	// Degree returns the number of neighbors of u.
 	Degree(u int64) int64
 	// Neighbor returns the i-th neighbor of u, 0 <= i < Degree(u). The
-	// enumeration order is part of the byte contract: backends of the same
-	// topology must enumerate identically.
+	// enumeration order is part of the byte contract: draw i of u
+	// resolves to Neighbor(u, i), so backends of the same topology must
+	// enumerate identically.
 	Neighbor(u, i int64) int64
-	// SampleNeighbor returns a uniformly random neighbor of u, consuming
-	// the rng exactly as documented above. A vertex of degree zero returns
-	// u itself and consumes nothing.
-	SampleNeighbor(u int64, r *rng.Rand) int64
 }
 
 // UniformDegree is the optional degree-class hint: a source whose vertices
@@ -58,9 +46,8 @@ type UniformDegree interface {
 // draw i of vertex v with Neighbor(v, i). It must equal Neighbor for every
 // draw in [0, Degree(v)), read no rng, and allocate nothing. The graph
 // engine calls it on uniform-degree sources after drawing the whole block
-// with one dist.FillUniform, which consumes the rng exactly as the
-// per-sample SampleNeighbor calls would. TorusD and MappedCSR implement
-// it.
+// with one dist.FillUniform, which consumes the rng exactly as one
+// Int63n(degree) per sample would. TorusD and MappedCSR implement it.
 type BlockResolver interface {
 	ResolveBlock(v0 int64, h int, draws []int64)
 }

@@ -38,8 +38,9 @@ var contractWorkers = []int{1, 2, 3, 5, 8}
 
 // StandardGraphSpecs covers the registry's generator families plus every
 // implicit uniform-degree family (hypercube, square torus, 3-torus,
-// cycle), at sizes the quick tier affords. The square torus is 24², so
-// its second 341-agent block starts mid-row.
+// cycle) and the star, whose hub and degree-1 leaves the engine draws for
+// by one rule on every backend, at sizes the quick tier affords. The
+// square torus is 24², so its second 341-agent block starts mid-row.
 func StandardGraphSpecs() []GraphContractSpec {
 	mk := func(spec string, n int64) GraphContractSpec {
 		return GraphContractSpec{Spec: spec, N: n, K: 3, Bias: n / 6, Rounds: 8, Seed: 7101}
@@ -52,6 +53,7 @@ func StandardGraphSpecs() []GraphContractSpec {
 		mk("torus:3", 512), // 8×8×8
 		mk("torus", 576),   // 24×24
 		mk("cycle", 600),
+		mk("star", 600),
 		mk("barbell:4", 600),
 		mk("regular:8", 600),
 		mk("gnp:0.02", 600),
@@ -65,8 +67,9 @@ func StandardGraphSpecs() []GraphContractSpec {
 // the forced in-RAM CSR, the implicit functional graph where the family
 // has one, and the mmap-backed CSR round-tripped through a real file —
 // yields byte-identical per-round configurations AND per-vertex colors
-// (the representation-independence contract: every backend consumes one
-// Int63n(degree) per sample from its block's neighbor stream). Each
+// (the representation-independence contract: on every backend the engine
+// draws one Int63n(degree) per sample from its block's neighbor stream
+// and resolves it through the backend's Neighbor). Each
 // backend runs at its own worker count (contractWorkers), so the same
 // check certifies worker-count invariance. Conservation (Σc = n) is
 // checked every round.
