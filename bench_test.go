@@ -1,5 +1,5 @@
 // Benchmark harness: one testing.B benchmark per reproduced table/figure
-// (E1–E19, quick profile — run cmd/experiments -profile full for the
+// (E1–E20, quick profile — run cmd/experiments -profile full for the
 // heavyweight numbers; the committed EXPERIMENTS.md is the quick profile)
 // plus engine micro-benchmarks for the ablations called out in
 // DESIGN.md §5.
@@ -66,6 +66,7 @@ func BenchmarkE16Asynchronous(b *testing.B) { benchExperiment(b, "E16") }
 func BenchmarkE17ExactChain(b *testing.B)   { benchExperiment(b, "E17") }
 func BenchmarkE18MeanField(b *testing.B)    { benchExperiment(b, "E18") }
 func BenchmarkE19Faults(b *testing.B)       { benchExperiment(b, "E19") }
+func BenchmarkE20SpectralGap(b *testing.B)  { benchExperiment(b, "E20") }
 
 // ----- engine micro-benchmarks (ablations of DESIGN.md §5) -----
 

@@ -1,4 +1,4 @@
-// Command experiments regenerates the paper-reproduction tables E1–E19
+// Command experiments regenerates the paper-reproduction tables E1–E20
 // (see DESIGN.md §4 for the experiment index). By default it runs every
 // experiment with the quick profile and prints aligned text tables;
 // -profile full produces the heavyweight numbers, -format md/csv switches
@@ -28,7 +28,7 @@ import (
 
 func main() {
 	var (
-		id      = flag.String("id", "all", "experiment id (E1..E19) or 'all'")
+		id      = flag.String("id", "all", "experiment id (E1..E20) or 'all'")
 		profile = flag.String("profile", "quick", "workload profile: quick | full")
 		format  = flag.String("format", "text", "output format: text | md | csv")
 		seed    = flag.Uint64("seed", 2014, "base random seed (2014 = SPAA year of the paper)")

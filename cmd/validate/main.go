@@ -6,10 +6,10 @@
 //	go run ./cmd/validate -tier full -workers 8 -seed 7
 //
 // The quick tier (CI on every PR) certifies all clique engines against
-// the exact chain on small state spaces plus the golden-trace suite; the
-// full tier (scheduled CI / the validate-full PR label) widens the grid,
-// raises the replicate budget, and adds the mean-field and paper-level
-// property checks.
+// the exact chain on small state spaces and runs the golden-trace suite,
+// the topology contracts, the mean-field bands and the paper-level
+// property checks; the full tier (scheduled CI / the validate-full PR
+// label) widens the chain grid and raises its replicate budget.
 //
 // Negative controls are part of both tiers: deliberately mis-sampling
 // engines run through the same machinery and MUST fail. The process
@@ -77,20 +77,18 @@ func run(tier, out string, seed uint64, workers, replicates int, w io.Writer) er
 	results = append(results, validate.CertifyGraphContracts(
 		validate.StandardGraphSpecs(), validate.Options{Pool: pool, Seed: seed + 8000})...)
 
-	if tier == "full" {
-		for i, spec := range validate.StandardMeanFieldSpecs() {
-			mo := opts
-			mo.Seed = seed + 9000 + uint64(i)
-			results = append(results, validate.CheckMeanField(spec, mo))
-		}
-		po := opts
-		po.Seed = seed + 9500
-		results = append(results,
-			validate.CheckConsensusWHP(validate.DefaultConsensusWHPSpec(), po),
-			validate.CheckBiasMonotonicity(validate.DefaultBiasMonotonicitySpec(), po),
-			validate.CheckMDScaling(validate.DefaultMDScalingSpec(), po),
-		)
+	for i, spec := range validate.StandardMeanFieldSpecs() {
+		mo := opts
+		mo.Seed = seed + 9000 + uint64(i)
+		results = append(results, validate.CheckMeanField(spec, mo))
 	}
+	po := opts
+	po.Seed = seed + 9500
+	results = append(results,
+		validate.CheckConsensusWHP(validate.DefaultConsensusWHPSpec(), po),
+		validate.CheckBiasMonotonicity(validate.DefaultBiasMonotonicitySpec(), po),
+		validate.CheckMDScaling(validate.DefaultMDScalingSpec(), po),
+	)
 
 	var sink *json.Encoder
 	if out != "" {

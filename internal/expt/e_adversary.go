@@ -42,7 +42,6 @@ func runE8(p Profile, seed uint64) []*Table {
 		Columns: []string{"F", "F/(s/4λ)", "reached_Mplur", "rounds_mean", "window_worst_minority", "plurality_survived"},
 	}
 	for _, f := range budgets {
-		f := f
 		m := int64(core.SelfStabilizationResidue(s, lambda)) + 10*f
 		type out struct {
 			reached   bool

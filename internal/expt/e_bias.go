@@ -8,6 +8,7 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/mc"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
 )
@@ -41,25 +42,20 @@ func runE6(p Profile, seed uint64) []*Table {
 	}
 	sqrtKN := math.Sqrt(float64(k) * float64(n))
 	for _, s := range svals {
-		s := s
 		if s > n/int64(k) {
 			continue // Lemma 10 requires s <= x
 		}
-		results := ParallelReps(p, reps, seed+uint64(s), func(_ int, r *rng.Rand) bool {
+		agg := runReps(p, reps, seed+uint64(s), func(_ int, r *rng.Rand) mc.Record {
 			init := colorcfg.Lemma10(n, k, s)
 			initBias := init.Bias()
 			e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
 			e.Step(r)
-			return e.Config().Bias() < initBias
+			// Success is the event this table estimates, not the paper's
+			// success event: the bias drops in the one round.
+			return mc.Record{Rounds: 1, Success: e.Config().Bias() < initBias}
 		})
-		drops := 0
-		for _, d := range results {
-			if d {
-				drops++
-			}
-		}
-		rate := float64(drops) / float64(len(results))
-		lo, hi := stats.WilsonInterval(drops, len(results), 1.96)
+		rate := agg.SuccessRate()
+		lo, hi := agg.Wilson(1.96)
 		floorMet := "n/a"
 		if s <= lemmaBias {
 			floorMet = fmt.Sprintf("%v", rate >= core.Lemma10FailureLowerBound)
@@ -186,14 +182,12 @@ func runE12(p Profile, seed uint64) []*Table {
 		k := shape.cfg.K()
 		bound := core.ExpectedBiasLowerBound(shape.cfg)
 		for _, engName := range []string{"multinomial", "sampled"} {
-			engName := engName
-			shapeCfg := shape.cfg
 			sums := ParallelReps(p, reps, seed+hashName(shape.name+engName), func(rep int, r *rng.Rand) []float64 {
 				var e engine.Engine
 				if engName == "multinomial" {
-					e = engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, shapeCfg)
+					e = engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, shape.cfg)
 				} else {
-					e = engine.NewCliqueSampled(dynamics.ThreeMajority{}, shapeCfg, 1, seed^uint64(rep)^hashName(engName))
+					e = engine.NewCliqueSampled(dynamics.ThreeMajority{}, shape.cfg, 1, seed^uint64(rep)^hashName(engName))
 				}
 				defer e.Close()
 				e.Step(r)

@@ -8,8 +8,8 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/mc"
 	"plurality/internal/rng"
-	"plurality/internal/stats"
 )
 
 func init() {
@@ -39,41 +39,22 @@ func runE7(p Profile, seed uint64) []*Table {
 		Columns: []string{"k", "median_rounds", "median_won", "3maj_rounds", "3maj_won", "time_ratio"},
 	}
 	for _, k := range ks {
-		k := k
-		type out struct {
-			rounds float64
-			won    bool
-		}
-		run := func(rule dynamics.Rule, offset uint64) []out {
-			return ParallelReps(p, p.Reps, seed+uint64(k)*31+offset, func(_ int, r *rng.Rand) out {
+		run := func(rule dynamics.Rule, offset uint64) *mc.Agg {
+			return runReps(p, p.Reps, seed+uint64(k)*31+offset, func(_ int, r *rng.Rand) mc.Record {
 				// Near-balanced start with a small planted plurality on
 				// color 0 — enough for 3-majority to find, invisible to
 				// median (whose fixed point is the middle color).
-				init := colorcfg.Theorem2(n, k, 0.4)
-				e := engine.NewCliqueMultinomial(rule, init)
-				res := core.Run(e, core.Options{MaxRounds: 500_000, Rand: r})
-				return out{rounds: float64(res.Rounds), won: res.WonInitialPlurality}
+				e := engine.NewCliqueMultinomial(rule, colorcfg.Theorem2(n, k, 0.4))
+				return outcome(core.Run(e, core.Options{MaxRounds: 500_000, Rand: r}))
 			})
 		}
 		med := run(dynamics.Median{}, 0)
 		maj := run(dynamics.ThreeMajority{}, 7777)
-		summarize := func(os []out) (stats.Summary, int) {
-			rs := make([]float64, len(os))
-			wins := 0
-			for i, o := range os {
-				rs[i] = o.rounds
-				if o.won {
-					wins++
-				}
-			}
-			return stats.Summarize(rs), wins
-		}
-		ms, mw := summarize(med)
-		js, jw := summarize(maj)
+		ms, js := med.Rounds().Mean, maj.Rounds().Mean
 		t.AddRow(fmt.Sprintf("%d", k),
-			fmtF(ms.Mean), fmt.Sprintf("%d/%d", mw, len(med)),
-			fmtF(js.Mean), fmt.Sprintf("%d/%d", jw, len(maj)),
-			fmtF(js.Mean/math.Max(ms.Mean, 1)))
+			fmtF(ms), fmtWins(med),
+			fmtF(js), fmtWins(maj),
+			fmtF(js/math.Max(ms, 1)))
 	}
 	return []*Table{t}
 }
@@ -100,29 +81,16 @@ func runE10(p Profile, seed uint64) []*Table {
 	}
 	for _, rule := range rules {
 		for _, n := range ns {
-			rule, n := rule, n
-			type out struct {
-				minority bool
-				rounds   float64
-			}
-			results := ParallelReps(p, reps, seed+hashName(rule.Name())+uint64(n), func(_ int, r *rng.Rand) out {
-				init := colorcfg.FromCounts(3*n/4, n/4)
-				e := engine.NewCliqueMultinomial(rule, init)
+			agg := runReps(p, reps, seed+hashName(rule.Name())+uint64(n), func(_ int, r *rng.Rand) mc.Record {
+				e := engine.NewCliqueMultinomial(rule, colorcfg.FromCounts(3*n/4, n/4))
 				res := core.Run(e, core.Options{MaxRounds: 2_000_000, Rand: r})
-				return out{minority: res.Stopped && res.Winner == 1, rounds: float64(res.Rounds)}
+				// Success is the failure this table counts, not the
+				// paper's success event: the minority color 1 wins.
+				return mc.Record{Rounds: res.Rounds, Success: res.Stopped && res.Winner == 1}
 			})
-			losses := 0
-			rounds := make([]float64, len(results))
-			for i, o := range results {
-				if o.minority {
-					losses++
-				}
-				rounds[i] = o.rounds
-			}
-			rate := float64(losses) / float64(len(results))
-			lo, hi := stats.WilsonInterval(losses, len(results), 1.96)
-			t.AddRow(rule.Name(), fmtI(n), fmtF(rate),
-				fmt.Sprintf("[%.3f,%.3f]", lo, hi), fmtF(stats.Mean(rounds)))
+			lo, hi := agg.Wilson(1.96)
+			t.AddRow(rule.Name(), fmtI(n), fmtF(agg.SuccessRate()),
+				fmt.Sprintf("[%.3f,%.3f]", lo, hi), fmtF(agg.Rounds().Mean))
 		}
 	}
 	return []*Table{t}
@@ -159,40 +127,24 @@ func runE11(p Profile, seed uint64) []*Table {
 		Columns: []string{"shape", "md(c)", "und_rounds", "und/(md·ln n)", "und_won", "3maj_rounds"},
 	}
 	for _, sh := range shapes {
-		sh := sh
-		init := sh.mk()
-		md := init.MonochromaticDistance()
-		type out struct {
-			rounds float64
-			won    bool
-		}
-		und := ParallelReps(p, p.Reps, seed+hashName(sh.name), func(_ int, r *rng.Rand) out {
+		md := sh.mk().MonochromaticDistance()
+		und := runReps(p, p.Reps, seed+hashName(sh.name), func(_ int, r *rng.Rand) mc.Record {
 			e := engine.NewUndecidedExact(sh.mk())
-			res := core.Run(e, core.Options{
+			return outcome(core.Run(e, core.Options{
 				MaxRounds: 500_000,
 				Rand:      r,
 				Stop:      core.WhenConsensusOf(n),
-			})
-			return out{rounds: float64(res.Rounds), won: res.Stopped && res.Winner == res.InitialPlurality}
+			}))
 		})
-		maj := ParallelReps(p, p.Reps, seed+hashName(sh.name)+99, func(_ int, r *rng.Rand) float64 {
+		maj := runReps(p, p.Reps, seed+hashName(sh.name)+99, func(_ int, r *rng.Rand) mc.Record {
 			e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, sh.mk())
-			res := core.Run(e, core.Options{MaxRounds: 500_000, Rand: r})
-			return float64(res.Rounds)
+			return outcome(core.Run(e, core.Options{MaxRounds: 500_000, Rand: r}))
 		})
-		uRounds := make([]float64, len(und))
-		uWins := 0
-		for i, o := range und {
-			uRounds[i] = o.rounds
-			if o.won {
-				uWins++
-			}
-		}
-		us := stats.Summarize(uRounds)
-		t1.AddRow(sh.name, fmtF(md), fmtF(us.Mean),
-			fmtF(us.Mean/(md*math.Log(float64(n)))),
-			fmt.Sprintf("%d/%d", uWins, len(und)),
-			fmtF(stats.Mean(maj)))
+		um := und.Rounds().Mean
+		t1.AddRow(sh.name, fmtF(md), fmtF(um),
+			fmtF(um/(md*math.Log(float64(n)))),
+			fmtWins(und),
+			fmtF(maj.Rounds().Mean))
 	}
 
 	// Table 2: plurality death at k = ω(sqrt n).
@@ -206,42 +158,29 @@ func runE11(p Profile, seed uint64) []*Table {
 	}
 	nd := p.N / 2
 	kd := int(nd / 2)
-	deathProb := func(und bool, offset uint64) (int, int) {
-		results := ParallelReps(p, p.Reps, seed+offset, func(_ int, r *rng.Rand) bool {
-			init := colorcfg.Balanced(nd, kd)
-			init[0]++
-			init[kd-1]--
-			var e engine.Engine
-			if und {
-				e = engine.NewUndecidedExact(init)
-			} else {
-				e = engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
-			}
-			for i := 0; i < 10; i++ {
-				e.Step(r)
-				if e.Config()[0] == 0 {
-					return true
-				}
-			}
-			return false
-		})
-		dead := 0
-		for _, d := range results {
-			if d {
-				dead++
-			}
-		}
-		return dead, len(results)
-	}
 	for _, cfg := range []struct {
 		name   string
 		und    bool
 		offset uint64
 	}{{"undecided", true, 555}, {"3-majority", false, 556}} {
-		dead, total := deathProb(cfg.und, cfg.offset)
-		lo, hi := stats.WilsonInterval(dead, total, 1.96)
+		agg := runReps(p, p.Reps, seed+cfg.offset, func(_ int, r *rng.Rand) mc.Record {
+			init := colorcfg.Balanced(nd, kd)
+			init[0]++
+			init[kd-1]--
+			var e engine.Engine
+			if cfg.und {
+				e = engine.NewUndecidedExact(init)
+			} else {
+				e = engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
+			}
+			res := core.Run(e, core.Options{MaxRounds: 10, Rand: r, Stop: core.WhenColorDead(0)})
+			// Success is the failure this table counts, not the paper's
+			// success event: color 0 dies within the 10 rounds.
+			return mc.Record{Rounds: res.Rounds, Success: res.Stopped}
+		})
+		lo, hi := agg.Wilson(1.96)
 		t2.AddRow(fmtI(nd), fmt.Sprintf("%d", kd), cfg.name,
-			fmt.Sprintf("%d/%d", dead, total), fmt.Sprintf("[%.2f,%.2f]", lo, hi))
+			fmtWins(agg), fmt.Sprintf("[%.2f,%.2f]", lo, hi))
 	}
 	return []*Table{t1, t2}
 }

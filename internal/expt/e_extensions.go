@@ -8,8 +8,8 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/mc"
 	"plurality/internal/rng"
-	"plurality/internal/stats"
 	"plurality/internal/topo"
 )
 
@@ -43,48 +43,26 @@ func runE13(p Profile, seed uint64) []*Table {
 			n, p.Reps),
 		Columns: []string{"k", "keepown_biased", "3maj_biased", "keepown_double", "3maj_double", "double_ratio"},
 	}
-	doubleTime := func(e engine.Engine, r *rng.Rand, k int) float64 {
-		target := 2 * n / int64(k)
-		rounds := 0
-		for rounds < 200_000 {
-			if first, _ := e.Config().TopTwo(); first >= target {
-				break
-			}
-			e.Step(r)
-			rounds++
-		}
-		return float64(rounds)
-	}
 	for _, k := range ks {
-		k := k
 		s := core.Corollary1Bias(n, k, 1.0)
-		biased := func(markov bool, offset uint64) float64 {
-			results := ParallelReps(p, p.Reps, seed+uint64(k)*7+offset, func(_ int, r *rng.Rand) float64 {
+		// meanRounds averages p.Reps runs of keep-own (markov) or
+		// 3-majority from init until stop, capped at 200,000 rounds.
+		meanRounds := func(markov bool, init colorcfg.Config, stop core.StopFunc, base uint64) float64 {
+			return runReps(p, p.Reps, base, func(_ int, r *rng.Rand) mc.Record {
 				var e engine.Engine
 				if markov {
-					e = engine.NewCliqueMarkov(dynamics.TwoChoicesKeepOwn{}, colorcfg.Biased(n, k, s))
+					e = engine.NewCliqueMarkov(dynamics.TwoChoicesKeepOwn{}, init)
 				} else {
-					e = engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, colorcfg.Biased(n, k, s))
+					e = engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
 				}
-				res := core.Run(e, core.Options{MaxRounds: 200_000, Rand: r})
-				return float64(res.Rounds)
-			})
-			return stats.Mean(results)
+				return outcome(core.Run(e, core.Options{MaxRounds: 200_000, Rand: r, Stop: stop}))
+			}).Rounds().Mean
 		}
-		double := func(markov bool, offset uint64) float64 {
-			results := ParallelReps(p, p.Reps, seed+uint64(k)*19+offset, func(_ int, r *rng.Rand) float64 {
-				var e engine.Engine
-				if markov {
-					e = engine.NewCliqueMarkov(dynamics.TwoChoicesKeepOwn{}, colorcfg.Balanced(n, k))
-				} else {
-					e = engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, colorcfg.Balanced(n, k))
-				}
-				return doubleTime(e, r, k)
-			})
-			return stats.Mean(results)
-		}
-		kb, jb := biased(true, 0), biased(false, 1)
-		kd, jd := double(true, 2), double(false, 3)
+		biased, balanced := colorcfg.Biased(n, k, s), colorcfg.Balanced(n, k)
+		kb := meanRounds(true, biased, nil, seed+uint64(k)*7)
+		jb := meanRounds(false, biased, nil, seed+uint64(k)*7+1)
+		kd := meanRounds(true, balanced, whenLeaderDoubles(n, k), seed+uint64(k)*19+2)
+		jd := meanRounds(false, balanced, whenLeaderDoubles(n, k), seed+uint64(k)*19+3)
 		t.AddRow(fmt.Sprintf("%d", k), fmtF(kb), fmtF(jb), fmtF(kd), fmtF(jd),
 			fmtF(kd/math.Max(jd, 1)))
 	}
@@ -167,27 +145,13 @@ func runE15(p Profile, seed uint64) []*Table {
 		}},
 	}
 	for _, v := range variants {
-		v := v
-		type out struct {
-			rounds float64
-			won    bool
-		}
-		results := ParallelReps(p, reps, seed+hashName(v.name), func(rep int, r *rng.Rand) out {
+		agg := runReps(p, reps, seed+hashName(v.name), func(rep int, r *rng.Rand) mc.Record {
 			e := v.mk(rep)
 			defer e.Close()
-			res := core.Run(e, core.Options{MaxRounds: 50_000, Rand: r})
-			return out{rounds: float64(res.Rounds), won: res.WonInitialPlurality}
+			return outcome(core.Run(e, core.Options{MaxRounds: 50_000, Rand: r}))
 		})
-		rounds := make([]float64, len(results))
-		wins := 0
-		for i, o := range results {
-			rounds[i] = o.rounds
-			if o.won {
-				wins++
-			}
-		}
-		sm := stats.Summarize(rounds)
-		t.AddRow(v.name, fmtF(sm.Mean), fmtF(sm.Std), fmt.Sprintf("%d/%d", wins, len(results)))
+		sm := agg.Rounds()
+		t.AddRow(v.name, fmtF(sm.Mean), fmtF(sm.Std), fmtWins(agg))
 	}
 	return []*Table{t}
 }
@@ -211,36 +175,22 @@ func runE16(p Profile, seed uint64) []*Table {
 		Columns: []string{"k", "sync_rounds", "sync_won", "async_rounds", "async_won", "ratio"},
 	}
 	for _, k := range ks {
-		k := k
 		s := core.Corollary1Bias(n, k, 1.0)
-		type out struct {
-			rounds float64
-			won    bool
-		}
-		sync := ParallelReps(p, p.Reps, seed+uint64(k), func(_ int, r *rng.Rand) out {
-			e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, colorcfg.Biased(n, k, s))
-			res := core.Run(e, core.Options{MaxRounds: 100_000, Rand: r})
-			return out{rounds: float64(res.Rounds), won: res.WonInitialPlurality}
-		})
-		async := ParallelReps(p, p.Reps, seed+uint64(k)+13, func(_ int, r *rng.Rand) out {
-			e := engine.NewPopulation(dynamics.ThreeMajority{}, colorcfg.Biased(n, k, s))
-			res := core.Run(e, core.Options{MaxRounds: 100_000, Rand: r})
-			return out{rounds: float64(res.Rounds), won: res.WonInitialPlurality}
-		})
-		sum := func(os []out) (float64, int) {
-			tot, wins := 0.0, 0
-			for _, o := range os {
-				tot += o.rounds / float64(len(os))
-				if o.won {
-					wins++
+		run := func(async bool, base uint64) *mc.Agg {
+			return runReps(p, p.Reps, base, func(_ int, r *rng.Rand) mc.Record {
+				var e engine.Engine
+				if async {
+					e = engine.NewPopulation(dynamics.ThreeMajority{}, colorcfg.Biased(n, k, s))
+				} else {
+					e = engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, colorcfg.Biased(n, k, s))
 				}
-			}
-			return tot, wins
+				return outcome(core.Run(e, core.Options{MaxRounds: 100_000, Rand: r}))
+			})
 		}
-		sm, sw := sum(sync)
-		am, aw := sum(async)
-		t.AddRow(fmt.Sprintf("%d", k), fmtF(sm), fmt.Sprintf("%d/%d", sw, len(sync)),
-			fmtF(am), fmt.Sprintf("%d/%d", aw, len(async)), fmtF(am/math.Max(sm, 1)))
+		sync, async := run(false, seed+uint64(k)), run(true, seed+uint64(k)+13)
+		sm, am := sync.Rounds().Mean, async.Rounds().Mean
+		t.AddRow(fmt.Sprintf("%d", k), fmtF(sm), fmtWins(sync),
+			fmtF(am), fmtWins(async), fmtF(am/math.Max(sm, 1)))
 	}
 	return []*Table{t}
 }

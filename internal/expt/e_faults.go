@@ -8,8 +8,8 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/mc"
 	"plurality/internal/rng"
-	"plurality/internal/stats"
 )
 
 func init() {
@@ -39,12 +39,7 @@ func runE19(p Profile, seed uint64) []*Table {
 	}
 	var base float64
 	for _, q := range qs {
-		q := q
-		type out struct {
-			rounds float64
-			won    bool
-		}
-		results := ParallelReps(p, p.Reps, seed+uint64(q*1000), func(_ int, r *rng.Rand) out {
+		agg := runReps(p, p.Reps, seed+uint64(q*1000), func(_ int, r *rng.Rand) mc.Record {
 			init := colorcfg.Biased(n, k, s)
 			var e engine.Engine
 			if q == 0 {
@@ -52,24 +47,15 @@ func runE19(p Profile, seed uint64) []*Table {
 			} else {
 				e = engine.NewCliqueMarkov(dynamics.NewLazy(dynamics.ThreeMajority{}, q), init)
 			}
-			res := core.Run(e, core.Options{MaxRounds: 200_000, Rand: r})
-			return out{rounds: float64(res.Rounds), won: res.WonInitialPlurality}
+			return outcome(core.Run(e, core.Options{MaxRounds: 200_000, Rand: r}))
 		})
-		rounds := make([]float64, len(results))
-		wins := 0
-		for i, o := range results {
-			rounds[i] = o.rounds
-			if o.won {
-				wins++
-			}
-		}
-		sm := stats.Summarize(rounds)
+		sm := agg.Rounds()
 		if q == 0 {
 			base = sm.Mean
 		}
 		predicted := base / (1 - q)
 		t.AddRow(fmtF(q), fmtF(sm.Mean), fmtF(sm.Std),
-			fmt.Sprintf("%d/%d", wins, len(results)),
+			fmtWins(agg),
 			fmtF(sm.Mean*(1-q)), fmtF(sm.Mean/math.Max(predicted, 1e-9)))
 	}
 	return []*Table{t}

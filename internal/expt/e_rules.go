@@ -8,8 +8,8 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/mc"
 	"plurality/internal/rng"
-	"plurality/internal/stats"
 )
 
 func init() {
@@ -47,7 +47,6 @@ func runE4(p Profile, seed uint64) []*Table {
 	}
 	probeRng := rng.New(seed ^ 0xabc)
 	for _, rule := range dynamics.RuleZoo() {
-		rule := rule
 		clear := dynamics.HasClearMajority(rule, []colorcfg.Color{0, 1, 2, 3}, probeRng)
 		uniform := dynamics.IsUniform(rule, 0, 1, 2, probeRng, 1, 0.01)
 		// Lemma 8 plants the plurality on the color the rule treats worst:
@@ -63,7 +62,7 @@ func runE4(p Profile, seed uint64) []*Table {
 				weak = 2
 			}
 		}
-		results := ParallelReps(p, p.Reps, seed+hashName(rule.Name()), func(rep int, r *rng.Rand) bool {
+		agg := runReps(p, p.Reps, seed+hashName(rule.Name()), func(rep int, r *rng.Rand) mc.Record {
 			// Lemma 8 shape (x+s, x, x−s) with the leader on the weak
 			// rank; rounding absorbed by the leader.
 			x := n / 3
@@ -73,23 +72,15 @@ func runE4(p Profile, seed uint64) []*Table {
 			init[(weak+2)%3] = x - s
 			e := engine.NewCliqueSampled(rule, init, 1, seed^uint64(rep)*0x9e37+hashName(rule.Name()))
 			defer e.Close()
-			res := core.Run(e, core.Options{
+			return outcome(core.Run(e, core.Options{
 				MaxRounds: maxRounds,
 				Rand:      r,
 				Stop:      core.Any(core.WhenMonochromatic(), core.WhenColorDead(0)),
-			})
-			return res.WonInitialPlurality
+			}))
 		})
-		wins := 0
-		for _, w := range results {
-			if w {
-				wins++
-			}
-		}
-		rate := float64(wins) / float64(len(results))
-		lo, hi := stats.WilsonInterval(wins, len(results), 1.96)
+		lo, hi := agg.Wilson(1.96)
 		t.AddRow(rule.Name(), fmt.Sprintf("%v", clear), fmt.Sprintf("%v", uniform),
-			fmt.Sprintf("%d/%d", wins, len(results)), fmtF(rate),
+			fmtWins(agg), fmtF(agg.SuccessRate()),
 			fmt.Sprintf("[%.2f,%.2f]", lo, hi))
 	}
 	return []*Table{t}
@@ -128,23 +119,12 @@ func runE5(p Profile, seed uint64) []*Table {
 	}
 	var base float64
 	for _, h := range hs {
-		h := h
-		results := ParallelReps(p, p.Reps, seed+uint64(h)*131, func(rep int, r *rng.Rand) float64 {
-			init := colorcfg.Balanced(n, k)
-			e := engine.NewCliqueSampled(dynamics.NewHPlurality(h), init, 1, seed^(uint64(h)<<32)^uint64(rep))
+		agg := runReps(p, p.Reps, seed+uint64(h)*131, func(rep int, r *rng.Rand) mc.Record {
+			e := engine.NewCliqueSampled(dynamics.NewHPlurality(h), colorcfg.Balanced(n, k), 1, seed^(uint64(h)<<32)^uint64(rep))
 			defer e.Close()
-			target := 2 * n / int64(k)
-			rounds := 0
-			for rounds < 100_000 {
-				if first, _ := e.Config().TopTwo(); first >= target {
-					break
-				}
-				e.Step(r)
-				rounds++
-			}
-			return float64(rounds)
+			return outcome(core.Run(e, core.Options{MaxRounds: 100_000, Rand: r, Stop: whenLeaderDoubles(n, k)}))
 		})
-		sum := stats.Summarize(results)
+		sum := agg.Rounds()
 		if h == hs[0] {
 			base = sum.Mean
 		}

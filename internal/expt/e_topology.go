@@ -8,6 +8,7 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/mc"
 	"plurality/internal/rng"
 	"plurality/internal/topo"
 	"plurality/internal/topo/spectral"
@@ -56,7 +57,6 @@ func runE20(p Profile, seed uint64) []*Table {
 		"cycle",
 	}
 	for _, spec := range specs {
-		spec := spec
 		canon, err := topo.Canonical(spec, n)
 		if err != nil {
 			panic(fmt.Sprintf("expt: E20 spec %q invalid at n=%d: %v", spec, n, err))
@@ -81,28 +81,20 @@ func runE20(p Profile, seed uint64) []*Table {
 // returns the row's converged, rounds_mean and final_cmax_share cells.
 func topologyRow(p Profile, seed uint64, name string, g topo.NeighborSource, k int, bias int64, limit int) []string {
 	n := g.N()
-	type out struct {
-		rounds float64
-		conv   bool
-		share  float64
-	}
-	results := ParallelReps(p, p.Reps, seed+hashName(name), func(rep int, r *rng.Rand) out {
+	recs := ParallelReps(p, p.Reps, seed+hashName(name), func(rep int, r *rng.Rand) mc.Record {
 		e := engine.NewGraphEngine(dynamics.ThreeMajority{}, g,
 			colorcfg.Biased(n, k, bias), 2, seed^uint64(rep)<<8^hashName(name), r)
 		defer e.Close()
 		res := core.Run(e, core.Options{MaxRounds: limit, Rand: r})
 		first, _ := res.Final.TopTwo()
-		return out{rounds: float64(res.Rounds), conv: res.Stopped,
-			share: float64(first) / float64(n)}
+		// Success is convergence within the cap, not the paper's success
+		// event; Value is the final leader share.
+		return mc.Record{Rounds: res.Rounds, Success: res.Stopped, Value: float64(first) / float64(n)}
 	})
-	conv := 0
-	var rounds, share float64
-	for _, o := range results {
-		if o.conv {
-			conv++
-		}
-		rounds += o.rounds / float64(len(results))
-		share += o.share / float64(len(results))
+	share := 0.0
+	for _, rec := range recs {
+		share += rec.Value
 	}
-	return []string{fmt.Sprintf("%d/%d", conv, len(results)), fmtF(rounds), fmtF(share)}
+	agg := mc.Aggregate(recs)
+	return []string{fmtWins(agg), fmtF(agg.Rounds().Mean), fmtF(share / float64(agg.N))}
 }

@@ -8,6 +8,7 @@ import (
 	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
+	"plurality/internal/mc"
 	"plurality/internal/obs"
 	"plurality/internal/rng"
 	"plurality/internal/stats"
@@ -42,23 +43,13 @@ func runE1(p Profile, seed uint64) []*Table {
 	for _, k := range ks {
 		lambda := core.Lambda(n, k)
 		s := core.Corollary1Bias(n, k, 1.0)
-		results := ParallelReps(p, p.Reps, seed+uint64(k), func(_ int, r *rng.Rand) core.Result {
-			init := colorcfg.Biased(n, k, s)
-			e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
-			return core.Run(e, core.Options{MaxRounds: 200_000, Rand: r})
+		agg := runReps(p, p.Reps, seed+uint64(k), func(_ int, r *rng.Rand) mc.Record {
+			e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, colorcfg.Biased(n, k, s))
+			return outcome(core.Run(e, core.Options{MaxRounds: 200_000, Rand: r}))
 		})
-		rounds := make([]float64, 0, len(results))
-		wins := 0
-		for _, res := range results {
-			rounds = append(rounds, float64(res.Rounds))
-			if res.WonInitialPlurality {
-				wins++
-			}
-		}
-		sum := stats.Summarize(rounds)
+		sum := agg.Rounds()
 		norm := sum.Mean / (lambda * math.Log(float64(n)))
-		t.AddRow(fmt.Sprintf("%d", k), fmtF(lambda), fmtI(s),
-			fmt.Sprintf("%d/%d", wins, len(results)),
+		t.AddRow(fmt.Sprintf("%d", k), fmtF(lambda), fmtI(s), fmtWins(agg),
 			fmtF(sum.Mean), fmtF(sum.Std), fmtF(norm))
 	}
 	return []*Table{t}
@@ -91,23 +82,13 @@ func runE2(p Profile, seed uint64) []*Table {
 		if c1-perOther < s {
 			c1 = perOther + s
 		}
-		results := ParallelReps(p, p.Reps, seed+uint64(lambda*1000), func(_ int, r *rng.Rand) core.Result {
-			init := colorcfg.PlantedLeader(n, k, c1)
-			e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
-			return core.Run(e, core.Options{MaxRounds: 200_000, Rand: r})
+		agg := runReps(p, p.Reps, seed+uint64(lambda*1000), func(_ int, r *rng.Rand) mc.Record {
+			e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, colorcfg.PlantedLeader(n, k, c1))
+			return outcome(core.Run(e, core.Options{MaxRounds: 200_000, Rand: r}))
 		})
-		rounds := make([]float64, 0, len(results))
-		wins := 0
-		for _, res := range results {
-			rounds = append(rounds, float64(res.Rounds))
-			if res.WonInitialPlurality {
-				wins++
-			}
-		}
-		sum := stats.Summarize(rounds)
-		t.AddRow(fmtF(lambda), fmtI(c1), fmtI(s),
-			fmt.Sprintf("%d/%d", wins, len(results)),
-			fmtF(sum.Mean), fmtF(sum.Mean/(lambda*math.Log(float64(n)))))
+		mean := agg.Rounds().Mean
+		t.AddRow(fmtF(lambda), fmtI(c1), fmtI(s), fmtWins(agg),
+			fmtF(mean), fmtF(mean/(lambda*math.Log(float64(n)))))
 	}
 	return []*Table{t}
 }
@@ -131,9 +112,8 @@ func runE3(p Profile, seed uint64) []*Table {
 		Columns: []string{"k", "rounds_to_2n/k", "rounds_to_consensus", "double/(k·ln n)", "consensus/(k·ln n)"},
 	}
 	for _, k := range ks {
-		k := k
-		type outcome struct{ double, total float64 }
-		results := ParallelReps(p, p.Reps, seed+uint64(k)*17, func(_ int, r *rng.Rand) outcome {
+		type times struct{ double, total float64 }
+		results := ParallelReps(p, p.Reps, seed+uint64(k)*17, func(_ int, r *rng.Rand) times {
 			init := colorcfg.Theorem2(n, k, eps)
 			e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
 			target := 2 * n / int64(k)
@@ -152,7 +132,7 @@ func runE3(p Profile, seed uint64) []*Table {
 			if doubleRound < 0 {
 				doubleRound = res.Rounds
 			}
-			return outcome{double: float64(doubleRound), total: float64(res.Rounds)}
+			return times{double: float64(doubleRound), total: float64(res.Rounds)}
 		})
 		doubles := make([]float64, len(results))
 		totals := make([]float64, len(results))

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"plurality/internal/colorcfg"
+	"plurality/internal/core"
 	"plurality/internal/dynamics"
 	"plurality/internal/engine"
 	"plurality/internal/exact"
@@ -45,28 +46,19 @@ func runE17(p Profile, seed uint64) []*Table {
 		{"polling", dynamics.Polling{}, dynamics.Polling{}},
 	}
 	for _, rl := range rules {
-		rl := rl
 		chain := exact.New(n, 3, rl.model)
 		wantProbs, wantTime := chain.AbsorptionFrom(start)
 
-		type out struct {
-			winner colorcfg.Color
-			rounds float64
-		}
-		results := ParallelReps(p, reps, seed+hashName(rl.name), func(_ int, r *rng.Rand) out {
-			e := engine.NewCliqueMultinomial(rl.rule, start)
-			rounds := 0
-			for !e.Config().IsMonochromatic() {
-				e.Step(r)
-				rounds++
-			}
-			return out{winner: e.Config().Plurality(), rounds: float64(rounds)}
+		results := ParallelReps(p, reps, seed+hashName(rl.name), func(_ int, r *rng.Rand) core.Result {
+			return core.Run(engine.NewCliqueMultinomial(rl.rule, start), core.Options{Rand: r})
 		})
 		wins := make([]int, 3)
+		rounds := make([]float64, len(results))
 		meanRounds := 0.0
-		for _, o := range results {
-			wins[o.winner]++
-			meanRounds += o.rounds / float64(len(results))
+		for i, res := range results {
+			wins[res.Winner]++
+			rounds[i] = float64(res.Rounds)
+			meanRounds += rounds[i] / float64(len(results))
 		}
 		for j := 0; j < 3; j++ {
 			got := float64(wins[j]) / float64(len(results))
@@ -76,11 +68,7 @@ func runE17(p Profile, seed uint64) []*Table {
 				fmtF(math.Abs(got-wantProbs[j])/se))
 		}
 		// Expected time z-score against the replicate spread.
-		roundsAll := make([]float64, len(results))
-		for i, o := range results {
-			roundsAll[i] = o.rounds
-		}
-		sm := stats.Summarize(roundsAll)
+		sm := stats.Summarize(rounds)
 		se := sm.Std/math.Sqrt(float64(sm.N)) + 1e-12
 		t.AddRow(rl.name, "E[rounds]",
 			fmt.Sprintf("%.4f", wantTime), fmt.Sprintf("%.4f", meanRounds),
@@ -109,7 +97,6 @@ func runE18(p Profile, seed uint64) []*Table {
 	}
 	devs := make([]float64, 0, len(ns))
 	for _, n := range ns {
-		n := n
 		init := colorcfg.Biased(n, k, n/5)
 		mf := meanfield.Iterate(dynamics.ThreeMajority{}, init.Fractions(), rounds)
 		results := ParallelReps(p, p.Reps, seed+uint64(n), func(_ int, r *rng.Rand) float64 {

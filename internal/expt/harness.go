@@ -1,8 +1,8 @@
-// Package expt implements the benchmark harness: the nineteen experiments
-// E1–E19 of DESIGN.md §4, each regenerating one of the paper's
+// Package expt implements the benchmark harness: the twenty experiments
+// E1–E20 of DESIGN.md §4, each regenerating one of the paper's
 // theorem-level "tables/figures" (convergence-time scaling, lower bounds,
 // rule-zoo failure probabilities, adversarial self-stabilization, drift
-// validation, and the extension studies E13–E19).
+// validation, and the extension studies E13–E20).
 //
 // Experiments are pure functions from (Profile, seed) to a Table; the
 // Profile selects the workload scale (Quick for tests/benches, Full for
@@ -11,6 +11,14 @@
 // Replicates run on the shared internal/mc worker pool with pre-derived
 // per-replicate seeds, so every table is reproducible from its seed and
 // independent of the worker count.
+//
+// A replicate that runs to a stop condition is one core.Run, and its
+// outcome is an mc.Record (rounds and a success event). runReps folds a
+// row's records through mc.Agg, the fold behind sweep's CSV rows and
+// pluralityd's job aggregate, so every table reads its rounds summary,
+// win count and Wilson interval from one place. Experiments whose
+// replicates report per-round data (E3, E8, E9, E12, E18) or the winning
+// color (E17) call ParallelReps with their own result type.
 package expt
 
 import (
@@ -22,6 +30,7 @@ import (
 	"strconv"
 	"strings"
 
+	"plurality/internal/core"
 	"plurality/internal/mc"
 	"plurality/internal/rng"
 )
@@ -148,8 +157,27 @@ func ParallelReps[T any](p Profile, reps int, seed uint64, f func(rep int, r *rn
 	return out
 }
 
+// runReps runs reps replicates of f through ParallelReps and folds their
+// records into one mc.Agg.
+func runReps(p Profile, reps int, seed uint64, f func(rep int, r *rng.Rand) mc.Record) *mc.Agg {
+	return mc.Aggregate(ParallelReps(p, reps, seed, f))
+}
+
+// outcome is the record of a replicate that ran to its stop condition:
+// its rounds and the paper's success event, consensus on the initial
+// plurality color.
+func outcome(res core.Result) mc.Record {
+	return mc.Record{Rounds: res.Rounds, Success: res.WonInitialPlurality}
+}
+
+// whenLeaderDoubles stops once the leading color holds 2n/k agents: the
+// doubling time that Theorems 2 and 4 lower-bound from balanced starts.
+func whenLeaderDoubles(n int64, k int) core.StopFunc {
+	return core.WhenMPlurality(n, n-2*n/int64(k))
+}
+
 // Experiment is a registered experiment: a function from profile and seed
-// to a set of result tables (most produce one table; E9 produces two).
+// to a set of result tables (most produce one table; E11 produces two).
 type Experiment struct {
 	ID    string
 	Title string
@@ -195,3 +223,6 @@ func fmtF(v float64) string { return fmt.Sprintf("%.3g", v) }
 
 // fmtI renders an int64.
 func fmtI(v int64) string { return fmt.Sprintf("%d", v) }
+
+// fmtWins renders an aggregate's success count as "wins/N".
+func fmtWins(a *mc.Agg) string { return fmt.Sprintf("%d/%d", a.Wins, a.N) }

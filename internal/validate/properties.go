@@ -47,9 +47,9 @@ func DefaultConsensusWHPSpec() ConsensusWHPSpec {
 func CheckConsensusWHP(spec ConsensusWHPSpec, opts Options) CheckResult {
 	opts = opts.withDefaults()
 	s := core.Corollary1Bias(spec.N, spec.K, 1.0)
-	init := colorcfg.Biased(spec.N, spec.K, s)
-	wins := runSuccesses(init, spec.Replicates, spec.MaxRounds, opts)
-	lo, _ := stats.WilsonInterval(wins, spec.Replicates, 3.09)
+	agg := runToConsensus(threeMajority(colorcfg.Biased(spec.N, spec.K, s)),
+		spec.Replicates, spec.MaxRounds, opts.Seed, opts.Pool)
+	lo, _ := agg.Wilson(3.09)
 	res := CheckResult{
 		Name:       fmt.Sprintf("property/consensus-whp/n=%d,k=%d,s=%d", spec.N, spec.K, s),
 		Kind:       "property",
@@ -61,7 +61,7 @@ func CheckConsensusWHP(spec ConsensusWHPSpec, opts Options) CheckResult {
 	res.Pass = res.Stat >= 0
 	if !res.Pass {
 		res.Detail = fmt.Sprintf("success rate %d/%d (Wilson lo %.3f) below required %.3f",
-			wins, spec.Replicates, lo, spec.MinRate)
+			agg.Wins, agg.N, lo, spec.MinRate)
 	}
 	return res
 }
@@ -99,13 +99,10 @@ func CheckBiasMonotonicity(spec BiasMonotonicitySpec, opts Options) CheckResult 
 	los := make([]float64, len(spec.BiasGrid))
 	his := make([]float64, len(spec.BiasGrid))
 	for i, s := range spec.BiasGrid {
-		init := colorcfg.Biased(spec.N, spec.K, s)
-		wins := runSuccesses(init, spec.Replicates, spec.MaxRounds, Options{
-			Pool: opts.Pool, Seed: opts.Seed + uint64(i)*1000, Replicates: opts.Replicates,
-			FamilyAlpha: opts.FamilyAlpha,
-		})
-		rates[i] = float64(wins) / float64(spec.Replicates)
-		los[i], his[i] = stats.WilsonInterval(wins, spec.Replicates, 3.09)
+		agg := runToConsensus(threeMajority(colorcfg.Biased(spec.N, spec.K, s)),
+			spec.Replicates, spec.MaxRounds, opts.Seed+uint64(i)*1000, opts.Pool)
+		rates[i] = agg.SuccessRate()
+		los[i], his[i] = agg.Wilson(3.09)
 	}
 	margin := math.Inf(1)
 	worst := 0
@@ -166,21 +163,9 @@ func CheckMDScaling(spec MDScalingSpec, opts Options) CheckResult {
 		// stays ≈ k.
 		init := colorcfg.Biased(spec.N, k, spec.N/int64(10*k))
 		mds[i] = init.MonochromaticDistance()
-		rounds, err := mc.Map(ctx, opts.Pool, spec.Replicates, opts.Seed+uint64(i)*7777,
-			func(_ int, r *rng.Rand) float64 {
-				e := engine.NewUndecidedExact(init)
-				defer e.Close()
-				res := core.Run(e, core.Options{
-					MaxRounds: spec.MaxRounds,
-					Stop:      core.WhenConsensusOf(spec.N),
-					Rand:      r,
-				})
-				return float64(res.Rounds)
-			})
-		if err != nil {
-			panic("validate: replicate map failed: " + err.Error())
-		}
-		meanRounds[i] = stats.Mean(rounds)
+		undecided := func() engine.Engine { return engine.NewUndecidedExact(init) }
+		meanRounds[i] = runToConsensus(undecided, spec.Replicates, spec.MaxRounds,
+			opts.Seed+uint64(i)*7777, opts.Pool).Rounds().Mean
 	}
 	fit := stats.LinearFit(mds, meanRounds)
 	res := CheckResult{
@@ -200,28 +185,28 @@ func CheckMDScaling(spec MDScalingSpec, opts Options) CheckResult {
 	return res
 }
 
-// runSuccesses counts WonInitialPlurality over replicates of 3-majority
-// on the exact multinomial engine from init.
-func runSuccesses(init colorcfg.Config, replicates, maxRounds int, opts Options) int {
-	opts = opts.withDefaults()
-	outcomes, err := mc.Map(ctx, opts.Pool, replicates, opts.Seed, func(_ int, r *rng.Rand) bool {
-		e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
+// threeMajority builds 3-majority on the exact multinomial engine from
+// init.
+func threeMajority(init colorcfg.Config) func() engine.Engine {
+	return func() engine.Engine { return engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init) }
+}
+
+// runToConsensus runs replicates of the engine that mk builds, each until
+// all of its agents hold one color or maxRounds pass, and folds their
+// rounds and WonInitialPlurality into an mc.Agg.
+func runToConsensus(mk func() engine.Engine, replicates, maxRounds int, seed uint64, pool *mc.Pool) *mc.Agg {
+	recs, err := mc.Map(ctx, pool, replicates, seed, func(_ int, r *rng.Rand) mc.Record {
+		e := mk()
 		defer e.Close()
 		res := core.Run(e, core.Options{
 			MaxRounds: maxRounds,
-			Stop:      core.WhenConsensusOf(init.N()),
+			Stop:      core.WhenConsensusOf(e.N()),
 			Rand:      r,
 		})
-		return res.WonInitialPlurality
+		return mc.Record{Rounds: res.Rounds, Success: res.WonInitialPlurality}
 	})
 	if err != nil {
 		panic("validate: replicate map failed: " + err.Error())
 	}
-	wins := 0
-	for _, w := range outcomes {
-		if w {
-			wins++
-		}
-	}
-	return wins
+	return mc.Aggregate(recs)
 }

@@ -125,16 +125,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// AllPass reports whether every result passed.
-func AllPass(results []CheckResult) bool {
-	for _, r := range results {
-		if !r.Pass {
-			return false
-		}
-	}
-	return true
-}
-
 // minDetectableTV estimates the total-variation deviation that the
 // chi-square test would reliably detect with R replicates: a deviation
 // of TV ε spread over the occupied bins has noncentrality ≈ 4Rε²
