@@ -45,20 +45,9 @@ func run(w io.Writer, paths []string, drift int) error {
 	var all []obs.Trace
 	skippedTotal := 0
 	for _, path := range paths {
-		var r io.Reader
-		if path == "-" {
-			r = os.Stdin
-		} else {
-			f, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			r = f
-		}
-		traces, skipped, err := obs.ReadTraces(r)
+		traces, skipped, err := readInput(path)
 		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
+			return err
 		}
 		skippedTotal += skipped
 		if len(traces) == 0 {
@@ -81,6 +70,25 @@ func run(w io.Writer, paths []string, drift int) error {
 		fmt.Fprintf(w, "\nwarning: %d corrupt/unknown lines skipped\n", skippedTotal)
 	}
 	return nil
+}
+
+// readInput parses one input's trace runs ("-" is stdin). It closes the
+// file before returning, so a report over many files holds one open.
+func readInput(path string) ([]obs.Trace, int, error) {
+	r := io.Reader(os.Stdin)
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, 0, err
+		}
+		defer f.Close()
+		r = f
+	}
+	traces, skipped, err := obs.ReadTraces(r)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%s: %w", path, err)
+	}
+	return traces, skipped, nil
 }
 
 // profile prints one run's report: identity, round/wall totals, the

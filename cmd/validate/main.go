@@ -60,13 +60,13 @@ func run(tier, out string, seed uint64, workers, replicates int, w io.Writer) er
 	}
 	pool := mc.NewPool(workers)
 	defer pool.Close()
-	opts := validate.Options{Pool: pool, Replicates: reps, FamilyAlpha: 1e-3, Seed: seed}
+	opts := validate.Options{Pool: pool, Replicates: reps, Seed: seed}
 
 	specs, controls := chainGrid(tier)
 	var results, controlResults []validate.CheckResult
 	results = append(results, validate.CertifyChainFamily(specs, opts)...)
 	controlResults = validate.CertifyChainFamily(controls, validate.Options{
-		Pool: pool, Replicates: reps, FamilyAlpha: 1e-3, Seed: seed + 5000,
+		Pool: pool, Replicates: reps, Seed: seed + 5000,
 	})
 
 	results = append(results, goldenChecks()...)

@@ -128,24 +128,6 @@ func (c Config) Bias() int64 {
 	return first - second
 }
 
-// BiasOf returns c_j - max_{h != j} c_h: how far color j leads (negative if
-// it trails) every other color.
-func (c Config) BiasOf(j Color) int64 {
-	var rival int64 = math.MinInt64
-	for h, v := range c {
-		if Color(h) == j {
-			continue
-		}
-		if v > rival {
-			rival = v
-		}
-	}
-	if rival == math.MinInt64 { // k == 1
-		return c[j]
-	}
-	return c[j] - rival
-}
-
 // IsMonochromatic reports whether a single color holds every agent.
 // The all-zero configuration (n = 0) is not considered monochromatic.
 func (c Config) IsMonochromatic() bool {
@@ -171,13 +153,6 @@ func (c Config) Support() int {
 		}
 	}
 	return s
-}
-
-// MinorityMass returns n - c_m: the number of agents not supporting the
-// plurality color. This is the quantity Lemma 4 shows decays geometrically.
-func (c Config) MinorityMass() int64 {
-	first, _ := c.TopTwo()
-	return c.N() - first
 }
 
 // Sorted returns the counts in non-increasing order (the paper's convention
@@ -266,17 +241,6 @@ func FromAgents(agents []Color, k int) Config {
 		c[col]++
 	}
 	return c
-}
-
-// Tally recounts agents into an existing configuration (zeroing it first),
-// avoiding allocation in per-round loops.
-func Tally(agents []Color, c Config) {
-	for j := range c {
-		c[j] = 0
-	}
-	for _, col := range agents {
-		c[col]++
-	}
 }
 
 // ----- Workload generators -----
@@ -428,18 +392,6 @@ func Zipf(n int64, k int, exponent float64, r *rng.Rand) Config {
 	for assigned < n {
 		c[r.Intn(k)]++
 		assigned++
-	}
-	return c
-}
-
-// Random returns a uniformly random composition of n agents over k colors
-// (each agent independently assigned a uniform color — i.e. a
-// Multinomial(n, 1/k) draw realized by per-agent assignment for small n,
-// which is what the lower-bound "random start" experiments use).
-func Random(n int64, k int, r *rng.Rand) Config {
-	c := New(k)
-	for i := int64(0); i < n; i++ {
-		c[r.Intn(k)]++
 	}
 	return c
 }

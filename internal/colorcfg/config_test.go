@@ -22,9 +22,6 @@ func TestBasicAccessors(t *testing.T) {
 	if c.Bias() != 2 {
 		t.Errorf("Bias = %d", c.Bias())
 	}
-	if c.MinorityMass() != 5 {
-		t.Errorf("MinorityMass = %d", c.MinorityMass())
-	}
 	if c.Support() != 3 {
 		t.Errorf("Support = %d", c.Support())
 	}
@@ -55,23 +52,6 @@ func TestTopTwo(t *testing.T) {
 		if f != tc.first || s != tc.second {
 			t.Errorf("TopTwo(%v) = (%d,%d), want (%d,%d)", []int64(tc.c), f, s, tc.first, tc.second)
 		}
-	}
-}
-
-func TestBiasOf(t *testing.T) {
-	c := FromCounts(10, 6, 8)
-	if got := c.BiasOf(0); got != 2 {
-		t.Errorf("BiasOf(0) = %d, want 2", got)
-	}
-	if got := c.BiasOf(1); got != -4 {
-		t.Errorf("BiasOf(1) = %d, want -4", got)
-	}
-	if got := c.BiasOf(2); got != -2 {
-		t.Errorf("BiasOf(2) = %d, want -2", got)
-	}
-	single := FromCounts(5)
-	if got := single.BiasOf(0); got != 5 {
-		t.Errorf("BiasOf on k=1 = %d, want 5", got)
 	}
 }
 
@@ -177,16 +157,6 @@ func TestAgentsRoundTrip(t *testing.T) {
 	agents2 := c.ToAgents(buf)
 	if len(agents2) != 5 {
 		t.Fatalf("reused len = %d", len(agents2))
-	}
-}
-
-func TestTally(t *testing.T) {
-	agents := []Color{0, 2, 2, 1, 2}
-	c := New(3)
-	c[0] = 99 // must be zeroed
-	Tally(agents, c)
-	if !c.Equal(FromCounts(1, 1, 3)) {
-		t.Errorf("Tally = %v", []int64(c))
 	}
 }
 
@@ -321,19 +291,6 @@ func TestZipf(t *testing.T) {
 	for j := 1; j < 20; j++ {
 		if c[j] > c[j-1]+10 {
 			t.Errorf("Zipf counts not decreasing at %d: %d > %d", j, c[j], c[j-1])
-		}
-	}
-}
-
-func TestRandom(t *testing.T) {
-	r := rng.New(7)
-	c := Random(60000, 6, r)
-	if err := c.Validate(60000); err != nil {
-		t.Fatal(err)
-	}
-	for j, v := range c {
-		if math.Abs(float64(v)-10000) > 500 {
-			t.Errorf("Random color %d count %d far from 10000", j, v)
 		}
 	}
 }

@@ -62,12 +62,6 @@ func WhenMPlurality(n, m int64) StopFunc {
 	}
 }
 
-// WhenColorDominates stops when the given color is supported by all n
-// agents.
-func WhenColorDominates(j Color, n int64) StopFunc {
-	return func(c colorcfg.Config, _ int) bool { return c[j] == n }
-}
-
 // WhenColorDead stops when the given color has no supporters.
 func WhenColorDead(j Color) StopFunc {
 	return func(c colorcfg.Config, _ int) bool { return c[j] == 0 }

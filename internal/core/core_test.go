@@ -147,9 +147,6 @@ func TestStopCombinators(t *testing.T) {
 	if WhenMPlurality(100, 5)(c, 0) {
 		t.Error("M-plurality false positive")
 	}
-	if !WhenColorDominates(0, 100)(colorcfg.FromCounts(100, 0), 0) {
-		t.Error("dominance not detected")
-	}
 	if !WhenColorDead(1)(colorcfg.FromCounts(100, 0), 0) {
 		t.Error("death not detected")
 	}

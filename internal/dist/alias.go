@@ -79,28 +79,6 @@ func (a *Alias) ResetCounts(counts []int64) {
 	a.rebuild()
 }
 
-// ResetWeights rebuilds the table for arbitrary non-negative float weights.
-func (a *Alias) ResetWeights(weights []float64) {
-	if len(weights) != len(a.slots) {
-		panic("dist: Alias.ResetWeights category count mismatch")
-	}
-	total := 0.0
-	for _, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic("dist: Alias negative or NaN weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("dist: Alias needs positive total weight")
-	}
-	k := float64(len(weights))
-	for j, w := range weights {
-		a.scaled[j] = w * k / total
-	}
-	a.rebuild()
-}
-
 // rebuild runs Vose's pairing over a.scaled (each entry = k·p_j, mean 1).
 func (a *Alias) rebuild() {
 	small := a.small[:0]

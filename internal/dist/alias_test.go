@@ -150,23 +150,6 @@ func TestAliasSingleCategory(t *testing.T) {
 	}
 }
 
-func TestAliasWeights(t *testing.T) {
-	a := NewAliasCounts([]int64{1, 1})
-	a.ResetWeights([]float64{0.75, 0.25})
-	r := rng.New(77)
-	const draws = 400_000
-	var zero float64
-	for i := 0; i < draws; i++ {
-		if a.Sample(r) == 0 {
-			zero++
-		}
-	}
-	got := zero / draws
-	if got < 0.745 || got > 0.755 {
-		t.Errorf("weight 0.75 sampled at rate %.4f", got)
-	}
-}
-
 func TestAliasPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"zero-total":     func() { NewAliasCounts([]int64{0, 0}) },

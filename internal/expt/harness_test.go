@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -50,38 +51,17 @@ func TestTableAddRowPanicsOnArity(t *testing.T) {
 }
 
 func TestParallelRepsDeterministic(t *testing.T) {
-	p := Profile{Name: "t", N: 100, Reps: 8, Workers: 4}
-	run := func() []float64 {
-		return ParallelReps(p, 8, 42, func(rep int, r *rng.Rand) float64 {
-			return float64(rep) + r.Float64()
-		})
+	f := func(rep int, r *rng.Rand) float64 { return float64(rep) + r.Float64() }
+	run := func(workers int) []float64 {
+		return ParallelReps(Profile{Name: "t", N: 100, Reps: 8, Workers: workers}, 8, 42, f)
 	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rep %d differs across identical runs: %v vs %v", i, a[i], b[i])
+	a := run(4)
+	// Identical across runs, and independent of the worker count.
+	for _, workers := range []int{4, 2, 1} {
+		if b := run(workers); !slices.Equal(a, b) {
+			t.Fatalf("%d workers: %v, 4 workers: %v", workers, b, a)
 		}
 	}
-	// And independent of worker count.
-	p1 := p
-	p1.Workers = 1
-	c := ParallelReps(p1, 8, 42, func(rep int, r *rng.Rand) float64 {
-		return float64(rep) + r.Float64()
-	})
-	// Worker-count independence holds for the multi-worker path (seeds are
-	// pre-derived); the single-worker path uses stream derivation, so only
-	// check the multi-worker paths against each other.
-	p2 := p
-	p2.Workers = 2
-	d := ParallelReps(p2, 8, 42, func(rep int, r *rng.Rand) float64 {
-		return float64(rep) + r.Float64()
-	})
-	for i := range a {
-		if a[i] != d[i] {
-			t.Fatalf("rep %d differs between 4 and 2 workers", i)
-		}
-	}
-	_ = c
 }
 
 func TestRegistryComplete(t *testing.T) {

@@ -282,8 +282,3 @@ func (a *Agg) Wilson(z float64) (lo, hi float64) {
 func (a *Agg) Rounds() stats.Summary {
 	return stats.Summarize(a.rounds)
 }
-
-// RoundsQuantiles returns the requested quantiles of the rounds sample.
-func (a *Agg) RoundsQuantiles(qs ...float64) []float64 {
-	return stats.Quantiles(a.rounds, qs...)
-}

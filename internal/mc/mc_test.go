@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
 	"reflect"
 	"testing"
 
@@ -205,10 +204,6 @@ func TestAggregate(t *testing.T) {
 	lo, hi := a.Wilson(1.96)
 	if !(0 <= lo && lo <= 0.75 && 0.75 <= hi && hi <= 1) {
 		t.Errorf("Wilson = [%g, %g]", lo, hi)
-	}
-	qs := a.RoundsQuantiles(0, 0.5, 1)
-	if qs[0] != 10 || math.Abs(qs[1]-25) > 1e-9 || qs[2] != 40 {
-		t.Errorf("RoundsQuantiles = %v", qs)
 	}
 }
 

@@ -16,14 +16,3 @@ func ExampleIterate() {
 	// Output:
 	// leader after 20 rounds: 1.0000
 }
-
-// ExampleIsFixedPoint shows that monochromatic points are absorbing and
-// that polling's mean-field map is the identity (every point is fixed —
-// the voter martingale).
-func ExampleIsFixedPoint() {
-	fmt.Println(meanfield.IsFixedPoint(dynamics.ThreeMajority{}, []float64{1, 0}, 1e-9))
-	fmt.Println(meanfield.IsFixedPoint(dynamics.Polling{}, []float64{0.37, 0.63}, 1e-6))
-	// Output:
-	// true
-	// true
-}

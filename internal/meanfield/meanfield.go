@@ -55,25 +55,6 @@ func Iterate(model dynamics.ProbModel, x0 []float64, rounds int) [][]float64 {
 	return traj
 }
 
-// IterateUntil runs the recursion until the leading fraction exceeds the
-// threshold or maxRounds is hit, returning the number of rounds used and
-// the final vector.
-func IterateUntil(model dynamics.ProbModel, x0 []float64, threshold float64, maxRounds int) (int, []float64) {
-	cur := append([]float64(nil), x0...)
-	buf := make([]float64, len(cur))
-	for t := 0; t < maxRounds; t++ {
-		if maxOf(cur) >= threshold {
-			return t, cur
-		}
-		Step(model, cur, buf)
-		cur, buf = buf, cur
-	}
-	return maxRounds, cur
-}
-
-// Fractions converts a configuration to its fraction vector.
-func Fractions(c colorcfg.Config) []float64 { return c.Fractions() }
-
 // Distance returns the L1 distance between two fraction vectors.
 func Distance(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -84,22 +65,4 @@ func Distance(a, b []float64) float64 {
 		d += math.Abs(a[i] - b[i])
 	}
 	return d
-}
-
-// IsFixedPoint reports whether x is (numerically) a fixed point of the
-// mean-field map within tol in L1.
-func IsFixedPoint(model dynamics.ProbModel, x []float64, tol float64) bool {
-	next := make([]float64, len(x))
-	Step(model, x, next)
-	return Distance(x, next) <= tol
-}
-
-func maxOf(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, v := range xs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }

@@ -26,12 +26,20 @@ func TestStepPreservesSimplex(t *testing.T) {
 	}
 }
 
+// isFixedPoint reports whether one mean-field step moves x by at most tol
+// in L1.
+func isFixedPoint(model dynamics.ProbModel, x []float64, tol float64) bool {
+	next := make([]float64, len(x))
+	Step(model, x, next)
+	return Distance(x, next) <= tol
+}
+
 func TestVerticesAreFixedPoints(t *testing.T) {
 	for _, model := range []dynamics.ProbModel{
 		dynamics.ThreeMajority{}, dynamics.Median{}, dynamics.Polling{},
 	} {
 		x := []float64{0, 1, 0}
-		if !IsFixedPoint(model, x, 1e-9) {
+		if !isFixedPoint(model, x, 1e-9) {
 			t.Errorf("%T: monochromatic vertex is not a fixed point", model)
 		}
 	}
@@ -40,7 +48,7 @@ func TestVerticesAreFixedPoints(t *testing.T) {
 func TestUniformIsFixedPointButUnstable(t *testing.T) {
 	// The balanced point is fixed for 3-majority by symmetry...
 	x := []float64{0.25, 0.25, 0.25, 0.25}
-	if !IsFixedPoint(dynamics.ThreeMajority{}, x, 1e-6) {
+	if !isFixedPoint(dynamics.ThreeMajority{}, x, 1e-6) {
 		t.Error("uniform point should be fixed")
 	}
 	// ...but any perturbation grows (Lemma 2): after iterating, the
@@ -76,12 +84,9 @@ func TestMedianMeanFieldConvergesToMedianColor(t *testing.T) {
 	// wins regardless of the plurality. Color 0 has 40%, but the median
 	// sample (CDF crossing 1/2) is color 1.
 	x := []float64{0.4, 0.35, 0.25}
-	rounds, final := IterateUntil(dynamics.Median{}, x, 0.999, 200)
-	if rounds >= 200 {
-		t.Fatalf("median mean-field did not converge: %v", final)
-	}
-	if final[1] < 0.999 {
-		t.Fatalf("median mean-field converged to wrong color: %v", final)
+	traj := Iterate(dynamics.Median{}, x, 200)
+	if final := traj[len(traj)-1]; final[1] < 0.999 {
+		t.Fatalf("median mean-field did not converge to color 1 in 200 rounds: %v", final)
 	}
 }
 
@@ -103,13 +108,13 @@ func TestStochasticTracksMeanField(t *testing.T) {
 	// step by O(1/sqrt n) per color.
 	n := int64(1_000_000)
 	init := colorcfg.Biased(n, 4, 100_000)
-	x := Fractions(init)
+	x := init.Fractions()
 	want := make([]float64, 4)
 	Step(dynamics.ThreeMajority{}, x, want)
 
 	e := engine.NewCliqueMultinomial(dynamics.ThreeMajority{}, init)
 	e.Step(rng.New(1))
-	got := Fractions(e.Config())
+	got := e.Config().Fractions()
 	for j := range want {
 		if math.Abs(got[j]-want[j]) > 5/math.Sqrt(float64(n)) {
 			t.Errorf("color %d: stochastic %v vs mean-field %v", j, got[j], want[j])

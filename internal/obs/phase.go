@@ -32,15 +32,12 @@ func (p Phase) String() string {
 	return fmt.Sprintf("Phase(%d)", int(p))
 }
 
-// PhaseOf classifies a round of a population of n agents given the
-// extinction threshold (pass <= 0 for the paper's log²n-flavored default
-// of minority mass <= polylogCut, with polylogCut = max(100, n/1000)).
-func PhaseOf(st RoundStats, n int64, polylogCut int64) Phase {
-	if polylogCut <= 0 {
-		polylogCut = max(100, n/1000)
-	}
+// PhaseOf classifies a round of a population of n agents. The round is
+// in extinction once its minority mass is at most max(100, n/1000), a
+// log²n-flavored cut after the paper.
+func PhaseOf(st RoundStats, n int64) Phase {
 	switch {
-	case st.MinorityMass <= polylogCut:
+	case st.MinorityMass <= max(100, n/1000):
 		return PhaseExtinction
 	case st.CMax >= 2*n/3:
 		return PhaseDecay
@@ -74,7 +71,7 @@ func Segments(rounds []RoundStats) []Segment {
 	n := first.CMax + first.MinorityMass
 	var out []Segment
 	cur := Segment{
-		Phase:     PhaseOf(first, n, 0),
+		Phase:     PhaseOf(first, n),
 		FromRound: first.Round,
 		ToRound:   first.Round,
 		FromCMax:  first.CMax,
@@ -89,7 +86,7 @@ func Segments(rounds []RoundStats) []Segment {
 	}
 	for i := 1; i < len(rounds); i++ {
 		st := rounds[i]
-		if ph := PhaseOf(st, n, 0); ph != cur.Phase {
+		if ph := PhaseOf(st, n); ph != cur.Phase {
 			flush()
 			cur = Segment{Phase: ph, FromRound: st.Round, FromCMax: st.CMax}
 			growthSum, growthCnt = 0, 0

@@ -61,13 +61,9 @@ func TestPhaseOf(t *testing.T) {
 		{obs.RoundStats{CMax: 9950, MinorityMass: 50}, obs.PhaseExtinction},
 	}
 	for _, c := range cases {
-		if got := obs.PhaseOf(c.st, n, 0); got != c.want {
+		if got := obs.PhaseOf(c.st, n); got != c.want {
 			t.Errorf("PhaseOf(%+v) = %v, want %v", c.st, got, c.want)
 		}
-	}
-	// Explicit cut.
-	if obs.PhaseOf(obs.RoundStats{CMax: 9400, MinorityMass: 600}, n, 700) != obs.PhaseExtinction {
-		t.Error("explicit polylog cut ignored")
 	}
 }
 

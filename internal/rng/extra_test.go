@@ -5,29 +5,6 @@ import (
 	"testing"
 )
 
-func TestUint32Range(t *testing.T) {
-	r := New(21)
-	sum := 0.0
-	const draws = 100000
-	for i := 0; i < draws; i++ {
-		sum += float64(r.Uint32())
-	}
-	mean := sum / draws
-	want := float64(1<<31) - 0.5
-	if math.Abs(mean-want)/want > 0.01 {
-		t.Fatalf("Uint32 mean %v far from %v", mean, want)
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := New(22)
-	for i := 0; i < 100000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned a negative value")
-		}
-	}
-}
-
 func TestInt63nBoundsAndUniform(t *testing.T) {
 	r := New(23)
 	var counts [7]int

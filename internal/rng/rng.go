@@ -109,16 +109,6 @@ func (r Rand) Next() (uint64, Rand) {
 	return result, r
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (r *Rand) Uint32() uint32 {
-	return uint32(r.Uint64() >> 32)
-}
-
-// Int63 returns a non-negative int64 uniform on [0, 2^63).
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 // It uses Lemire's multiply-shift bounded generation with rejection,
 // which is exact (unbiased) and avoids the modulo operation on the
@@ -165,17 +155,6 @@ func (r *Rand) Bool() bool {
 	return r.Uint64()&1 == 1
 }
 
-// Perm returns a uniform random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle permutes s uniformly at random in place (Fisher–Yates). It
 // draws r.Intn(i+1) for i = len(s)-1 down to 1 and swaps s[i] with the
 // drawn index, so a seed fixes the permutation. The draw is Uint64n's
@@ -217,7 +196,8 @@ var jumpPoly = [4]uint64{
 
 // Jump advances the generator by 2^128 steps, equivalent to 2^128 calls to
 // Uint64. It can be used to generate 2^128 non-overlapping subsequences for
-// parallel computations: clone the state, Jump the clone, repeat.
+// parallel computations: copy the generator (a value copy of a Rand has
+// its state), Jump the copy, repeat.
 func (r *Rand) Jump() {
 	var t0, t1, t2, t3 uint64
 	for _, jp := range jumpPoly {
@@ -232,12 +212,4 @@ func (r *Rand) Jump() {
 		}
 	}
 	r.s0, r.s1, r.s2, r.s3 = t0, t1, t2, t3
-}
-
-// Clone returns a copy of the generator with identical state. The copy and
-// the original produce the same subsequent sequence; typically the copy is
-// Jumped immediately to obtain a disjoint stream.
-func (r *Rand) Clone() *Rand {
-	c := *r
-	return &c
 }

@@ -109,11 +109,17 @@ func TestFloat64Range(t *testing.T) {
 	}
 }
 
+// TestPermIsPermutation: Shuffle turns [0, m) into a permutation of it at
+// every length up to 64.
 func TestPermIsPermutation(t *testing.T) {
 	r := New(3)
 	f := func(n uint8) bool {
 		m := int(n%64) + 1
-		p := r.Perm(m)
+		p := make([]int, m)
+		for i := range p {
+			p[i] = i
+		}
+		Shuffle(r, p)
 		seen := make([]bool, m)
 		for _, v := range p {
 			if v < 0 || v >= m || seen[v] {
@@ -128,17 +134,24 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestPermUniformFirstElement: the first entry of a shuffled [0, 5) is
+// uniform over it.
 func TestPermUniformFirstElement(t *testing.T) {
 	r := New(11)
 	const n, draws = 5, 50000
 	var counts [n]int
+	p := make([]int, n)
 	for i := 0; i < draws; i++ {
-		counts[r.Perm(n)[0]]++
+		for j := range p {
+			p[j] = j
+		}
+		Shuffle(r, p)
+		counts[p[0]]++
 	}
 	expected := float64(draws) / n
 	for i, c := range counts {
 		if math.Abs(float64(c)-expected) > 5*math.Sqrt(expected) {
-			t.Fatalf("Perm first element %d count %d deviates from %v", i, c, expected)
+			t.Fatalf("first element %d count %d deviates from %v", i, c, expected)
 		}
 	}
 }
@@ -163,7 +176,7 @@ func TestJumpDisjoint(t *testing.T) {
 	// After a jump the stream should not collide with the pre-jump stream
 	// over a modest window.
 	a := New(77)
-	b := a.Clone()
+	b := *a
 	b.Jump()
 	aVals := make(map[uint64]bool, 4096)
 	for i := 0; i < 4096; i++ {
@@ -180,10 +193,12 @@ func TestJumpDisjoint(t *testing.T) {
 	}
 }
 
+// TestCloneProducesSameSequence: a value copy of a Rand is a clone of
+// it, replaying the original's sequence (TestJumpDisjoint copies one so).
 func TestCloneProducesSameSequence(t *testing.T) {
 	a := New(123)
 	a.Uint64()
-	b := a.Clone()
+	b := *a
 	for i := 0; i < 100; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("clone diverged at draw %d", i)

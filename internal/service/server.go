@@ -215,9 +215,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serving. Idempotent.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether the server is refusing new submissions.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Drain gracefully winds the server down: it stops admitting (503),
 // cancels every job so in-flight replicates finish and are journaled,
 // waits — bounded by ctx — for the executors and synchronous handlers

@@ -31,9 +31,6 @@ const (
 	// traceRingCap bounds the retained rounds per traced replicate;
 	// longer runs keep the most recent rounds plus the summary line.
 	traceRingCap = 2048
-	// traceMemEvery is the ReadMemStats sampling stride for traced
-	// replicates.
-	traceMemEvery = 64
 	// traceRoundEventGap is the minimum spacing between SSE "round"
 	// events of one job, so a fast run cannot flood the hub.
 	traceRoundEventGap = 200 * time.Millisecond
@@ -100,7 +97,6 @@ func (jt *jobTracer) observerFor(seed uint64) obs.Observer {
 	}
 	o := &repObserver{rep: rep, jt: jt, durs: newHistogram(roundDurBuckets)}
 	o.rec.Cap = traceRingCap
-	o.rec.MemEvery = traceMemEvery
 	jt.mu.Lock()
 	jt.recs[seed] = o
 	jt.mu.Unlock()

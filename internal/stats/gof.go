@@ -1,15 +1,12 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // This file holds the goodness-of-fit toolkit shared by the sampler tests
 // (internal/dist), the engine distribution cross-checks (internal/engine)
 // and the statistical validation harness (internal/validate): chi-square
 // GOF with automatic bin collapsing, critical values at arbitrary α, a
-// one-sample Kolmogorov–Smirnov test, and total-variation distance.
+// Kolmogorov–Smirnov test for discrete laws, and total-variation distance.
 
 // MinExpectedPerBin is the smallest expected count a chi-square bin may
 // carry; ChiSquareGOF collapses adjacent bins until each aggregated bin
@@ -108,37 +105,14 @@ func NormalQuantile(p float64) float64 {
 	return x - u/(1+x*u/2)
 }
 
-// KSTest computes the one-sample Kolmogorov–Smirnov statistic
-// D = sup |F_empirical − F| of a sample against a theoretical CDF.
-// The sample is sorted into a private copy. It panics on an empty sample.
-func KSTest(sample []float64, cdf func(float64) float64) float64 {
-	if len(sample) == 0 {
-		panic("stats: KSTest on empty sample")
-	}
-	sorted := append([]float64(nil), sample...)
-	sort.Float64s(sorted)
-	n := float64(len(sorted))
-	d := 0.0
-	for i, x := range sorted {
-		f := cdf(x)
-		if hi := float64(i+1)/n - f; hi > d {
-			d = hi
-		}
-		if lo := f - float64(i)/n; lo > d {
-			d = lo
-		}
-	}
-	return d
-}
-
 // KSDiscrete returns sup_x |F_n(x) − F(x)| between an observed histogram
 // and an expected one over the same integer-indexed support (both are
 // normalized internally). This is the correct KS statistic for discrete
-// data — the continuous-sample formula of KSTest over-counts at atoms
-// with tied observations. Compared against KSCriticalValue the test is
-// conservative for discrete laws (true α below nominal), which is the
-// safe direction for a validation gate. It panics on a length mismatch
-// or empty mass.
+// data — the continuous-sample formula over the sorted sample over-counts
+// at atoms with tied observations. Compared against KSCriticalValue the
+// test is conservative for discrete laws (true α below nominal), which is
+// the safe direction for a validation gate. It panics on a length
+// mismatch or empty mass.
 func KSDiscrete(obs, exp []float64) float64 {
 	if len(obs) != len(exp) {
 		panic("stats: KSDiscrete length mismatch")

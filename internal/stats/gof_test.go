@@ -145,30 +145,32 @@ func TestChiSquareGOFCalibration(t *testing.T) {
 	}
 }
 
+// TestKSTestUniform runs the discrete KS test the chain checks in
+// internal/validate use: a uniform sample binned into 20 cells passes at
+// α = 0.001, and the same sample shrunk by 0.8 fails.
 func TestKSTestUniform(t *testing.T) {
 	r := rng.New(3)
-	sample := make([]float64, 5000)
+	const n, bins = 5000, 20
+	sample := make([]float64, n)
 	for i := range sample {
 		sample[i] = r.Float64()
 	}
-	d := KSTest(sample, func(x float64) float64 {
-		if x < 0 {
-			return 0
+	exp := make([]float64, bins)
+	for j := range exp {
+		exp[j] = 1
+	}
+	hist := func(scale float64) []float64 {
+		obs := make([]float64, bins)
+		for _, x := range sample {
+			obs[int(x*scale*bins)]++
 		}
-		if x > 1 {
-			return 1
-		}
-		return x
-	})
-	if crit := KSCriticalValue(len(sample), 0.001); d > crit {
+		return obs
+	}
+	crit := KSCriticalValue(n, 0.001)
+	if d := KSDiscrete(hist(1), exp); d > crit {
 		t.Errorf("uniform sample rejected: D=%v > crit %v", d, crit)
 	}
-	// A shifted sample must be rejected.
-	for i := range sample {
-		sample[i] = sample[i] * 0.8
-	}
-	d = KSTest(sample, func(x float64) float64 { return math.Min(math.Max(x, 0), 1) })
-	if crit := KSCriticalValue(len(sample), 0.001); d <= crit {
+	if d := KSDiscrete(hist(0.8), exp); d <= crit {
 		t.Errorf("shifted sample accepted: D=%v <= crit %v", d, crit)
 	}
 }

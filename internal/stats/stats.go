@@ -1,15 +1,13 @@
 // Package stats provides the small statistical toolkit used by the
-// benchmark harness: summary statistics, quantiles, confidence intervals
-// (Wilson for proportions, bootstrap for means), and least-squares fits
-// (including log-log slope fits used to estimate scaling exponents).
+// benchmark harness: summary statistics, quantiles, the Wilson interval
+// for proportions, and least-squares fits (including log-log slope fits
+// used to estimate scaling exponents).
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-
-	"plurality/internal/rng"
 )
 
 // Summary holds the usual one-pass summary of a sample. The JSON field
@@ -134,28 +132,6 @@ func WilsonInterval(successes, trials int, z float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// BootstrapMeanCI returns a percentile bootstrap confidence interval for
-// the mean at the given level (e.g. 0.95) using B resamples.
-func BootstrapMeanCI(xs []float64, level float64, b int, r *rng.Rand) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: BootstrapMeanCI on empty sample")
-	}
-	if level <= 0 || level >= 1 {
-		panic("stats: BootstrapMeanCI level must be in (0,1)")
-	}
-	means := make([]float64, b)
-	for i := 0; i < b; i++ {
-		sum := 0.0
-		for j := 0; j < len(xs); j++ {
-			sum += xs[r.Intn(len(xs))]
-		}
-		means[i] = sum / float64(len(xs))
-	}
-	sort.Float64s(means)
-	alpha := (1 - level) / 2
-	return Quantile(means, alpha), Quantile(means, 1-alpha)
-}
-
 // Fit is an ordinary least-squares line y = Slope·x + Intercept.
 type Fit struct {
 	Slope     float64
@@ -212,19 +188,4 @@ func LogLogSlope(xs, ys []float64) Fit {
 		ly[i] = math.Log(ys[i])
 	}
 	return LinearFit(lx, ly)
-}
-
-// GeometricMean returns the geometric mean of positive values.
-func GeometricMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: GeometricMean on empty sample")
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeometricMean needs positive data")
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
 }

@@ -127,27 +127,6 @@ func TestWilsonCoverageProperty(t *testing.T) {
 	}
 }
 
-func TestBootstrapMeanCI(t *testing.T) {
-	r := rng.New(3)
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = r.Float64() * 10 // mean 5
-	}
-	lo, hi := BootstrapMeanCI(xs, 0.95, 500, r)
-	if lo >= hi {
-		t.Fatalf("degenerate CI [%v,%v]", lo, hi)
-	}
-	// The percentile bootstrap CI is centered on the sample mean.
-	m := Mean(xs)
-	if lo > m || hi < m {
-		t.Fatalf("CI [%v,%v] misses sample mean %v", lo, hi, m)
-	}
-	// Width should be a few standard errors (sd/sqrt(n) ~ 0.2).
-	if hi-lo > 1.5 {
-		t.Fatalf("CI implausibly wide: [%v,%v]", lo, hi)
-	}
-}
-
 func TestLinearFitExact(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{5, 7, 9, 11} // y = 2x + 3
@@ -199,24 +178,14 @@ func TestLogLogSlopePanicsNonPositive(t *testing.T) {
 	LogLogSlope([]float64{1, 0}, []float64{1, 2})
 }
 
-func TestGeometricMean(t *testing.T) {
-	if gm := GeometricMean([]float64{1, 4, 16}); math.Abs(gm-4) > 1e-12 {
-		t.Fatalf("gm = %v", gm)
-	}
-}
-
 func TestFitPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"short":     func() { LinearFit([]float64{1}, []float64{1}) },
 		"mismatch":  func() { LinearFit([]float64{1, 2}, []float64{1}) },
 		"constantX": func() { LinearFit([]float64{2, 2}, []float64{1, 3}) },
-		"gmEmpty":   func() { GeometricMean(nil) },
-		"gmNeg":     func() { GeometricMean([]float64{1, -2}) },
 		"meanEmpty": func() { Mean(nil) },
 		"wilson0":   func() { WilsonInterval(1, 0, 1.96) },
 		"quantile0": func() { Quantile(nil, 0.5) },
-		"bootLevel": func() { BootstrapMeanCI([]float64{1}, 1.5, 10, rng.New(1)) },
-		"bootEmpty": func() { BootstrapMeanCI(nil, 0.9, 10, rng.New(1)) },
 	} {
 		func() {
 			defer func() {

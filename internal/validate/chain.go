@@ -163,14 +163,18 @@ func NegativeControlSpec(eps float64, initial colorcfg.Config, rounds int) Chain
 	}
 }
 
+// familyAlpha is the family-wise error rate across all chain checks in one
+// CertifyChainFamily call; each test runs at familyAlpha / family size.
+const familyAlpha = 1e-3
+
 // CertifyChainFamily runs every spec's chi-square and KS checks with a
 // Bonferroni correction across the whole family (two tests per spec), so
 // the probability that a fully correct engine set produces any failure
-// is at most opts.FamilyAlpha. Results come back in spec order,
-// chi-square before KS for each spec.
+// is at most familyAlpha. Results come back in spec order, chi-square
+// before KS for each spec.
 func CertifyChainFamily(specs []ChainSpec, opts Options) []CheckResult {
 	opts = opts.withDefaults()
-	alphaPer := opts.FamilyAlpha / float64(2*len(specs))
+	alphaPer := familyAlpha / float64(2*len(specs))
 	out := make([]CheckResult, 0, 2*len(specs))
 	for i, spec := range specs {
 		chi, ks := certifyChain(spec, alphaPer, opts.Seed+uint64(i), opts)

@@ -59,7 +59,7 @@ type CheckResult struct {
 	// DF is the chi-square degrees of freedom (chain-chi2 only).
 	DF int `json:"df,omitempty"`
 	// Alpha is the per-test significance level after the Bonferroni
-	// correction (FamilyAlpha / family size).
+	// correction (familyAlpha / family size).
 	Alpha float64 `json:"alpha,omitempty"`
 	// TV is the empirical total-variation distance between the engine's
 	// state histogram and the exact distribution (chain checks only).
@@ -103,10 +103,6 @@ type Options struct {
 	// Replicates is the number of independent engine runs per chain
 	// check (default 4000).
 	Replicates int
-	// FamilyAlpha is the family-wise error rate across all chain checks
-	// in one CertifyChainFamily call (default 1e-3); each individual
-	// test runs at FamilyAlpha / family-size (Bonferroni).
-	FamilyAlpha float64
 	// Seed is the base seed; check i of a family derives its replicate
 	// seeds from Seed+i. Fixed seeds make every verdict deterministic.
 	Seed uint64
@@ -118,9 +114,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Replicates <= 0 {
 		o.Replicates = 4000
-	}
-	if o.FamilyAlpha <= 0 {
-		o.FamilyAlpha = 1e-3
 	}
 	return o
 }

@@ -12,7 +12,7 @@ import (
 
 // testOpts returns the deterministic option set used across the suite.
 func testOpts(seed uint64) Options {
-	return Options{Replicates: 4000, FamilyAlpha: 1e-3, Seed: seed}
+	return Options{Replicates: 4000, Seed: seed}
 }
 
 // certFamily is the acceptance family: every clique engine × two start
@@ -78,7 +78,7 @@ func TestNegativeControlSubtle(t *testing.T) {
 		t.Skip("power check is slow")
 	}
 	specs := []ChainSpec{NegativeControlSpec(0.08, colorcfg.FromCounts(4, 3, 1), 3)}
-	results := CertifyChainFamily(specs, Options{Replicates: 8000, FamilyAlpha: 1e-3, Seed: 44})
+	results := CertifyChainFamily(specs, Options{Replicates: 8000, Seed: 44})
 	if results[0].Pass {
 		t.Errorf("eps=0.08 mutant passed chi-square at 8000 replicates: %s", results[0])
 	}
