@@ -245,7 +245,7 @@ func BenchmarkEngineGraphRoundSparseObserved(b *testing.B) {
 // be 48 GB as a CSR but is 0 B here.
 func BenchmarkEngineGraphRoundImplicit(b *testing.B) {
 	const n = 1_000_000 // 100³
-	src, err := topo.BuildSource("torus:3", n, nil, topo.BuildOpts{Mode: topo.ModeImplicit})
+	src, err := topo.BuildSource("torus:3", n, nil, topo.BuildOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -266,8 +266,7 @@ func BenchmarkEngineGraphRoundImplicit(b *testing.B) {
 func BenchmarkEngineGraphRoundMmap(b *testing.B) {
 	const n = 1_000_000
 	path := filepath.Join(b.TempDir(), "regular8.csr")
-	src, err := topo.BuildSource("regular:8", n, rng.New(4),
-		topo.BuildOpts{Mode: topo.ModeMmap, Path: path})
+	src, err := topo.BuildSource("regular:8", n, rng.New(4), topo.BuildOpts{Path: path})
 	if err != nil {
 		b.Fatal(err)
 	}

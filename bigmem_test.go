@@ -59,7 +59,7 @@ func TestBigmemImplicitTorus(t *testing.T) {
 		t.Skip("set PLURALITY_BIGMEM=1 to run the 10^8-vertex smoke")
 	}
 	const n = 100_000_000 // 10⁴ × 10⁴ torus
-	src, err := topo.BuildSource("torus", n, nil, topo.BuildOpts{Mode: topo.ModeImplicit})
+	src, err := topo.BuildSource("torus", n, nil, topo.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,8 +9,8 @@
 //	plurality -rule hplurality:9 -engine sampled -n 50000 -k 16 -bias auto
 //	plurality -rule undecided -n 100000 -k 8 -bias 20000
 //	plurality -engine graph -graph torus -n 10000 -k 4 -bias 2000
-//	plurality -engine graph -graph torus:3 -graph-mode implicit -n 1000000000 -k 3 -bias auto
-//	plurality -engine graph -graph smallworld:2:0.1 -graph-mode mmap -graph-file /data/sw.csr -n 100000000 -k 3 -bias auto
+//	plurality -engine graph -graph torus:3 -n 1000000000 -k 3 -bias auto
+//	plurality -engine graph -graph smallworld:2:0.1 -graph-file /data/sw.csr -n 100000000 -k 3 -bias auto
 //	plurality -adversary strongest:200 -n 200000 -k 4 -bias auto
 //
 // The flags -rule, -engine, -graph, -n, -k, -bias, -seed and -max-rounds
@@ -20,8 +20,11 @@
 // rng.New(seed)), and the run draws from rng.New(mc.RepSeeds(seed, 1)[0]).
 // A -trace file carries that replicate's header (JobSpec.TraceHeader: the
 // job name, rep 0 and the replicate's seed), as sweep -trace-dir files
-// and traced pluralityd jobs do.
-// -workers never changes a run, so at any -workers and without
+// and traced pluralityd jobs do. Without -graph-file the graph is the
+// family default: an implicit family computes its neighbors, and any
+// other is built in RAM. With it the graph's CSR is served memory-mapped
+// from that file, built there first if the file is absent. Neither
+// -workers nor -graph-file changes a run, so at any -workers and without
 // -adversary or -m-plurality, a run reports the rounds and outcome that
 // replicate 0 of the pluralityd job with the same spec records. The
 // exception is undecided: the run goes on to full consensus
@@ -55,12 +58,11 @@ import (
 	"plurality/internal/topo"
 )
 
-// config collects the flags: spec is the run; the rest pick the topology
-// backend and worker count, the CLI-side core.Options (adversary, stop
+// config collects the flags: spec is the run; the rest pick the graph
+// file and worker count, the CLI-side core.Options (adversary, stop
 // rule) and what is printed or written.
 type config struct {
 	spec        service.JobSpec
-	graphMode   string
 	graphFile   string
 	workers     int
 	adversary   string
@@ -76,8 +78,7 @@ func main() {
 	flag.StringVar(&s.Rule, "rule", "3majority", "dynamics: 3majority | 3majority-utie | hplurality:H | median | polling | 2choices | 2choices-keepown | undecided")
 	flag.StringVar(&s.Engine, "engine", "auto", "engine: auto | multinomial | sampled | graph | population")
 	flag.StringVar(&s.Graph, "graph", "complete", "topology for -engine graph (internal/topo registry spec): complete | cycle | star | torus[:DIMS] | hypercube | regular:D | gnp:P | smallworld:K:BETA | ba:M | sbm:B:PIN:POUT | barbell:D")
-	flag.StringVar(&cfg.graphMode, "graph-mode", "auto", "topology backend for -engine graph: auto | implicit (zero materialization) | csr (force in-RAM) | mmap (serve from -graph-file, building it first if absent)")
-	flag.StringVar(&cfg.graphFile, "graph-file", "", "CSR file for -graph-mode mmap (created atomically when missing)")
+	flag.StringVar(&cfg.graphFile, "graph-file", "", "serve the -engine graph topology memory-mapped from this CSR file, created atomically when missing (default: in RAM, or computed for an implicit family)")
 	flag.Int64Var(&s.N, "n", 100_000, "number of agents")
 	flag.IntVar(&s.K, "k", 8, "number of colors")
 	flag.StringVar(&s.Bias, "bias", "auto", "initial additive bias (integer) or 'auto' for the Corollary 1 threshold")
@@ -107,10 +108,13 @@ func build(cfg config) (service.JobSpec, engine.Engine, *rng.Rand, error) {
 	if err := spec.Check(); err != nil {
 		return spec, nil, nil, err
 	}
+	if cfg.graphFile != "" && spec.Engine != "graph" {
+		return spec, nil, nil, fmt.Errorf("-graph-file needs -engine graph, got -engine %s", spec.Engine)
+	}
 	var g topo.NeighborSource
 	if spec.Engine == "graph" {
 		var err error
-		g, err = spec.BuildGraph(topo.BuildOpts{Mode: topo.Mode(cfg.graphMode), Path: cfg.graphFile})
+		g, err = spec.BuildGraph(topo.BuildOpts{Path: cfg.graphFile})
 		if err != nil {
 			return spec, nil, nil, err
 		}

@@ -14,6 +14,7 @@ import (
 	"plurality/internal/mc"
 	"plurality/internal/obs"
 	"plurality/internal/service"
+	"plurality/internal/topo"
 )
 
 // testCfg is a small run with the flags' defaults for everything but the
@@ -22,21 +23,20 @@ func testCfg() config {
 	return config{
 		spec: service.JobSpec{Rule: "3majority", Engine: "auto", Graph: "complete",
 			N: 2000, K: 3, Bias: "auto", Seed: 1, MaxRounds: 10000},
-		graphMode:  "auto",
 		workers:    2,
 		adversary:  "none",
 		mPlurality: -1,
 	}
 }
 
-// graphCfg is a graph-engine run on n vertices with bias 20.
-func graphCfg(graph, mode, file string, n int64) config {
+// graphCfg is a graph-engine run on n vertices with bias 20, its graph
+// served from file when that is set.
+func graphCfg(graph, file string, n int64) config {
 	cfg := testCfg()
 	cfg.spec.Engine = "graph"
 	cfg.spec.Graph = graph
 	cfg.spec.N = n
 	cfg.spec.Bias = "20"
-	cfg.graphMode = mode
 	cfg.graphFile = file
 	cfg.workers = 1
 	return cfg
@@ -111,7 +111,7 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 		if spec == "hypercube" {
 			n = 128
 		}
-		_, e, _, err := build(graphCfg(spec, "auto", "", n))
+		_, e, _, err := build(graphCfg(spec, "", n))
 		if err != nil {
 			t.Errorf("build(graph, %q): %v", spec, err)
 			continue
@@ -122,38 +122,48 @@ func TestBuildEngineGraphSpecs(t *testing.T) {
 		e.Close()
 	}
 	for _, bad := range []string{"nope", "regular:x", "gnp:y", "torus:0"} {
-		if _, _, _, err := build(graphCfg(bad, "auto", "", 100)); err == nil {
+		if _, _, _, err := build(graphCfg(bad, "", 100)); err == nil {
 			t.Errorf("build(graph, %q) should fail", bad)
 		}
 	}
-	if _, _, _, err := build(graphCfg("torus", "auto", "", 101)); err == nil {
+	if _, _, _, err := build(graphCfg("torus", "", 101)); err == nil {
 		t.Error("non-square torus accepted")
 	}
+}
 
-	// Backend modes: implicit needs no file, mmap builds one and reuses it,
-	// and mmap without a path is rejected up front.
-	for _, mode := range []string{"implicit", "csr"} {
-		_, e, _, err := build(graphCfg("torus", mode, "", 100))
-		if err != nil {
-			t.Fatalf("mode %s: %v", mode, err)
+// TestGraphFile pins -graph-file: it maps the graph exactly when set,
+// building the file on first use and reusing it after, and the mapped
+// graph runs exactly as the in-RAM one does. Without -engine graph the
+// flag is an error.
+func TestGraphFile(t *testing.T) {
+	var want bytes.Buffer
+	if _, err := run(&want, graphCfg("regular:4", "", 100)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "g.csr")
+	for i := 0; i < 2; i++ { // the second pass reuses the file
+		var got bytes.Buffer
+		if _, err := run(&got, graphCfg("regular:4", path, 100)); err != nil {
+			t.Fatalf("pass %d: %v", i, err)
 		}
-		e.Close()
-	}
-	path := filepath.Join(t.TempDir(), "t.csr")
-	for i := 0; i < 2; i++ { // second pass exercises cache reuse
-		_, e, _, err := build(graphCfg("torus", "mmap", path, 100))
-		if err != nil {
-			t.Fatalf("mmap pass %d: %v", i, err)
+		if got.String() != want.String() {
+			t.Fatalf("pass %d: mapped run printed\n%s\nin-RAM run printed\n%s", i, got.String(), want.String())
 		}
-		e.Close()
 	}
-	if _, _, _, err := build(graphCfg("torus", "mmap", "", 100)); err == nil {
-		t.Error("mmap without -graph-file accepted")
+	m, err := topo.OpenCSR(path)
+	if err != nil {
+		t.Fatalf("-graph-file left no CSR file: %v", err)
 	}
-	if _, _, _, err := build(graphCfg("torus", "nope", "", 100)); err == nil {
-		t.Error("unknown graph mode accepted")
+	if m.Name() != "regular:4" || m.N() != 100 {
+		t.Errorf("-graph-file holds %q with n=%d, want regular:4 with n=100", m.Name(), m.N())
 	}
+	m.Close()
 
+	cfg := testCfg()
+	cfg.graphFile = filepath.Join(t.TempDir(), "unused.csr")
+	if _, _, _, err := build(cfg); err == nil || !strings.Contains(err.Error(), "-graph-file needs -engine graph") {
+		t.Errorf("-graph-file without -engine graph: error = %v", err)
+	}
 }
 
 // TestRunRejectsBadSpecs pins fail-closed input handling: each case used
@@ -284,7 +294,7 @@ func TestRunEndToEnd(t *testing.T) {
 	if _, err := run(io.Discard, sampled); err != nil {
 		t.Fatalf("run sampled: %v", err)
 	}
-	graph := graphCfg("torus", "auto", "", 900)
+	graph := graphCfg("torus", "", 900)
 	graph.workers = 2
 	if _, err := run(io.Discard, graph); err != nil {
 		t.Fatalf("run graph: %v", err)

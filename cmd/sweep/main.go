@@ -10,6 +10,7 @@
 //	sweep -workers 8 -format jsonl -out grid.jsonl        # stream replicates
 //	sweep -format jsonl -out grid.jsonl -resume           # finish an interrupted grid
 //	sweep -ns 100000 -reps 8 -trace-dir traces/           # per-cell telemetry traces
+//	sweep -graphs regular:8 -ns 10000000 -graph-dir graphs/  # mapped graph files
 //
 // Every cell is an internal/service JobSpec, the spec pluralityd accepts
 // as a job: engine "auto" on "complete" (the paper's clique, on the
@@ -20,6 +21,12 @@
 // cell's spec, which also seeds the graph. A cell runs the job its spec
 // compiles to, so its JSONL records carry JobSpec.Name() and are
 // byte-identical to the records of the pluralityd job with that spec.
+// Without -graph-dir a cell's graph is the family default: an implicit
+// family computes its neighbors, and any other is built in RAM. With it
+// the cell maps the graph's CSR from a file in that directory, named by
+// topo.CacheFileName (spec, n, graph seed) and built there first if
+// absent, so a rerun of the grid reuses the file. The records are the
+// same either way.
 // Every cell passes JobSpec.Check — Validate without the daemon's
 // resource caps — before the first byte of output.
 //
@@ -67,7 +74,6 @@ const csvHeader = "rule,graph,n,k,bias_mult,bias,reps,rounds_mean,rounds_std,suc
 type config struct {
 	rules     string
 	graphs    string
-	graphMode string
 	graphDir  string
 	ns        string
 	ks        string
@@ -87,8 +93,7 @@ func main() {
 	flag.StringVar(&cfg.rules, "rules", "3majority", "comma-separated rules: 3majority | 3majority-utie | median | polling | 2choices | hplurality:H | 2choices-keepown | undecided (the last two on complete only)")
 	flag.StringVar(&cfg.graphs, "graphs", "complete",
 		"comma-separated topology specs ("+strings.Join(topo.FamilyUsages(), " | ")+")")
-	flag.StringVar(&cfg.graphMode, "graph-mode", "auto", "topology backend: auto | implicit | csr | mmap (mmap caches built graphs under -graph-dir, keyed by spec, n, and graph seed)")
-	flag.StringVar(&cfg.graphDir, "graph-dir", "", "directory for -graph-mode mmap CSR files (required there)")
+	flag.StringVar(&cfg.graphDir, "graph-dir", "", "serve each graph cell's topology memory-mapped from a CSR file in this directory, keyed by spec, n, and graph seed and built when missing (default: in RAM, or computed for an implicit family)")
 	flag.StringVar(&cfg.ns, "ns", "100000", "comma-separated population sizes")
 	flag.StringVar(&cfg.ks, "ks", "2,8,32", "comma-separated color counts")
 	flag.StringVar(&cfg.cs, "cs", "1", "comma-separated bias multipliers applied to the Cor-1 threshold")
@@ -121,18 +126,15 @@ func run(ctx context.Context, cfg config) error {
 	if cfg.format != "csv" && cfg.format != "jsonl" {
 		return fmt.Errorf("unknown -format %q (want csv or jsonl)", cfg.format)
 	}
-	if mode, err := topo.ParseMode(cfg.graphMode); err != nil {
-		return err
-	} else if mode == topo.ModeMmap && cfg.graphDir == "" {
-		return errors.New("-graph-mode mmap requires -graph-dir")
-	}
 	cells, err := grid(cfg)
 	if err != nil {
 		return err
 	}
-	if cfg.traceDir != "" {
-		if err := os.MkdirAll(cfg.traceDir, 0o755); err != nil {
-			return err
+	for _, dir := range []string{cfg.traceDir, cfg.graphDir} {
+		if dir != "" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				return err
+			}
 		}
 	}
 	var done [][]mc.Record
@@ -257,13 +259,7 @@ func newCell(cfg config, rule, g string, n int64, k int, c float64) (cell, error
 	// The seed hashes the seed-free name (seed=0), and the graph shares it.
 	spec.Seed = cellSeed(cfg.seed, spec.Name())
 	spec.GraphSeed = spec.Seed
-	err := spec.Check()
-	if err == nil && spec.Engine == "graph" && topo.Mode(cfg.graphMode) == topo.ModeImplicit {
-		if implicit, _ := topo.IsImplicit(spec.Graph); !implicit {
-			err = fmt.Errorf("%s has no implicit backend for -graph-mode implicit", spec.Graph)
-		}
-	}
-	if err != nil {
+	if err := spec.Check(); err != nil {
 		return cell{}, fmt.Errorf("cell rule=%s graph=%s n=%d k=%d c=%g: %w", rule, g, n, k, c, err)
 	}
 	return cell{spec: spec, c: c}, nil
@@ -297,8 +293,8 @@ func runCell(ctx context.Context, cfg config, pool *mc.Pool, w io.Writer,
 	done []mc.Record, cl cell) error {
 	spec := cl.spec
 	name := spec.Name()
-	gopts := topo.BuildOpts{Mode: topo.Mode(cfg.graphMode)}
-	if gopts.Mode == topo.ModeMmap {
+	var gopts topo.BuildOpts
+	if cfg.graphDir != "" {
 		// The graph seed is a pure function of (base seed, cell spec), so
 		// the cache file name is too: re-running the same sweep reuses the
 		// on-disk graph instead of rebuilding it.

@@ -16,6 +16,7 @@ import (
 	"plurality/internal/mc"
 	"plurality/internal/obs"
 	"plurality/internal/service"
+	"plurality/internal/topo"
 )
 
 // testCfg is a grid small enough for unit tests that still exercises both
@@ -108,7 +109,9 @@ func TestSweepCSVShape(t *testing.T) {
 // through the topo registry: the graph dimension multiplies the cells,
 // non-clique cells run the CSR graph engine, and the output stays
 // deterministic across worker counts (quenched graphs are derived from
-// the cell name, not from scheduling).
+// the cell name, not from scheduling) and across backends: with
+// -graph-dir each graph cell maps its graph from the cache file it
+// writes there.
 func TestSweepGraphGrid(t *testing.T) {
 	cfg := testCfg()
 	cfg.rules = "3majority"
@@ -131,6 +134,26 @@ func TestSweepGraphGrid(t *testing.T) {
 	cfg.workers = 1
 	if runSweep(t, cfg, nil) != out {
 		t.Fatal("graph grid output depends on -workers")
+	}
+	cfg.graphDir = filepath.Join(t.TempDir(), "graphs") // run creates it
+	cfg.out = filepath.Join(t.TempDir(), "grid.csv")
+	if err := run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(cfg.out); string(got) != out {
+		t.Fatal("graph grid output depends on -graph-dir")
+	}
+	cells, err := grid(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cl := range cells[1:] { // the complete cell runs a clique engine
+		name := topo.CacheFileName(cl.spec.Graph, cl.spec.N, cl.spec.GraphSeed)
+		if m, err := topo.OpenCSR(filepath.Join(cfg.graphDir, name)); err != nil {
+			t.Errorf("%s: no cache file in -graph-dir: %v", cl.spec.Graph, err)
+		} else {
+			m.Close()
+		}
 	}
 }
 
@@ -163,7 +186,6 @@ func TestSweepRejectsBadCells(t *testing.T) {
 		{"k one", func(c *config) { c.ks = "1" }, "k must be >= 2, got 1"},
 		{"k above n", func(c *config) { c.ns, c.ks = "10", "20" }, "k = 20 exceeds n = 10"},
 		{"zero reps", func(c *config) { c.reps = 0 }, "replicates must be >= 1, got 0"},
-		{"implicit regular", func(c *config) { c.graphs, c.graphMode = "regular:4", "implicit" }, "no implicit backend"},
 		// Cells sharing a job name would share their -resume records.
 		{"repeated n", func(c *config) { c.ns = "1000,1000" }, "repeats job"},
 		{"c values with one bias", func(c *config) { c.cs = "1,1.0000001" }, "repeats job"},

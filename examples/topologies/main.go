@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"plurality/internal/colorcfg"
@@ -35,14 +34,8 @@ func main() {
 		seed   = flag.Uint64("seed", 7, "base seed")
 		graphs = flag.String("graphs", "complete,regular:8,smallworld:8:0.1,ba:4,gnp:0.0016,torus,sbm:2:0.0032:0.0002,barbell:8,cycle",
 			"comma-separated topo registry specs ("+strings.Join(topo.FamilyUsages(), " | ")+")")
-		mode = flag.String("mode", "auto", "topology backend: auto | implicit | csr | mmap (mmap caches CSR files in the OS temp dir)")
 	)
 	flag.Parse()
-	bmode, err := topo.ParseMode(*mode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "topologies:", err)
-		os.Exit(1)
-	}
 	bias := *n * 3 / 20
 
 	fmt.Printf("3-majority with local sampling: n=%d, k=%d, bias=%d, %d reps, cap %d rounds\n\n",
@@ -57,13 +50,8 @@ func main() {
 			os.Exit(1)
 		}
 		// One quenched graph per topology, shared across replicates; the
-		// gap is a property of the structure, so it is estimated once. The
-		// backend mode is invisible to the results (same rng contract).
-		opts := topo.BuildOpts{Mode: bmode}
-		if bmode == topo.ModeMmap {
-			opts.Path = filepath.Join(os.TempDir(), topo.CacheFileName(canon, *n, *seed))
-		}
-		g, err := topo.BuildSource(canon, *n, rng.New(*seed), opts)
+		// gap is a property of the structure, so it is estimated once.
+		g, err := topo.BuildSource(canon, *n, rng.New(*seed), topo.BuildOpts{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "topologies: %v\n", err)
 			os.Exit(1)

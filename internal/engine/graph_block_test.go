@@ -32,7 +32,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	if isolated == 0 {
 		t.Fatal("gnp graph has no isolated vertex to self-sample")
 	}
-	torus, err := topo.BuildSource("torus:3", n, nil, topo.BuildOpts{Mode: topo.ModeImplicit})
+	torus, err := topo.BuildSource("torus:3", n, nil, topo.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

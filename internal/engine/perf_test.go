@@ -26,14 +26,14 @@ func TestStepZeroAllocs(t *testing.T) {
 	// The implicit torus samples neighbors functionally — nothing but the
 	// color arrays is materialized. n must be an exact cube for torus:3.
 	initTorus := colorcfg.Biased(13_824, 8, 500) // 24³
-	torus, err := topo.BuildSource("torus:3", 13_824, nil, topo.BuildOpts{Mode: topo.ModeImplicit})
+	torus, err := topo.BuildSource("torus:3", 13_824, nil, topo.BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The mmap backend serves the same structure from an on-disk file.
 	mmapPath := filepath.Join(t.TempDir(), "regular8.csr")
-	mmapSrc, err := topo.BuildSource("regular:8", 20_000, rng.New(2), topo.BuildOpts{Mode: topo.ModeMmap, Path: mmapPath})
+	mmapSrc, err := topo.BuildSource("regular:8", 20_000, rng.New(2), topo.BuildOpts{Path: mmapPath})
 	if err != nil {
 		t.Fatal(err)
 	}

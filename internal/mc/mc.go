@@ -133,7 +133,9 @@ type RepTiming struct {
 // advanced by 2^128 steps before any seed is drawn, so replicate seeds
 // never collide with draws a caller makes from rng.New(seed) directly.
 // Seeds are pre-derived for all replicates, which is what makes results
-// independent of worker count and scheduling.
+// independent of worker count and scheduling. They come in order from one
+// stream, so RepSeeds(seed, m) is the first m of RepSeeds(seed, n) for
+// every m <= n.
 func RepSeeds(seed uint64, n int) []uint64 {
 	src := rng.New(seed)
 	src.Jump()

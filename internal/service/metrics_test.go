@@ -12,6 +12,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,56 +64,86 @@ func famValue(t *testing.T, fams map[string]*promtext.Family, family string, lab
 	return v
 }
 
-// TestMetricsScrapeShape pins the exposition contract: every family the
-// observability layer documents is present, correctly typed, and
-// carries HELP text — on a fresh server and after traffic.
-func TestMetricsScrapeShape(t *testing.T) {
-	wantType := map[string]string{
-		"pluralityd_jobs":                      "gauge",
-		"pluralityd_jobs_finished_total":       "counter",
-		"pluralityd_jobs_submitted_total":      "counter",
-		"pluralityd_rejections_total":          "counter",
-		"pluralityd_jobs_deleted_total":        "counter",
-		"pluralityd_jobs_evicted_total":        "counter",
-		"pluralityd_queue_depth":               "gauge",
-		"pluralityd_queue_backlog_limit":       "gauge",
-		"pluralityd_sync_slots_in_use":         "gauge",
-		"pluralityd_sync_slots_limit":          "gauge",
-		"pluralityd_workers":                   "gauge",
-		"pluralityd_worker_busy_seconds_total": "counter",
-		"pluralityd_worker_tasks_total":        "counter",
-		"pluralityd_draining":                  "gauge",
-		"pluralityd_replicates_total":          "counter",
-		"pluralityd_replicates_resumed_total":  "counter",
-		"pluralityd_rounds_total":              "counter",
-		"pluralityd_replicate_rounds":          "histogram",
-		"pluralityd_round_duration_seconds":    "histogram",
-		"pluralityd_journal_fsyncs_total":      "counter",
-		"pluralityd_journal_bytes_total":       "counter",
-		"pluralityd_journal_repairs_total":     "counter",
-		"pluralityd_sse_clients":               "gauge",
-		"pluralityd_sse_events_total":          "counter",
-		"pluralityd_sse_dropped_total":         "counter",
+// documentedFamily is one row of DESIGN.md §10's metrics table: a
+// family's type and its label names, sorted.
+type documentedFamily struct {
+	typ    string
+	labels []string
+}
+
+// documentedFamilies parses DESIGN.md §10's metrics table, keyed by full
+// family name. A row may name several families (`a`, `b`); its labels
+// cell lists label names in backticks, each optionally followed by its
+// values in parentheses, or "—" for none.
+func documentedFamilies(t *testing.T) map[string]documentedFamily {
+	t.Helper()
+	raw, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
 	}
+	_, sec, _ := strings.Cut(string(raw), "\n## §10 ")
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	ticked := regexp.MustCompile("`([a-z_]+)`")
+	values := regexp.MustCompile(`\([^)]*\)`)
+	out := map[string]documentedFamily{}
+	for _, line := range strings.Split(sec, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) != 6 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		labels := []string{}
+		for _, m := range ticked.FindAllStringSubmatch(values.ReplaceAllString(cells[3], ""), -1) {
+			labels = append(labels, m[1])
+		}
+		slices.Sort(labels)
+		for _, m := range ticked.FindAllStringSubmatch(cells[1], -1) {
+			out["pluralityd_"+m[1]] = documentedFamily{typ: strings.TrimSpace(cells[2]), labels: labels}
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("parsed no family from DESIGN.md §10's metrics table")
+	}
+	return out
+}
+
+// TestMetricsScrapeShape pins the exposition contract against DESIGN.md
+// §10's metrics table: the scrape exposes exactly the documented
+// families, each with its documented type, its documented label names
+// on every sample (a histogram's le aside) and HELP text — on a fresh
+// server and after traffic.
+func TestMetricsScrapeShape(t *testing.T) {
+	want := documentedFamilies(t)
 	s, ts := boot(t, service.Options{Workers: 2})
 	defer func() { ts.Close(); s.Close() }()
 
 	check := func(when string) {
 		fams := scrapeMetrics(t, ts)
-		for name, typ := range wantType {
+		for name, doc := range want {
 			f, ok := fams[name]
 			if !ok {
 				t.Fatalf("%s: scrape is missing family %q", when, name)
 			}
-			if f.Type != typ {
-				t.Fatalf("%s: family %q has type %q, want %q", when, name, f.Type, typ)
+			if f.Type != doc.typ {
+				t.Fatalf("%s: family %q has type %q, want %q", when, name, f.Type, doc.typ)
 			}
 			if f.Help == "" {
 				t.Fatalf("%s: family %q has no HELP text", when, name)
 			}
+			for _, sm := range f.Samples {
+				labels := []string{}
+				for l := range sm.Labels {
+					if l != "le" {
+						labels = append(labels, l)
+					}
+				}
+				slices.Sort(labels)
+				if !slices.Equal(labels, doc.labels) {
+					t.Fatalf("%s: sample %s of family %q has labels %v, documented %v", when, sm.Name, name, labels, doc.labels)
+				}
+			}
 		}
 		for name := range fams {
-			if _, ok := wantType[name]; !ok {
+			if _, ok := want[name]; !ok {
 				t.Fatalf("%s: scrape exposes undocumented family %q", when, name)
 			}
 		}

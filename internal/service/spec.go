@@ -201,7 +201,8 @@ func (s *JobSpec) graphMaxN() int64 {
 // bounds every number the registry's validation arithmetic sees, so a
 // hostile request is rejected in constant time. A registry size-cap
 // rejection (topo.ErrTooLarge) gets a remediation hint appended — the
-// client asked for something well-formed that simply does not fit in RAM.
+// client asked for something well-formed that exceeds what any backend,
+// in RAM or mapped from a file, materializes.
 func (s *JobSpec) checkGraph(capped bool) error {
 	maxN := int64(math.MaxInt64)
 	if capped {
@@ -212,7 +213,7 @@ func (s *JobSpec) checkGraph(capped bool) error {
 	}
 	if err := topo.Validate(s.Graph, s.N); err != nil {
 		if errors.Is(err, topo.ErrTooLarge) {
-			return fmt.Errorf("%w (hint: use an implicit family — complete, cycle, star, torus, hypercube — which materializes nothing, or build the graph to disk and run it with mmap mode via cmd/plurality -graph-mode mmap)", err)
+			return fmt.Errorf("%w (hint: use an implicit family — complete, cycle, star, torus, hypercube — which materializes nothing)", err)
 		}
 		return err
 	}

@@ -59,7 +59,7 @@ func newJobTracer(s *Server, j *jobState) *jobTracer {
 	if cap > j.spec.Replicates {
 		cap = j.spec.Replicates
 	}
-	seeds := mc.RepSeeds(j.spec.Seed, j.spec.Replicates)[:cap]
+	seeds := mc.RepSeeds(j.spec.Seed, cap) // a prefix of the job's seeds
 	reps := make(map[uint64]int, len(seeds))
 	for i, seed := range seeds {
 		reps[seed] = i

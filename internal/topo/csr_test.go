@@ -223,10 +223,10 @@ func nonMinimalHeader(file []byte) []byte {
 
 // TestWriteToBytesPinned pins the SHA-256 of the serialized bytes of one
 // generated graph per CSR producer — the regular pairing generator, the
-// Builder (smallworld, gnp, ba), Barbell and MaterializeCSR (a torus built
-// with ModeCSR) — at the values files written before neighbor ids were
-// held as int32 have. Cache files on disk therefore keep opening, and
-// ReadCSR reproduces each graph exactly.
+// Builder (smallworld, gnp, ba), Barbell and MaterializeCSR (a torus) — at
+// the values files written before neighbor ids were held as int32 have.
+// Cache files on disk therefore keep opening, and ReadCSR reproduces each
+// graph exactly.
 func TestWriteToBytesPinned(t *testing.T) {
 	for _, tc := range []struct{ spec, sha string }{
 		{"regular:8", "550bc7e0e2aa53dee061d1a716bff127f59d77201379c62cf9227b4606f06704"},
@@ -236,12 +236,16 @@ func TestWriteToBytesPinned(t *testing.T) {
 		{"ba:3", "60662076e7d89edf7faa87a49d5d3158dd32339cb51cc2856a5094219d8043df"},
 		{"torus", "32a1e48232be8456e8544fd247b83cc06e651653e9aad02ad3e8bba99afbc4ac"},
 	} {
-		src, err := BuildSource(tc.spec, 4096, rng.New(2026), BuildOpts{Mode: ModeCSR})
+		src, err := BuildSource(tc.spec, 4096, rng.New(2026), BuildOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := buildCSR(tc.spec, src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := src.(*CSR).WriteTo(&buf); err != nil {
+		if _, err := g.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != tc.sha {
@@ -251,7 +255,7 @@ func TestWriteToBytesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: ReadCSR: %v", tc.spec, err)
 		}
-		if g := src.(*CSR); !slices.Equal(back.Offsets, g.Offsets) || !slices.Equal(back.Neighbors, g.Neighbors) {
+		if !slices.Equal(back.Offsets, g.Offsets) || !slices.Equal(back.Neighbors, g.Neighbors) {
 			t.Errorf("%s: ReadCSR changed the graph", tc.spec)
 		}
 	}

@@ -10,8 +10,8 @@ import (
 // used to race on the same mmap cache miss: each caller rebuilt the
 // multi-gigabyte CSR and the atomic renames last-writer-won. The result
 // was correct (the files are pure functions of their inputs) but the work
-// was multiplied by the caller count. BuildSource's mmap branch now
-// serializes open-or-build per cache path: an in-process mutex covers
+// was multiplied by the caller count. BuildSource's file-backed branch
+// now serializes open-or-build per cache path: an in-process mutex covers
 // goroutines sharing this process, and an advisory flock on <path>.lock
 // covers separate processes pointed at the same cache directory. Losers
 // of the race wake up, re-try OpenCSR, and reuse the winner's file.

@@ -30,7 +30,7 @@ func TestBuildSourceMmapSingleBuild(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			srcs[i], errs[i] = BuildSource(spec, n, rng.New(42), BuildOpts{Mode: ModeMmap, Path: path})
+			srcs[i], errs[i] = BuildSource(spec, n, rng.New(42), BuildOpts{Path: path})
 		}(i)
 	}
 	wg.Wait()
@@ -59,7 +59,7 @@ func TestBuildSourceMmapSingleBuild(t *testing.T) {
 	if _, err := os.Stat(path + ".lock"); err != nil {
 		t.Errorf("lock file missing after build: %v", err)
 	}
-	warm, err := BuildSource(spec, n, rng.New(42), BuildOpts{Mode: ModeMmap, Path: path})
+	warm, err := BuildSource(spec, n, rng.New(42), BuildOpts{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,12 +75,12 @@ func TestBuildSourceMmapSingleBuild(t *testing.T) {
 func TestBuildSourceMmapLockedRebuildMatches(t *testing.T) {
 	const spec, n = "regular:6", 1200
 	path := filepath.Join(t.TempDir(), CacheFileName(spec, n, 7))
-	src, err := BuildSource(spec, n, rng.New(7), BuildOpts{Mode: ModeMmap, Path: path})
+	src, err := BuildSource(spec, n, rng.New(7), BuildOpts{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.(io.Closer).Close()
-	direct, err := BuildSource(spec, n, rng.New(7), BuildOpts{Mode: ModeCSR})
+	direct, err := BuildSource(spec, n, rng.New(7), BuildOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

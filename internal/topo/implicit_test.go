@@ -141,7 +141,7 @@ func TestResolveBlockMatchesNeighbor(t *testing.T) {
 	}
 	dir := t.TempDir()
 	mapped := func(spec string) *MappedCSR {
-		src, err := BuildSource(spec, 1000, rng.New(8), BuildOpts{Mode: ModeMmap, Path: filepath.Join(dir, spec+".csr")})
+		src, err := BuildSource(spec, 1000, rng.New(8), BuildOpts{Path: filepath.Join(dir, spec+".csr")})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,8 +38,8 @@ const (
 // different failure from "unsupported at any n" (bad parameters, wrong n
 // shape) — callers can match it with errors.Is and suggest a remediation:
 // an implicit family (torus, hypercube, complete, cycle, star) has no
-// materialization cost at all, and mmap mode moves a materialized family's
-// adjacency out of RAM.
+// materialization cost at all. A BuildOpts.Path does not lift the caps:
+// the mapped file holds the same adjacency.
 var ErrTooLarge = errors.New("exceeds a materialization cap")
 
 // tooLargef builds a cap-rejection error wrapping ErrTooLarge.
@@ -154,7 +154,8 @@ var families = []family{
 	{
 		name: "regular", usage: "regular:D",
 		// Uniform-ish random D-regular graph (configuration model + swap
-		// repair); an expander w.h.p.
+		// repair); an expander w.h.p. Past half of the complete degree
+		// the repair finds few legal swaps, so denser specs are refused.
 		parse: func(n int64, ps []string) (string, builder, error) {
 			d, err := oneIntParam("regular", "D", ps, 1, MaxDegreeParam)
 			if err != nil {
@@ -171,6 +172,9 @@ var families = []family{
 			}
 			if n*d > MaxAdjEntries {
 				return "", nil, tooLargef("regular:%d at n = %d exceeds the %d materialized adjacency-entry cap", d, n, MaxAdjEntries)
+			}
+			if 2*d > n-1 {
+				return "", nil, fmt.Errorf("regular:%d needs 2·D <= n-1, got n = %d (a near-complete pairing stalls the swap repair)", d, n)
 			}
 			canon := fmt.Sprintf("regular:%d", d)
 			return canon, func(r *rng.Rand) NeighborSource { return RandomRegular(canon, n, d, r) }, nil
@@ -287,7 +291,7 @@ var families = []family{
 	{
 		name: "barbell", usage: "barbell:D",
 		// Bottleneck: two random D-regular halves joined by one bridge edge;
-		// conductance Θ(1/(n·D)).
+		// conductance Θ(1/(n·D)). Each half obeys regular's density rule.
 		parse: func(n int64, ps []string) (string, builder, error) {
 			d, err := oneIntParam("barbell", "D", ps, 1, MaxDegreeParam)
 			if err != nil {
@@ -305,6 +309,9 @@ var families = []family{
 			}
 			if n*d+2 > MaxAdjEntries {
 				return "", nil, tooLargef("barbell:%d at n = %d exceeds the %d materialized adjacency-entry cap", d, n, MaxAdjEntries)
+			}
+			if 2*d > h-1 {
+				return "", nil, fmt.Errorf("barbell:%d needs 2·D <= n/2-1, got n = %d (a near-complete half stalls the swap repair)", d, n)
 			}
 			canon := fmt.Sprintf("barbell:%d", d)
 			return canon, func(r *rng.Rand) NeighborSource { return Barbell(canon, n, d, r) }, nil
@@ -365,59 +372,29 @@ func IsImplicit(spec string) (bool, error) {
 	return f.implicit, nil
 }
 
-// Mode selects the backend representation BuildSource constructs behind
-// the NeighborSource interface. Every mode enumerates the same neighbors
-// in the same order, so for overlapping (spec, n, seed) the modes produce
-// byte-identical seeded runs — the choice is purely a memory/latency
-// trade.
-type Mode string
-
-const (
-	// ModeAuto is the family default: implicit families stay implicit,
-	// generator families build an in-RAM CSR.
-	ModeAuto Mode = "auto"
-	// ModeImplicit requires the family's O(1)-memory functional backend
-	// and errors for families that must materialize.
-	ModeImplicit Mode = "implicit"
-	// ModeCSR forces an in-RAM CSR, materializing implicit families in
-	// their enumeration order (subject to the MaxAdjEntries cap).
-	ModeCSR Mode = "csr"
-	// ModeMmap serves the CSR from an on-disk file via OpenCSR: an
-	// existing file at BuildOpts.Path is opened and verified against the
-	// spec; otherwise the graph is built, written atomically, and mapped.
-	ModeMmap Mode = "mmap"
-)
-
-// ParseMode parses a user-facing mode string ("" means auto).
-func ParseMode(s string) (Mode, error) {
-	switch Mode(s) {
-	case "", ModeAuto:
-		return ModeAuto, nil
-	case ModeImplicit, ModeCSR, ModeMmap:
-		return Mode(s), nil
-	}
-	return "", fmt.Errorf("unknown graph mode %q (want auto, implicit, csr, or mmap)", s)
-}
-
-// BuildOpts selects the backend for BuildSource.
+// BuildOpts selects the backend for BuildSource. Every backend
+// enumerates the same neighbors in the same order, so for overlapping
+// (spec, n, seed) they produce byte-identical seeded runs: the choice is
+// purely a memory/latency trade.
 type BuildOpts struct {
-	// Mode picks the representation; zero value is ModeAuto.
-	Mode Mode
-	// Path is the CSR file for ModeMmap (required there, ignored
-	// elsewhere). Derive shared cache paths with CacheFileName.
+	// Path, when set, serves the CSR from the file there via OpenCSR: an
+	// existing file is opened and verified against the spec; otherwise
+	// the graph is built, written atomically, and mapped. Empty builds
+	// the family default: implicit families compute their neighbors,
+	// generator families build an in-RAM CSR. Derive shared cache paths
+	// with CacheFileName.
 	Path string
 }
 
 // BuildSource validates the spec and constructs it on n vertices behind
-// the selected backend. All randomness comes from r (deterministic
+// the backend opts selects. All randomness comes from r (deterministic
 // families accept a nil r), so the result is a pure function of
-// (spec, n, r's state, opts) — in mmap mode a pre-existing file at
-// opts.Path is reused without consuming r, which is only sound because
-// files written by this function are themselves pure functions of the
-// same inputs.
+// (spec, n, r's state, opts) — with a Path, a pre-existing file there is
+// reused without consuming r, which is only sound because files written
+// by this function are themselves pure functions of the same inputs.
 //
-// The returned source may hold an OS resource (mmap mode): callers that
-// care should close it via an io.Closer type assertion when done.
+// The returned source may hold an OS resource (a mapped file): callers
+// that care should close it via an io.Closer type assertion when done.
 func BuildSource(spec string, n int64, r *rng.Rand, opts BuildOpts) (NeighborSource, error) {
 	f, params, err := lookup(spec)
 	if err != nil {
@@ -427,55 +404,38 @@ func BuildSource(spec string, n int64, r *rng.Rand, opts BuildOpts) (NeighborSou
 	if err != nil {
 		return nil, err
 	}
-	mode := opts.Mode
-	if mode == "" {
-		mode = ModeAuto
-	}
-	switch mode {
-	case ModeAuto:
+	if opts.Path == "" {
 		return build(r), nil
-	case ModeImplicit:
-		if !f.implicit {
-			return nil, fmt.Errorf("topo: %s has no implicit backend (implicit families: %s)", f.name, strings.Join(implicitFamilyNames(), ", "))
-		}
-		return build(r), nil
-	case ModeCSR:
-		return buildCSR(canon, build(r))
-	case ModeMmap:
-		if opts.Path == "" {
-			return nil, fmt.Errorf("topo: mmap mode needs a file path (BuildOpts.Path)")
-		}
-		// Serialize open-or-build per cache path (see filelock.go): of any
-		// number of concurrent callers — goroutines here or other processes
-		// via the <path>.lock flock — exactly one builds the CSR; the rest
-		// block on the lock and then reuse the file through the OpenCSR
-		// below.
-		unlock, err := lockBuild(opts.Path)
-		if err != nil {
-			return nil, err
-		}
-		defer unlock()
-		if m, err := OpenCSR(opts.Path); err == nil {
-			if m.Name() != canon || m.N() != n {
-				got, gotN := m.Name(), m.N()
-				m.Close()
-				return nil, fmt.Errorf("topo: %s holds %q with n=%d, want %q with n=%d", opts.Path, got, gotN, canon, n)
-			}
-			return m, nil
-		} else if !errors.Is(err, os.ErrNotExist) {
-			return nil, err
-		}
-		mmapCacheBuilds.Add(1)
-		csr, err := buildCSR(canon, build(r))
-		if err != nil {
-			return nil, err
-		}
-		if err := WriteCSRFile(csr, opts.Path); err != nil {
-			return nil, err
-		}
-		return OpenCSR(opts.Path)
 	}
-	return nil, fmt.Errorf("unknown graph mode %q (want auto, implicit, csr, or mmap)", mode)
+	// Serialize open-or-build per cache path (see filelock.go): of any
+	// number of concurrent callers — goroutines here or other processes
+	// via the <path>.lock flock — exactly one builds the CSR; the rest
+	// block on the lock and then reuse the file through the OpenCSR
+	// below.
+	unlock, err := lockBuild(opts.Path)
+	if err != nil {
+		return nil, err
+	}
+	defer unlock()
+	if m, err := OpenCSR(opts.Path); err == nil {
+		if m.Name() != canon || m.N() != n {
+			got, gotN := m.Name(), m.N()
+			m.Close()
+			return nil, fmt.Errorf("topo: %s holds %q with n=%d, want %q with n=%d", opts.Path, got, gotN, canon, n)
+		}
+		return m, nil
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
+	mmapCacheBuilds.Add(1)
+	csr, err := buildCSR(canon, build(r))
+	if err != nil {
+		return nil, err
+	}
+	if err := WriteCSRFile(csr, opts.Path); err != nil {
+		return nil, err
+	}
+	return OpenCSR(opts.Path)
 }
 
 // buildCSR returns g as an in-RAM CSR, materializing it when it is not
@@ -485,18 +445,6 @@ func buildCSR(canon string, g NeighborSource) (*CSR, error) {
 		return csr, nil
 	}
 	return MaterializeCSR(canon, g)
-}
-
-// implicitFamilyNames lists the families carrying an implicit backend, in
-// registry order (for error messages).
-func implicitFamilyNames() []string {
-	var out []string
-	for _, f := range families {
-		if f.implicit {
-			out = append(out, f.name)
-		}
-	}
-	return out
 }
 
 // ----- parameter parsing helpers (strict, constant-time) -----

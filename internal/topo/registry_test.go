@@ -114,6 +114,13 @@ func TestRegistryRejectsHostileSpecs(t *testing.T) {
 		{"barbell:4", 101, "even n"},
 		{"barbell:60", 100, "even n"},
 		{"regular:4:9", 100, "one parameter"},
+		// Near-complete pairings stall the swap repair (minutes per
+		// build): one degree past the densest accepted spec at n = 1024
+		// (TestRegistryBuildsDensestSpecs), and the complete degree.
+		{"regular:512", 1024, "2·D <= n-1"},
+		{"regular:1023", 1024, "2·D <= n-1"},
+		{"barbell:256", 1024, "2·D <= n/2-1"},
+		{"barbell:511", 1024, "2·D <= n/2-1"},
 	}
 	for _, tc := range cases {
 		start := time.Now()
@@ -128,6 +135,19 @@ func TestRegistryRejectsHostileSpecs(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("Validate(%q, %d) error %q missing %q", tc.spec, tc.n, err, tc.frag)
 		}
+	}
+}
+
+// TestRegistryBuildsDensestSpecs builds the densest regular and barbell
+// specs the registry accepts at n = 1024: each is one degree below a
+// rejection row of TestRegistryRejectsHostileSpecs.
+func TestRegistryBuildsDensestSpecs(t *testing.T) {
+	for _, spec := range []string{"regular:511", "barbell:255"} {
+		g, err := BuildSource(spec, 1024, rng.New(1), BuildOpts{})
+		if err != nil {
+			t.Fatalf("BuildSource(%q, 1024): %v", spec, err)
+		}
+		checkCSR(t, g.(*CSR))
 	}
 }
 

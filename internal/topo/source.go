@@ -116,7 +116,7 @@ func MaterializeCSR(name string, src NeighborSource) (*CSR, error) {
 
 // CacheFileName is the canonical on-disk file name for a materialized
 // topology: a pure function of (canonical spec, n, generator seed), so
-// mmap-mode callers that derive their graph seeds deterministically (e.g.
+// file-backed callers that derive their graph seeds deterministically (e.g.
 // cmd/sweep cells) agree on the file without coordination. Characters that
 // are awkward in file names (':', '/') map to '_'.
 func CacheFileName(canon string, n int64, seed uint64) string {

@@ -50,16 +50,16 @@ func TestBackendsAgreeOnStructure(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range cases {
 		t.Run(tc.spec, func(t *testing.T) {
-			imp, err := BuildSource(tc.spec, tc.n, nil, BuildOpts{Mode: ModeImplicit})
+			imp, err := BuildSource(tc.spec, tc.n, nil, BuildOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			csr, err := BuildSource(tc.spec, tc.n, nil, BuildOpts{Mode: ModeCSR})
+			csr, err := MaterializeCSR(tc.spec, imp)
 			if err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join(dir, CacheFileName(tc.spec, tc.n, 1))
-			mm, err := BuildSource(tc.spec, tc.n, nil, BuildOpts{Mode: ModeMmap, Path: path})
+			mm, err := BuildSource(tc.spec, tc.n, nil, BuildOpts{Path: path})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,83 +104,46 @@ func TestMaterializeCSRCapErrors(t *testing.T) {
 	}
 }
 
-// TestBuildSourceModes covers the registry's mode dispatch.
+// TestBuildSourceModes covers the registry's two ways to build: without a
+// path each family keeps its default representation; with one the CSR
+// is served from that file.
 func TestBuildSourceModes(t *testing.T) {
-	dir := t.TempDir()
-
-	// auto keeps each family's default representation.
 	if src, err := BuildSource("torus", 64, nil, BuildOpts{}); err != nil {
 		t.Fatal(err)
 	} else if _, isCSR := src.(*CSR); isCSR {
-		t.Fatal("auto mode materialized an implicit family")
+		t.Fatal("no path materialized an implicit family")
 	}
-	if src, err := BuildSource("regular:4", 100, rng.New(3), BuildOpts{Mode: ModeAuto}); err != nil {
+	want, err := BuildSource("regular:4", 100, rng.New(3), BuildOpts{})
+	if err != nil {
 		t.Fatal(err)
-	} else if _, isCSR := src.(*CSR); !isCSR {
-		t.Fatal("auto mode did not build a CSR for a generator family")
+	} else if _, isCSR := want.(*CSR); !isCSR {
+		t.Fatal("no path did not build a CSR for a generator family")
 	}
 
-	// implicit refuses materialized-only families.
-	if _, err := BuildSource("regular:4", 100, rng.New(3), BuildOpts{Mode: ModeImplicit}); err == nil {
-		t.Fatal("implicit mode accepted a generator family")
-	}
-
-	// csr forces materialization of implicit families.
-	if src, err := BuildSource("hypercube", 64, nil, BuildOpts{Mode: ModeCSR}); err != nil {
-		t.Fatal(err)
-	} else if _, isCSR := src.(*CSR); !isCSR {
-		t.Fatal("csr mode did not materialize")
-	}
-
-	// mmap without a path is an error.
-	if _, err := BuildSource("torus", 64, nil, BuildOpts{Mode: ModeMmap}); err == nil {
-		t.Fatal("mmap mode without a path accepted")
-	}
-
-	// mmap builds the file once and reuses it; a mismatched reuse is
+	// A path builds the file once and reuses it; a mismatched reuse is
 	// rejected.
-	path := filepath.Join(dir, "g.csr")
-	m1, err := BuildSource("regular:4", 100, rng.New(3), BuildOpts{Mode: ModeMmap, Path: path})
+	path := filepath.Join(t.TempDir(), "g.csr")
+	m1, err := BuildSource("regular:4", 100, rng.New(3), BuildOpts{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m1.(*MappedCSR).Close()
-	m2, err := BuildSource("regular:4", 100, rng.New(3), BuildOpts{Mode: ModeMmap, Path: path})
+	m2, err := BuildSource("regular:4", 100, rng.New(3), BuildOpts{Path: path})
 	if err != nil {
 		t.Fatalf("reopening cached mmap file: %v", err)
 	}
 	m2.(*MappedCSR).Close()
-	if _, err := BuildSource("regular:4", 200, rng.New(3), BuildOpts{Mode: ModeMmap, Path: path}); err == nil {
-		t.Fatal("mmap mode reused a file holding a different graph")
+	if _, err := BuildSource("regular:4", 200, rng.New(3), BuildOpts{Path: path}); err == nil {
+		t.Fatal("a path holding a different graph was reused")
 	}
 
 	// The cached file round-trips the exact structure.
-	want, err := BuildSource("regular:4", 100, rng.New(3), BuildOpts{Mode: ModeAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
 	m3, err := OpenCSR(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m3.Close()
 	sourcesAgree(t, "cached mmap vs rebuilt", want, m3)
-}
-
-// TestParseMode checks the user-facing mode strings.
-func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{
-		"": ModeAuto, "auto": ModeAuto, "implicit": ModeImplicit,
-		"csr": ModeCSR, "mmap": ModeMmap,
-	} {
-		got, err := ParseMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseMode("ramdisk"); err == nil {
-		t.Error("ParseMode accepted an unknown mode")
-	}
 }
 
 // TestIsImplicit pins the implicit-family set the service caps key off.

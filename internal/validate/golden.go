@@ -143,13 +143,13 @@ func StandardGoldenSpecs() []GoldenSpec {
 		},
 		{
 			// The implicit-backend golden: the torus is sampled functionally
-			// (topo.ModeImplicit, nothing materialized), pinning the
+			// (the family default, nothing materialized), pinning the
 			// NeighborSource rng contract for the zero-memory path. The
 			// backend-identity certification (CheckGraphContract) proves the
 			// CSR and mmap backends reproduce these same bytes.
 			Name: "graph-torus-implicit-3majority-n512-k3",
 			NewEngine: func(init colorcfg.Config, r *rng.Rand) engine.Engine {
-				g, err := topo.BuildSource("torus:3", init.N(), nil, topo.BuildOpts{Mode: topo.ModeImplicit})
+				g, err := topo.BuildSource("torus:3", init.N(), nil, topo.BuildOpts{})
 				if err != nil {
 					panic(fmt.Sprintf("golden implicit torus build: %v", err))
 				}

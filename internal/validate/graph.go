@@ -64,7 +64,7 @@ func StandardGraphSpecs() []GraphContractSpec {
 // and rebuilds it reproducibly (byte-identical CSR per seed), the built
 // structure satisfies the handshake invariant, and every backend of the
 // same (spec, n, seed) — the family default, the opaque interface path,
-// the forced in-RAM CSR, the implicit functional graph where the family
+// the in-RAM CSR, the implicit functional graph where the family
 // has one, and the mmap-backed CSR round-tripped through a real file —
 // yields byte-identical per-round configurations AND per-vertex colors
 // (the representation-independence contract: on every backend the engine
@@ -98,15 +98,21 @@ func CheckGraphContract(spec GraphContractSpec, opts Options) CheckResult {
 	if g.N() != spec.N {
 		return fail("built %d vertices, want %d", g.N(), spec.N)
 	}
-	csr, isCSR := g.(*topo.CSR)
-	if isCSR {
+	canon, err := topo.Canonical(spec.Spec, spec.N)
+	if err != nil {
+		return fail("canonical: %v", err)
+	}
+	// csr2 is the in-RAM CSR backend: a generator family's rebuild from
+	// the same seed, or an implicit family's materialization.
+	var csr2 *topo.CSR
+	if csr, isCSR := g.(*topo.CSR); isCSR {
 		// Generator determinism: the registry must reproduce the graph
 		// byte for byte from the same seed.
 		g2, err := topo.BuildSource(spec.Spec, spec.N, rng.New(seed), topo.BuildOpts{})
 		if err != nil {
 			return fail("rebuild: %v", err)
 		}
-		csr2 := g2.(*topo.CSR)
+		csr2 = g2.(*topo.CSR)
 		if !slices.Equal(csr.Offsets, csr2.Offsets) || !slices.Equal(csr.Neighbors, csr2.Neighbors) {
 			return fail("generator not byte-deterministic for seed %d", seed)
 		}
@@ -119,27 +125,20 @@ func CheckGraphContract(spec GraphContractSpec, opts Options) CheckResult {
 		if degreeSum != int64(len(csr.Neighbors)) || degreeSum != 2*csr.Edges() {
 			return fail("handshake violated: Σdeg=%d, entries=%d", degreeSum, len(csr.Neighbors))
 		}
+	} else if csr2, err = topo.MaterializeCSR(canon, g); err != nil {
+		return fail("csr backend: %v", err)
 	}
 
 	// Assemble every backend of the same (spec, n, seed). Each BuildSource
 	// gets a fresh rng.New(seed), so random families rebuild the identical
 	// structure per backend; implicit families ignore the rng entirely.
-	canon, err := topo.Canonical(spec.Spec, spec.N)
-	if err != nil {
-		return fail("canonical: %v", err)
-	}
 	type backend struct {
 		name string
 		src  topo.NeighborSource
 	}
-	backends := []backend{{"auto", g}, {"opaque", opaqueGraph{g}}}
-	csrSrc, err := topo.BuildSource(spec.Spec, spec.N, rng.New(seed), topo.BuildOpts{Mode: topo.ModeCSR})
-	if err != nil {
-		return fail("csr backend: %v", err)
-	}
-	backends = append(backends, backend{"csr", csrSrc})
+	backends := []backend{{"default", g}, {"opaque", opaqueGraph{g}}, {"csr", csr2}}
 	if implicit, _ := topo.IsImplicit(spec.Spec); implicit {
-		impSrc, err := topo.BuildSource(spec.Spec, spec.N, nil, topo.BuildOpts{Mode: topo.ModeImplicit})
+		impSrc, err := topo.BuildSource(spec.Spec, spec.N, nil, topo.BuildOpts{})
 		if err != nil {
 			return fail("implicit backend: %v", err)
 		}
@@ -148,7 +147,7 @@ func CheckGraphContract(spec GraphContractSpec, opts Options) CheckResult {
 	if dir, err := os.MkdirTemp("", "validate-mmap-*"); err == nil {
 		defer os.RemoveAll(dir)
 		path := filepath.Join(dir, topo.CacheFileName(canon, spec.N, seed))
-		mmapSrc, err := topo.BuildSource(spec.Spec, spec.N, rng.New(seed), topo.BuildOpts{Mode: topo.ModeMmap, Path: path})
+		mmapSrc, err := topo.BuildSource(spec.Spec, spec.N, rng.New(seed), topo.BuildOpts{Path: path})
 		if err != nil {
 			return fail("mmap backend: %v", err)
 		}
